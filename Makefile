@@ -32,16 +32,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrent runtime, the observability layer and the replication
-# harness are the packages with real cross-goroutine traffic; keep them
-# under the race detector. The experiments package rides along because its
-# determinism tests drive every figure's scaled-down driver through the
-# harness at Parallelism 4 and GOMAXPROCS. The analysis suite rides along
-# too: its loader caches packages behind a plain map, so racing the tests
-# documents that each test process loads sequentially.
+# Races the packages with real cross-goroutine traffic: the sharded engine
+# (shardgossip), the observability layer (obs) and the replication harness.
+# The sequential engine (gossip) has no goroutines of its own; it rides
+# along because it records into the same obs instruments. The experiments
+# package rides along because its determinism tests drive every figure's
+# scaled-down driver through the harness at Parallelism 4 and GOMAXPROCS.
+# The analysis suite rides along too: its loader caches packages behind a
+# plain map, so racing the tests documents that each test process loads
+# sequentially.
 race:
-	$(GO) test -race ./internal/distrun/... ./internal/obs/... ./internal/gossip/... \
-		./internal/shardgossip/... \
+	$(GO) test -race ./internal/obs/... ./internal/gossip/... ./internal/shardgossip/... \
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/...
 
 bench:

@@ -2,7 +2,7 @@
 // evaluation (see DESIGN.md §4). Each benchmark runs a reduced-but-faithful
 // version of its experiment and reports the figure's headline quantity as a
 // custom metric, so `go test -bench=.` regenerates the shape of the whole
-// evaluation quickly; cmd/figures runs the full-scale versions.
+// evaluation quickly; `hetlb figures -paper` runs the full-scale versions.
 package hetlb_test
 
 import (
@@ -52,8 +52,9 @@ func BenchmarkFigure1(b *testing.B) {
 }
 
 // BenchmarkFigure2a — stationary makespan distribution, m=6, pmax ∈ {2,4}
-// (pmax 8 and 16 are the full-scale cmd/figures run). Reports the mode of
-// the pmax=4 curve in normalized deviation units (the paper observes 0.5).
+// (pmax 8 and 16 are the full-scale `hetlb figures -paper` run). Reports the
+// mode of the pmax=4 curve in normalized deviation units (the paper observes
+// 0.5).
 func BenchmarkFigure2a(b *testing.B) {
 	var mode float64
 	for i := 0; i < b.N; i++ {
@@ -180,8 +181,8 @@ func benchSelection(b *testing.B, sweep bool) {
 	b.ReportMetric(float64(final)/hetlb.TwoClusterLowerBound(tc), "cmax/lb")
 }
 
-// BenchmarkConcurrentVsSequential measures the concurrent runtime against
-// the sequential engine at the same exchange budget (DESIGN.md §5).
+// BenchmarkEngineSequential and BenchmarkEngineSharded compare the two
+// engines the facade offers at the same exchange budget (DESIGN.md §5).
 func BenchmarkEngineSequential(b *testing.B) {
 	tc := ablationInstance(b)
 	for i := 0; i < b.N; i++ {
@@ -192,13 +193,14 @@ func BenchmarkEngineSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineConcurrent is the goroutine-per-machine counterpart.
-func BenchmarkEngineConcurrent(b *testing.B) {
+// BenchmarkEngineSharded is the sharded epoch engine's counterpart, at two
+// shards.
+func BenchmarkEngineSharded(b *testing.B) {
 	tc := ablationInstance(b)
 	for i := 0; i < b.N; i++ {
 		initial := hetlb.RandomInitial(tc, uint64(i))
 		if _, err := hetlb.DLB2C(tc, initial, hetlb.RunOptions{
-			Seed: uint64(i), MaxExchanges: 24 * 10, Concurrent: true,
+			Seed: uint64(i), MaxExchanges: 24 * 10, Shards: 2,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -24,13 +24,30 @@ func cmdSim(args []string) error {
 	hi := fs.Int64("hi", 1000, "maximum job cost")
 	steps := fs.Int("steps", 0, "pairwise exchange budget (default 5 per machine)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	concurrent := fs.Bool("concurrent", false, "use the goroutine-per-machine runtime")
 	shards := fs.Int("shards", 0, "run the sharded epoch engine with this many parallel shards; -1 picks one shard per core (results are identical for any shard count)")
-	stable := fs.Bool("stable", false, "stop early at a verified stable schedule (sequential only)")
+	stable := fs.Bool("stable", false, "stop early at a verified stable schedule")
 	var ob obsFlags
 	ob.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// The generators and constructors below treat bad sizes as programming
+	// errors and panic, so command-line input is checked here first.
+	switch {
+	case *m1 < 1:
+		return fmt.Errorf("-m1 = %d; want at least 1 machine", *m1)
+	case *proto == "dlb2c" && *m2 < 1:
+		return fmt.Errorf("-m2 = %d; want at least 1 machine", *m2)
+	case *jobs < 1:
+		return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
+	case *proto == "mjtb" && *types < 1:
+		return fmt.Errorf("-types = %d; want at least 1 job type", *types)
+	case *lo < 0:
+		return fmt.Errorf("-lo = %d; want a non-negative cost", *lo)
+	case *hi < *lo:
+		return fmt.Errorf("-hi = %d is below -lo = %d", *hi, *lo)
+	case *hi >= core.Infinite:
+		return fmt.Errorf("-hi = %d; want a cost below %d, which marks a job that cannot run", *hi, core.Infinite)
 	}
 	gen := rng.New(*seed)
 	sinks, err := ob.setup()
@@ -40,10 +57,8 @@ func cmdSim(args []string) error {
 
 	opt := hetlb.RunOptions{
 		Seed:            gen.Uint64(),
-		Concurrent:      *concurrent,
 		Shards:          *shards,
 		DetectStability: *stable,
-		QuiesceStreak:   64,
 		Metrics:         sinks.Metrics,
 		Trace:           sinks.Trace,
 		Spans:           sinks.Spans,

@@ -47,7 +47,7 @@
 // bit-identical for every worker count. The experiment drivers behind the
 // paper's tables and figures are built on the same runner.
 //
-// The executables under cmd/ regenerate every table and figure of the
-// paper's evaluation ("hetlb figures" / cmd/figures run it end to end,
-// in parallel with --parallel); see DESIGN.md and EXPERIMENTS.md.
+// The hetlb command under cmd/ regenerates every table and figure of the
+// paper's evaluation ("go run ./cmd/hetlb figures -paper" runs it end to
+// end, in parallel with --parallel); see DESIGN.md and EXPERIMENTS.md.
 package hetlb

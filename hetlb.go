@@ -5,7 +5,6 @@ import (
 
 	"hetlb/internal/central"
 	"hetlb/internal/core"
-	"hetlb/internal/distrun"
 	"hetlb/internal/exact"
 	"hetlb/internal/gossip"
 	"hetlb/internal/protocol"
@@ -128,12 +127,9 @@ type RunOptions struct {
 	// MaxExchanges bounds the number of pairwise balancing operations
 	// (required: the protocols may never converge, Proposition 8).
 	MaxExchanges int
-	// DetectStability stops a sequential run early at a verified stable
-	// schedule. Ignored when Concurrent is set (use QuiesceStreak there).
+	// DetectStability stops the run early at a verified stable schedule, on
+	// either engine.
 	DetectStability bool
-	// Concurrent runs one goroutine per machine (the operational model of
-	// the paper) instead of the sequential reproducible engine.
-	Concurrent bool
 	// Shards >= 1 runs the sharded epoch engine: machines are partitioned
 	// into that many shards stepped by parallel workers on a per-epoch
 	// random perfect matching. AutoShards (-1) also selects the sharded
@@ -142,25 +138,23 @@ type RunOptions struct {
 	// shard count, so the choice only affects parallelism. The zero
 	// default keeps the sequential engine, whose uniform-initiator
 	// schedule differs from the sharded engine's matching schedule.
-	// Incompatible with Concurrent and with Trace (the sharded engine
-	// records spans and timelines, not events).
+	// Incompatible with Trace (the sharded engine records spans and
+	// timelines, not events).
 	Shards int
-	// QuiesceStreak (concurrent only) stops early once every machine saw
-	// this many consecutive unchanged sessions; 0 disables.
-	QuiesceStreak int64
 	// Metrics, when non-nil, receives the run's counters and histograms
-	// (gossip_* for sequential runs, distrun_* for concurrent ones).
+	// (gossip_* for sequential runs, shardgossip_* for sharded ones).
 	Metrics *MetricsRegistry
 	// Trace, when non-nil, receives one pair-selected event per exchange
-	// (and makespan samples on sequential runs).
+	// plus a makespan sample whenever the schedule changed. Sequential runs
+	// only.
 	Trace *EventTrace
 	// Spans, when non-nil, collects the run's causal span trace: one
-	// KindRun span plus one step span per effective exchange (sequential)
-	// or one session span per balancing session (concurrent).
+	// KindRun span plus one step span per exchange (sequential) or one
+	// session span per pairwise session (sharded).
 	Spans *SpanTrace
-	// Timeline, when non-nil, records the convergence trajectory: one
-	// point per step (sequential: Cmax, imbalance, cumulative moves) or per
-	// session (concurrent: cumulative moves only).
+	// Timeline, when non-nil, records the convergence trajectory (Cmax,
+	// imbalance, cumulative moves): one point per exchange (sequential) or
+	// per epoch (sharded).
 	Timeline *Timeline
 	// Faults, when non-nil and non-zero, arms a deterministic crash/recovery
 	// schedule against the run. Sharded runs only (Shards >= 1 or
@@ -181,8 +175,8 @@ const AutoShards = -1
 // Result is the outcome of a decentralized balancing run.
 type Result struct {
 	// Assignment is the final schedule. For sequential runs it is the
-	// same object that was passed in (mutated in place); for concurrent
-	// runs it is a fresh assignment.
+	// same object that was passed in (mutated in place); sharded runs
+	// return a fresh assignment and leave the initial one untouched.
 	Assignment *Assignment
 	// Makespan is the final Cmax.
 	Makespan Cost
@@ -200,7 +194,8 @@ type Result struct {
 	Crashes, Recoveries, JobsLost, JobsRehosted, Voided int
 }
 
-// runProtocol drives a protocol either sequentially or concurrently.
+// runProtocol drives a protocol on the sequential engine (Shards == 0) or
+// the sharded epoch engine (Shards >= 1 or AutoShards).
 func runProtocol(p protocol.Protocol, initial *Assignment, opt RunOptions) (Result, error) {
 	if opt.MaxExchanges <= 0 {
 		return Result{}, fmt.Errorf("hetlb: RunOptions.MaxExchanges must be positive")
@@ -208,13 +203,13 @@ func runProtocol(p protocol.Protocol, initial *Assignment, opt RunOptions) (Resu
 	if !initial.Complete() {
 		return Result{}, fmt.Errorf("hetlb: initial assignment must place every job")
 	}
+	if m := initial.Model().NumMachines(); m < 2 {
+		return Result{}, fmt.Errorf("hetlb: need at least 2 machines to form pairs, got %d", m)
+	}
 	if opt.Shards < AutoShards {
 		return Result{}, fmt.Errorf("hetlb: RunOptions.Shards = %d; want a positive count, 0 (sequential) or AutoShards", opt.Shards)
 	}
 	if opt.Shards >= 1 || opt.Shards == AutoShards {
-		if opt.Concurrent {
-			return Result{}, fmt.Errorf("hetlb: RunOptions.Shards and Concurrent are mutually exclusive")
-		}
 		if opt.Trace != nil {
 			return Result{}, fmt.Errorf("hetlb: RunOptions.Trace is not supported with Shards (use Spans or Timeline)")
 		}
@@ -251,29 +246,6 @@ func runProtocol(p protocol.Protocol, initial *Assignment, opt RunOptions) (Resu
 	}
 	if opt.Faults != nil && !opt.Faults.Zero() {
 		return Result{}, fmt.Errorf("hetlb: RunOptions.Faults requires the sharded engine (set Shards; the message-passing runtime takes faults via MessagePassingOptions)")
-	}
-	if opt.Concurrent {
-		cfg := distrun.Config{
-			Seed:          opt.Seed,
-			MaxSteps:      int64(opt.MaxExchanges),
-			QuiesceStreak: opt.QuiesceStreak,
-			Tracer:        opt.Trace,
-			Spans:         opt.Spans,
-			Timeline:      opt.Timeline,
-		}
-		if opt.Metrics != nil {
-			cfg.Metrics = distrun.NewMetrics(opt.Metrics, initial.Model().NumMachines())
-		}
-		res, err := distrun.Run(p, initial, cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{
-			Assignment: res.Assignment,
-			Makespan:   res.Assignment.Makespan(),
-			Exchanges:  int(res.Steps),
-			Converged:  res.Converged,
-		}, nil
 	}
 	cfg := gossip.Config{Seed: opt.Seed, Tracer: opt.Trace, Spans: opt.Spans, Timeline: opt.Timeline}
 	if opt.Metrics != nil {

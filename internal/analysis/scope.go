@@ -20,7 +20,6 @@ var determinismScoped = map[string]bool{
 	"gossip":      true,
 	"netsim":      true,
 	"des":         true,
-	"distrun":     true,
 	"shardgossip": true,
 	"worksteal":   true,
 	"harness":     true,

@@ -1,10 +1,10 @@
 // Package evaluation regenerates the paper's full evaluation — Tables I/II,
 // Figures 1–5 and the repo's extension studies — through the replication
-// harness. It is the single implementation behind both command-line front
-// ends (cmd/figures and `hetlb figures`): each step prints its table/ASCII
-// rendering, writes a tidy CSV, and runs its replications on the harness
-// worker pool, so one --parallel flag accelerates the whole evaluation
-// without changing a single number (see the harness determinism contract).
+// harness. It is the implementation behind the `hetlb figures` command
+// (full scale with -paper): each step prints its table/ASCII rendering,
+// writes a tidy CSV, and runs its replications on the harness worker pool,
+// so one --parallel flag accelerates the whole evaluation without changing
+// a single number (see the harness determinism contract).
 package evaluation
 
 import (

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunReducedEndToEnd runs the complete reduced evaluation — every step
-// cmd/figures and `hetlb figures` expose — into a temp dir and checks that
-// each experiment emitted its CSV and some textual rendering. This is the
+// `hetlb figures` exposes — into a temp dir and checks that each experiment
+// emitted its CSV and some textual rendering. This is the
 // integration test for the whole evaluation pipeline: drivers, harness,
 // plotting and CSV emission.
 func TestRunReducedEndToEnd(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation. Each driver is deterministic given its configuration,
 // returns structured results, and can render itself as plot series and text
-// so cmd/figures can regenerate the full evaluation. The drivers accept
+// so `hetlb figures` can regenerate the full evaluation. The drivers accept
 // scaled-down parameters for tests; the Paper* config constructors return
 // the exact parameters used in the paper.
 //
@@ -29,7 +29,7 @@ import (
 // harness.Map: one keyed RNG substream per replication, results addressed by
 // index, optional worker-pool parallelism. The plain constructors
 // (TableI, Figure3, ...) run with harness defaults; the *With variants take
-// harness.Options so callers (cmd/figures, `hetlb figures`, tests) can set
+// harness.Options so callers (`hetlb figures`, tests) can set
 // parallelism, deadlines and observability. A driver's output is identical
 // for every Options.Parallelism — see determinism_test.go.
 

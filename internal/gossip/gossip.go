@@ -7,8 +7,9 @@
 //
 // The engine is deliberately decoupled from what is measured: observers
 // receive every step and can record makespan trajectories, threshold
-// crossings or exchange counts (see internal/trace). A concurrent
-// message-passing runtime with the same semantics lives in internal/distrun.
+// crossings or exchange counts (see internal/trace). internal/shardgossip
+// runs the same kernels in parallel on a per-epoch matching schedule, and
+// internal/netsim runs them as a message-passing handshake.
 package gossip
 
 import (

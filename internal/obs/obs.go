@@ -10,8 +10,8 @@
 //     emitted by hand.
 //  2. Allocation-free record path. Counter.Add, Gauge.Set,
 //     Histogram.Observe, CounterVec.At(i).Add and Tracer.Emit perform no
-//     heap allocation, so they are safe on the distrun goroutine-per-machine
-//     hot path and inside the gossip step loop. This is asserted by
+//     heap allocation, so they are safe inside the gossip step loop and
+//     the sharded engine's epoch barrier. This is asserted by
 //     testing.AllocsPerRun in the package tests.
 //  3. Concurrency-safe. All record operations may be called from any number
 //     of goroutines; metrics use atomics, the tracer a single short mutex.

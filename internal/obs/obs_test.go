@@ -119,7 +119,7 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 
 // TestRecordPathAllocFree asserts the tentpole constraint: recording through
 // any instrument (and emitting a trace event) never allocates, so the
-// instruments are safe on the distrun/gossip hot paths.
+// instruments are safe on the gossip/shardgossip hot paths.
 func TestRecordPathAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "")

@@ -92,9 +92,8 @@ func (t EventType) String() string {
 }
 
 // Event is one tracer record. Time is in the emitting runtime's unit
-// (gossip: step index; netsim/worksteal: virtual time; distrun: session
-// sequence number) — timelines from one runtime are internally consistent,
-// which is what trace viewers need.
+// (gossip: step index; netsim/worksteal: virtual time) — timelines from one
+// runtime are internally consistent, which is what trace viewers need.
 type Event struct {
 	Time  int64
 	Type  EventType
@@ -105,8 +104,7 @@ type Event struct {
 // Tracer is a bounded ring buffer of events. When full, the oldest events
 // are overwritten; Dropped reports how many were lost. A single mutex
 // guards the ring: the critical section is a slice store and two integer
-// updates, which is cheap enough for every runtime here (the distrun hot
-// path is dominated by its per-session sort).
+// updates, which is cheap enough for every runtime here.
 type Tracer struct {
 	mu    sync.Mutex
 	buf   []Event

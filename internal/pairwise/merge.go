@@ -2,7 +2,7 @@ package pairwise
 
 // MergeSortedInto appends the sorted merge of a and b (each sorted
 // ascending) to dst and returns the extended slice. It is the pooling step
-// of a pair session in the concurrent runtimes: each side keeps its job list
+// of a pair session in the sharded engine: each side keeps its job list
 // sorted, so the union of a pair is a linear merge into the session's
 // scratch, not a concatenate-and-sort.
 //

@@ -12,7 +12,7 @@
 // Every kernel exists in two layers. The Split* functions are pure: given
 // the pooled job set they return the partition (jobs for the first machine,
 // jobs for the second) without touching any shared state — this is what the
-// concurrent runtime (internal/distrun) calls while holding only the two
+// sharded engine's workers and the message-passing runtime call on the two
 // machines involved. The same-named convenience wrappers apply a split to a
 // core.Assignment for the sequential engine and the tests.
 //

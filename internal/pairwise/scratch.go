@@ -4,8 +4,8 @@ package pairwise
 // balancing variants. One Scratch serves one call chain at a time: the
 // slices returned by the *Scratch kernels and by Protocol.SplitScratch alias
 // these buffers and stay valid only until the scratch is used again. The
-// sequential engine owns one Scratch per engine; the concurrent runtime owns
-// one per machine goroutine (a Scratch is not safe for concurrent use).
+// sequential engine owns one Scratch per engine; the sharded engine owns one
+// per shard worker (a Scratch is not safe for concurrent use).
 //
 // Ownership rules:
 //   - the caller owns the Scratch and may mutate (e.g. sort) the returned
@@ -17,7 +17,7 @@ package pairwise
 //     a warm-up and performs no further allocations.
 type Scratch struct {
 	// Union is the pooled-jobs buffer, filled by AppendUnion (or a merge in
-	// the concurrent runtime) and passed to SplitScratch as input.
+	// the sharded engine) and passed to SplitScratch as input.
 	Union []int
 	// To1 and To2 receive the two sides of a split.
 	To1, To2 []int

@@ -1,7 +1,7 @@
 // Package plot renders experiment output in two forms: CSV (for external
-// plotting of the reproduced figures) and quick ASCII charts (so cmd/figures
-// shows the shape of each figure directly in the terminal, which is how the
-// "does the reproduction match the paper" judgement is made).
+// plotting of the reproduced figures) and quick ASCII charts (so `hetlb
+// figures` shows the shape of each figure directly in the terminal, which is
+// how the "does the reproduction match the paper" judgement is made).
 package plot
 
 import (

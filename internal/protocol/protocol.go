@@ -13,10 +13,10 @@
 //     the protocol may never stabilize (Proposition 8).
 //
 // Each protocol exposes the pure Split form (partition a pooled job set
-// between two machines) used by the concurrent runtime, and the Balance
-// form that applies the split to a core.Assignment, used by the sequential
-// gossip engine and the exhaustive state-space exploration of
-// Proposition 8. Both forms share the kernels in internal/pairwise.
+// between two machines) used by the sharded and message-passing engines,
+// and the Balance form that applies the split to a core.Assignment, used by
+// the sequential gossip engine and the exhaustive state-space exploration
+// of Proposition 8. Both forms share the kernels in internal/pairwise.
 package protocol
 
 import (
@@ -26,7 +26,7 @@ import (
 
 // Protocol is a decentralized balancing rule. Split must be a deterministic
 // function of (i, j, jobs) so that stability is well defined and so that the
-// sequential and concurrent engines behave identically.
+// sequential, sharded and message-passing engines behave identically.
 //
 // Every rule exists in an allocating and a scratch form. The scratch forms
 // are what the engines run hundreds of thousands of times per replication:

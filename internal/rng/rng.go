@@ -3,8 +3,8 @@
 //
 // Reproducibility is a first-class requirement for the experiments in this
 // repository: every figure of the paper is regenerated from a fixed seed, and
-// concurrent components (one goroutine per machine in the distributed
-// runtime) each need an independent stream that does not depend on
+// concurrent components (replications in the harness, epoch schedules of the
+// sharded engine) each need an independent stream that does not depend on
 // scheduling order. The generator is based on SplitMix64 for seeding and
 // xoshiro256** for the stream, both public-domain algorithms with good
 // statistical quality and trivial implementations.
@@ -70,9 +70,9 @@ func (r *RNG) Uint64() uint64 {
 }
 
 // Split returns a new generator whose stream is statistically independent
-// from r's. It advances r. Splitting is how per-machine generators are
-// derived in the concurrent runtime so that results do not depend on
-// goroutine interleaving.
+// from r's. It advances r. Splitting is how the message-passing runtime
+// derives its per-machine generators, so that results do not depend on
+// event order.
 func (r *RNG) Split() *RNG {
 	return New(r.Uint64())
 }

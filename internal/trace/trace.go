@@ -1,21 +1,18 @@
 // Package trace provides gossip.Observer implementations that record what
 // the paper's figures plot: makespan trajectories over iterations
-// (Figure 4), first-crossing times of a makespan threshold with per-machine
-// exchange counts (Figure 5), and generic step logs.
+// (Figure 4) and first-crossing times of a makespan threshold with
+// per-machine exchange counts (Figure 5).
 //
 // The probes are built on the observability layer: makespan queries go
 // through the engine's incremental cache (Engine.Makespan, amortized O(1)
 // instead of an O(m) rescan per sampled step), and every probe can tee its
-// samples into an obs.Tracer ring for timeline export. Instrument is the
-// generic metrics-backed observer for callers that want a trajectory in an
-// obs.Registry without touching the engine configuration.
+// samples into an obs.Tracer ring for timeline export.
 package trace
 
 import (
 	"hetlb/internal/core"
 	"hetlb/internal/gossip"
 	"hetlb/internal/obs"
-	"hetlb/internal/obs/timeline"
 )
 
 // MakespanSeries records Cmax every SampleEvery steps (and at step 0).
@@ -104,103 +101,4 @@ func (t *ThresholdWatcher) ExchangesPerMachine(machines int) (float64, bool) {
 		return 0, false
 	}
 	return float64(t.FirstStep+1) / float64(machines), true
-}
-
-// TimelineSampler feeds a timeline.Recorder from a gossip engine that was
-// built without gossip.Config.Timeline — the observer-based counterpart of
-// that field, for engines whose configuration the caller does not control.
-// Every SampleEvery steps (and at step 0) it records one convergence point:
-// current Cmax, the imbalance Cmax − ⌊ΣC/m⌋ against the ideal uniform load,
-// and the cumulative move count. Both queries hit the engine's incremental
-// caches, so sampling is O(1) per point.
-type TimelineSampler struct {
-	// SampleEvery thins the sampling; 0 or 1 records every step. The
-	// timeline ring's own power-of-two downsampling bounds retention, so
-	// thinning here only trades resolution for recording cost.
-	SampleEvery int
-	// Timeline receives the points; a nil recorder disables the observer.
-	Timeline *timeline.Recorder
-}
-
-// OnStep implements gossip.Observer.
-func (t *TimelineSampler) OnStep(e gossip.Stepper, step, i, j int) {
-	if t.Timeline == nil {
-		return
-	}
-	every := t.SampleEvery
-	if every < 1 {
-		every = 1
-	}
-	if step%every != 0 {
-		return
-	}
-	cmax := int64(e.Makespan())
-	m := int64(e.Machines())
-	t.Timeline.Record(timeline.Point{
-		Time:      int64(step),
-		Cmax:      cmax,
-		Imbalance: cmax - e.TotalLoad()/m,
-		Moves:     int64(e.Moves()),
-	})
-}
-
-// StepLog records every balanced pair; it is mainly a debugging aid and is
-// used by tests to validate selection policies.
-type StepLog struct {
-	Pairs [][2]int
-}
-
-// OnStep implements gossip.Observer.
-func (t *StepLog) OnStep(_ gossip.Stepper, _ int, i, j int) {
-	t.Pairs = append(t.Pairs, [2]int{i, j})
-}
-
-// Instrument is the metrics-backed observer: it mirrors the engine's
-// trajectory into an obs registry (observed steps, sampled Cmax, minimum
-// Cmax seen) and optionally a tracer ring, for engines whose configuration
-// the caller does not control (e.g. when attaching to an engine built
-// elsewhere). Engines built with gossip.Config.Metrics do not need it.
-type Instrument struct {
-	// SampleEvery thins the makespan sampling; 0 or 1 samples every step.
-	SampleEvery int
-	// Steps counts observed steps; Makespan is the last sampled Cmax;
-	// MinMakespan is the smallest Cmax sampled so far (negated SetMax).
-	Steps       *obs.Counter
-	Makespan    *obs.Gauge
-	MinMakespan *obs.Gauge
-	// Tracer, when non-nil, receives one EvMakespanSample per sample.
-	Tracer *obs.Tracer
-
-	sampled bool
-}
-
-// NewInstrument registers the observer's instruments on a registry.
-func NewInstrument(r *obs.Registry, tracer *obs.Tracer) *Instrument {
-	return &Instrument{
-		Steps:       r.Counter("trace_observed_steps_total", "steps seen by the trace instrument"),
-		Makespan:    r.Gauge("trace_makespan", "last sampled Cmax"),
-		MinMakespan: r.Gauge("trace_makespan_min", "smallest Cmax sampled"),
-		Tracer:      tracer,
-	}
-}
-
-// OnStep implements gossip.Observer.
-func (t *Instrument) OnStep(e gossip.Stepper, step, i, j int) {
-	t.Steps.Inc()
-	every := t.SampleEvery
-	if every < 1 {
-		every = 1
-	}
-	if step%every != 0 {
-		return
-	}
-	cmax := int64(e.Makespan())
-	t.Makespan.Set(cmax)
-	if !t.sampled || cmax < t.MinMakespan.Value() {
-		t.MinMakespan.Set(cmax)
-		t.sampled = true
-	}
-	if t.Tracer != nil {
-		t.Tracer.Emit(obs.Event{Time: int64(step), Type: obs.EvMakespanSample, A: int32(i), B: int32(j), Value: cmax})
-	}
 }

@@ -110,20 +110,6 @@ func TestThresholdWatcherNeverCrossed(t *testing.T) {
 	}
 }
 
-func TestStepLogRecordsPairs(t *testing.T) {
-	l := &StepLog{}
-	e := run(t, 40, l)
-	if len(l.Pairs) != 40 {
-		t.Fatalf("logged %d pairs, want 40", len(l.Pairs))
-	}
-	m := e.Assignment().Model().NumMachines()
-	for _, p := range l.Pairs {
-		if p[0] == p[1] || p[0] >= m || p[1] >= m {
-			t.Fatalf("invalid pair %v", p)
-		}
-	}
-}
-
 func TestMakespanSeriesTracerTee(t *testing.T) {
 	tr := obs.NewTracer(256)
 	s := &MakespanSeries{SampleEvery: 5, Tracer: tr}
@@ -139,27 +125,6 @@ func TestMakespanSeriesTracerTee(t *testing.T) {
 		if ev.Time != int64(s.Steps[k]) || ev.Value != int64(s.Values[k]) {
 			t.Fatalf("event %d = %+v, want step %d value %d", k, ev, s.Steps[k], s.Values[k])
 		}
-	}
-}
-
-func TestInstrumentObserver(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(1024)
-	ins := NewInstrument(reg, tr)
-	e := run(t, 200, ins)
-	if got := ins.Steps.Value(); got != 200 {
-		t.Fatalf("observed steps = %d, want 200", got)
-	}
-	if got := ins.Makespan.Value(); got != int64(e.Assignment().Makespan()) {
-		t.Fatalf("trace_makespan = %d, want %d", got, e.Assignment().Makespan())
-	}
-	if ins.MinMakespan.Value() > ins.Makespan.Value() {
-		// From the pathological start the series is near-monotone down; at
-		// minimum the min must not exceed the last sample.
-		t.Fatalf("min %d > last %d", ins.MinMakespan.Value(), ins.Makespan.Value())
-	}
-	if tr.Total() == 0 {
-		t.Fatal("instrument emitted no tracer events")
 	}
 }
 
