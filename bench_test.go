@@ -273,9 +273,10 @@ func BenchmarkMessagePassingLatency1(b *testing.B) { benchNetLatency(b, 1) }
 func BenchmarkMessagePassingLatency20(b *testing.B) { benchNetLatency(b, 20) }
 
 // BenchmarkGossipBare / BenchmarkGossipObserved quantify the cost of full
-// observability (metrics registry + event trace) on the sequential engine.
-// The record path is allocation-free by construction, so the gap should stay
-// within a few percent; the measured number is documented in README.md.
+// observability (metrics registry, span trace and timeline) on the
+// sequential engine. The record path is allocation-free by construction, so
+// the gap should stay within a few percent; the measured number is
+// documented in README.md.
 func BenchmarkGossipBare(b *testing.B) {
 	benchGossipObserved(b, false)
 }
@@ -287,18 +288,17 @@ func BenchmarkGossipObserved(b *testing.B) {
 
 func benchGossipObserved(b *testing.B, observed bool) {
 	tc := ablationInstance(b)
-	var reg *hetlb.MetricsRegistry
-	var tr *hetlb.EventTrace
+	var opt hetlb.RunOptions
 	if observed {
-		reg = hetlb.NewMetricsRegistry()
-		tr = hetlb.NewEventTrace(1 << 16)
+		opt.Metrics = hetlb.NewMetricsRegistry()
+		opt.Spans = hetlb.NewSpanTrace(1 << 16)
+		opt.Timeline = hetlb.NewTimeline(1 << 12)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		initial := hetlb.RandomInitial(tc, uint64(i))
-		if _, err := hetlb.DLB2C(tc, initial, hetlb.RunOptions{
-			Seed: uint64(i), MaxExchanges: 24 * 10, Metrics: reg, Trace: tr,
-		}); err != nil {
+		opt.Seed, opt.MaxExchanges = uint64(i), 24*10
+		if _, err := hetlb.DLB2C(tc, initial, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

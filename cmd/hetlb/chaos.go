@@ -90,7 +90,6 @@ func cmdChaos(args []string) error {
 		Timeout:     *timeout,
 		Context:     ctx,
 		Metrics:     sinks.Metrics,
-		Trace:       sinks.Trace,
 		Spans:       sinks.Spans,
 	}, cfg)
 	if runErr == nil {
@@ -125,7 +124,6 @@ func runShardChaos(cfg experiments.ShardChaosConfig, parallel int, timeout time.
 		Timeout:     timeout,
 		Context:     ctx,
 		Metrics:     sinks.Metrics,
-		Trace:       sinks.Trace,
 		Spans:       sinks.Spans,
 	}, cfg)
 	if runErr == nil {

@@ -56,7 +56,6 @@ func cmdFigures(args []string) error {
 			Timeout:     *timeout,
 			Context:     ctx,
 			Metrics:     sinks.Metrics,
-			Trace:       sinks.Trace,
 			Spans:       sinks.Spans,
 		},
 	}

@@ -4,6 +4,8 @@
 //	markov     compute the stationary makespan distribution of the
 //	           one-cluster model (Section VII.A)
 //	worksteal  simulate work stealing, including the Theorem 1 trap
+//	explore    enumerate the schedules reachable under every DLB2C exchange
+//	           sequence (the Proposition 8 non-convergence analysis)
 //	solve      read a cost matrix (CSV, one machine per line) on stdin and
 //	           solve it exactly (small instances) and with the baselines
 //	figures    regenerate the paper's evaluation (tables + figures) through
@@ -76,11 +78,12 @@ subcommands:
              pairs, p50/p99 session latencies
 
 sim, worksteal, chaos and figures accept observability flags: --metrics-out
-(Prometheus text, or JSON with --metrics-json), --trace-out (Chrome
-trace_event JSON, or --trace-format=jsonl), --span-out (causal span trace
-JSONL), --timeline-out (convergence timeline, CSV or --timeline-format=json),
---pprof <addr>, and --debug-addr <addr> (live /metrics, /timeline.json,
-/trace.jsonl, /spans.jsonl and /debug/pprof/ for the run's duration).
+(Prometheus text, or JSON with --metrics-json), --span-out (causal span trace
+JSONL, ring size --span-cap), --trace-out (the same span trace as Chrome
+trace_event JSON, for chrome://tracing or Perfetto), --timeline-out
+(convergence timeline, CSV or --timeline-format=json), --pprof <addr>, and
+--debug-addr <addr> (live /metrics, /timeline.json, /spans.jsonl and
+/debug/pprof/ for the run's duration).
 figures and chaos additionally accept --parallel (worker pool size; the
 results — and the span trace — are identical for every value) and --timeout.
 

@@ -60,7 +60,6 @@ func cmdSim(args []string) error {
 		Shards:          *shards,
 		DetectStability: *stable,
 		Metrics:         sinks.Metrics,
-		Trace:           sinks.Trace,
 		Spans:           sinks.Spans,
 		Timeline:        sinks.Timeline,
 	}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,5 +51,45 @@ func TestSimAcceptsSmallSizes(t *testing.T) {
 		if err := cmdSim(args); err != nil {
 			t.Fatalf("cmdSim %v: %v", args, err)
 		}
+	}
+}
+
+// TestSimShardedTraceOut renders --trace-out on the sharded engine: the
+// Chrome trace must be valid JSON with one event per record of the
+// --span-out JSONL written by the same run.
+func TestSimShardedTraceOut(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	spanPath := filepath.Join(dir, "spans.jsonl")
+	args := []string{"-proto", "dlb2c", "-m1", "8", "-m2", "4", "-jobs", "96", "-shards", "2",
+		"--trace-out=" + tracePath, "--span-out=" + spanPath}
+	if err := cmdSim(args); err != nil {
+		t.Fatalf("cmdSim %v: %v", args, err)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		Events []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	f, err := os.Open(spanPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	records := -1 // the first line is the header
+	for sc.Scan() {
+		records++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if records <= 0 || len(trace.Events) != records {
+		t.Fatalf("trace has %d events, span JSONL %d records", len(trace.Events), records)
 	}
 }

@@ -50,7 +50,6 @@ func cmdWorksteal(args []string) error {
 		Seed:         *seed,
 		StealLatency: *latency,
 		Metrics:      sinks.Metrics,
-		Trace:        sinks.Trace,
 		Spans:        sinks.Spans,
 		Timeline:     sinks.Timeline,
 	})

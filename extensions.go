@@ -153,9 +153,6 @@ type MessagePassingOptions struct {
 	// delivered message counts by kind, fault and retransmission counters,
 	// latency/handshake/retry histograms).
 	Metrics *MetricsRegistry
-	// Trace, when non-nil, receives message send/receive/drop, session
-	// start/end and crash/recovery events on the virtual clock.
-	Trace *EventTrace
 	// Spans, when non-nil, collects the causal span trace: one session
 	// span per balancing handshake (each side closes its half, Lamport
 	// clocks order the closes) and fault point records — drops,
@@ -202,7 +199,6 @@ func DLB2CMessagePassing(model Clustered, initial *Assignment, opt MessagePassin
 		Period:   opt.Period,
 		Horizon:  opt.Horizon,
 		Faults:   opt.Faults,
-		Tracer:   opt.Trace,
 		Spans:    opt.Spans,
 		Timeline: opt.Timeline,
 	}

@@ -137,17 +137,12 @@ type RunOptions struct {
 	// clamped to the machine count). Results are bit-identical for any
 	// shard count, so the choice only affects parallelism. The zero
 	// default keeps the sequential engine, whose uniform-initiator
-	// schedule differs from the sharded engine's matching schedule.
-	// Incompatible with Trace (the sharded engine records spans and
-	// timelines, not events).
+	// schedule differs from the sharded engine's matching schedule. Every
+	// other option works on both engines, except Faults (sharded only).
 	Shards int
 	// Metrics, when non-nil, receives the run's counters and histograms
 	// (gossip_* for sequential runs, shardgossip_* for sharded ones).
 	Metrics *MetricsRegistry
-	// Trace, when non-nil, receives one pair-selected event per exchange
-	// plus a makespan sample whenever the schedule changed. Sequential runs
-	// only.
-	Trace *EventTrace
 	// Spans, when non-nil, collects the run's causal span trace: one
 	// KindRun span plus one step span per exchange (sequential) or one
 	// session span per pairwise session (sharded).
@@ -210,9 +205,6 @@ func runProtocol(p protocol.Protocol, initial *Assignment, opt RunOptions) (Resu
 		return Result{}, fmt.Errorf("hetlb: RunOptions.Shards = %d; want a positive count, 0 (sequential) or AutoShards", opt.Shards)
 	}
 	if opt.Shards >= 1 || opt.Shards == AutoShards {
-		if opt.Trace != nil {
-			return Result{}, fmt.Errorf("hetlb: RunOptions.Trace is not supported with Shards (use Spans or Timeline)")
-		}
 		cfg := shardgossip.Config{
 			Seed:     opt.Seed,
 			Shards:   opt.Shards,
@@ -247,7 +239,7 @@ func runProtocol(p protocol.Protocol, initial *Assignment, opt RunOptions) (Resu
 	if opt.Faults != nil && !opt.Faults.Zero() {
 		return Result{}, fmt.Errorf("hetlb: RunOptions.Faults requires the sharded engine (set Shards; the message-passing runtime takes faults via MessagePassingOptions)")
 	}
-	cfg := gossip.Config{Seed: opt.Seed, Tracer: opt.Trace, Spans: opt.Spans, Timeline: opt.Timeline}
+	cfg := gossip.Config{Seed: opt.Seed, Spans: opt.Spans, Timeline: opt.Timeline}
 	if opt.Metrics != nil {
 		cfg.Metrics = gossip.NewMetrics(opt.Metrics)
 	}
@@ -310,8 +302,6 @@ type WorkStealingOptions struct {
 	// Metrics, when non-nil, receives the worksteal_* instruments
 	// (probes, steals, jobs stolen, per-machine idle time).
 	Metrics *MetricsRegistry
-	// Trace, when non-nil, receives one event per probe and per steal.
-	Trace *EventTrace
 	// Spans, when non-nil, collects one KindRun span plus one session span
 	// per successful steal (Start = when the thief went idle).
 	Spans *SpanTrace
@@ -325,7 +315,6 @@ func WorkStealingRun(model CostModel, initial *Assignment, opt WorkStealingOptio
 	cfg := worksteal.Config{
 		Seed:         opt.Seed,
 		StealLatency: opt.StealLatency,
-		Tracer:       opt.Trace,
 		Spans:        opt.Spans,
 		Timeline:     opt.Timeline,
 	}

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"hetlb/internal/core"
+	"hetlb/internal/gossip"
 	"hetlb/internal/harness"
 	"hetlb/internal/plot"
-	"hetlb/internal/trace"
 )
 
 // Figure4Run is one makespan trajectory (Figure 4 of the paper shows that
@@ -43,17 +44,17 @@ func Figure4With(opt harness.Options, cfgs []SimConfig, runsPerCfg int) ([]Figur
 			inst := cfg.build(gen)
 			a := randomInitial(gen, inst.model)
 			e := newEngine(inst, a, gen.Uint64())
-			rec := &trace.MakespanSeries{SampleEvery: cfg.Machines()}
+			rec := &makespanSeries{sampleEvery: cfg.Machines()}
 			e.Observe(rec)
 			e.Run(cfg.StepsPerMachine*cfg.Machines(), false)
 			fr := Figure4Run{Config: cfg, Run: rep.Index}
 			cent := float64(inst.cent)
-			for k, v := range rec.Values {
+			for k, v := range rec.values {
 				fr.ExchangesPerMachine = append(fr.ExchangesPerMachine,
-					float64(rec.Steps[k])/float64(cfg.Machines()))
+					float64(rec.steps[k])/float64(cfg.Machines()))
 				fr.MakespanOverCent = append(fr.MakespanOverCent, float64(v)/cent)
 			}
-			fr.MinReached = float64(rec.Min()) / cent
+			fr.MinReached = float64(rec.min()) / cent
 			fr.FinalOscillation = oscillation(fr.MakespanOverCent)
 			return fr, nil
 		})
@@ -63,6 +64,40 @@ func Figure4With(opt harness.Options, cfgs []SimConfig, runsPerCfg int) ([]Figur
 		out = append(out, runs...)
 	}
 	return out, nil
+}
+
+// makespanSeries is the Figure 4 probe: a gossip.Observer that records Cmax
+// every sampleEvery steps, starting at step 0. It reads the engine's
+// incremental makespan cache, so a sample costs amortized O(1).
+type makespanSeries struct {
+	// sampleEvery is the sampling period; 0 or 1 records every step.
+	sampleEvery int
+	// steps and values are the recorded series.
+	steps  []int
+	values []core.Cost
+}
+
+// OnStep implements gossip.Observer.
+func (t *makespanSeries) OnStep(e gossip.Stepper, step, _, _ int) {
+	if t.sampleEvery > 1 && step%t.sampleEvery != 0 {
+		return
+	}
+	t.steps = append(t.steps, step)
+	t.values = append(t.values, e.Makespan())
+}
+
+// min returns the smallest recorded makespan (0 if empty).
+func (t *makespanSeries) min() core.Cost {
+	if len(t.values) == 0 {
+		return 0
+	}
+	m := t.values[0]
+	for _, v := range t.values[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
 }
 
 // oscillation returns max−min over the last quarter of the series.

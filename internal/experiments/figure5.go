@@ -4,10 +4,10 @@ import (
 	"sort"
 
 	"hetlb/internal/core"
+	"hetlb/internal/gossip"
 	"hetlb/internal/harness"
 	"hetlb/internal/plot"
 	"hetlb/internal/stats"
-	"hetlb/internal/trace"
 )
 
 // Figure5Result is one configuration's "time to reach 1.5× the centralized
@@ -61,7 +61,7 @@ func Figure5With(opt harness.Options, cfgs []SimConfig, factor float64) ([]Figur
 			inst := cfg.build(gen)
 			a := randomInitial(gen, inst.model)
 			threshold := core.Cost(factor * float64(inst.cent))
-			w := &trace.ThresholdWatcher{Threshold: threshold}
+			w := &thresholdWatcher{threshold: threshold}
 			e := newEngine(inst, a, gen.Uint64())
 			e.Observe(w)
 			if a.Makespan() <= threshold {
@@ -75,14 +75,14 @@ func Figure5With(opt harness.Options, cfgs []SimConfig, factor float64) ([]Figur
 				}, nil
 			}
 			e.Run(cfg.StepsPerMachine*cfg.Machines(), false)
-			if !w.Crossed {
+			if !w.crossed {
 				return figure5Run{}, nil
 			}
 			r := figure5Run{Crossed: true}
-			for _, c := range w.ExchangesAtCross {
+			for _, c := range w.exchangesAtCross {
 				r.PerMachine = append(r.PerMachine, float64(c))
 			}
-			r.Global, r.HasGlobal = w.ExchangesPerMachine(cfg.Machines())
+			r.Global, r.HasGlobal = w.exchangesPerMachine(cfg.Machines())
 			return r, nil
 		})
 		if err != nil {
@@ -103,6 +103,41 @@ func Figure5With(opt harness.Options, cfgs []SimConfig, factor float64) ([]Figur
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// thresholdWatcher is the Figure 5 probe: a gossip.Observer that records the
+// first step at which the makespan drops to or below threshold, with a copy
+// of the per-machine exchange counts at that step. Later steps change
+// neither.
+type thresholdWatcher struct {
+	threshold core.Cost
+	// crossed reports whether the threshold was reached; firstStep is the
+	// 0-based step of the first crossing.
+	crossed   bool
+	firstStep int
+	// exchangesAtCross is a copy of the per-machine exchange counts at the
+	// crossing.
+	exchangesAtCross []int
+}
+
+// OnStep implements gossip.Observer.
+func (t *thresholdWatcher) OnStep(e gossip.Stepper, step, _, _ int) {
+	if t.crossed || e.Makespan() > t.threshold {
+		return
+	}
+	t.crossed = true
+	t.firstStep = step
+	t.exchangesAtCross = append([]int(nil), e.Exchanges()...)
+}
+
+// exchangesPerMachine returns the steps taken up to the crossing divided by
+// the machine count, the x-axis unit of Figure 5, and ok = false when the
+// threshold was never crossed.
+func (t *thresholdWatcher) exchangesPerMachine(machines int) (float64, bool) {
+	if !t.crossed || machines == 0 {
+		return 0, false
+	}
+	return float64(t.firstStep+1) / float64(machines), true
 }
 
 // CDFSeries renders each configuration's per-machine exchange counts as an

@@ -7,9 +7,10 @@
 //
 // The engine is deliberately decoupled from what is measured: observers
 // receive every step and can record makespan trajectories, threshold
-// crossings or exchange counts (see internal/trace). internal/shardgossip
-// runs the same kernels in parallel on a per-epoch matching schedule, and
-// internal/netsim runs them as a message-passing handshake.
+// crossings or exchange counts (the Figure 4 and Figure 5 probes in
+// internal/experiments). internal/shardgossip runs the same kernels in
+// parallel on a per-epoch matching schedule, and internal/netsim runs them
+// as a message-passing handshake.
 package gossip
 
 import (
@@ -104,7 +105,6 @@ type Engine struct {
 	selection Selection
 	observers []Observer
 	metrics   *Metrics
-	tracer    *obs.Tracer
 	spans     *span.Recorder
 	timeline  *timeline.Recorder
 	// runSpan is the engine's root span, allocated eagerly in New (its close
@@ -143,10 +143,6 @@ type Config struct {
 	// Metrics, when non-nil, receives engine-internal counters every step
 	// (build one with NewMetrics).
 	Metrics *Metrics
-	// Tracer, when non-nil, receives a pair-selected event per step (Time =
-	// step index, Value = jobs migrated) and a makespan sample whenever the
-	// schedule changed.
-	Tracer *obs.Tracer
 	// Spans, when non-nil, receives one KindStep span per balancing step
 	// (A/B the pair, Start = End = step index, Value = jobs moved), all
 	// parented to a KindRun span that Run closes. Times are logical (step
@@ -171,7 +167,6 @@ func New(p protocol.Protocol, a *core.Assignment, cfg Config) *Engine {
 		gen:       rng.New(cfg.Seed),
 		selection: sel,
 		metrics:   cfg.Metrics,
-		tracer:    cfg.Tracer,
 		spans:     cfg.Spans,
 		timeline:  cfg.Timeline,
 		exchanges: make([]int, a.Model().NumMachines()),
@@ -252,12 +247,6 @@ func (e *Engine) Step() bool {
 		}
 		e.metrics.StepMoves.Observe(int64(moved))
 		e.metrics.Makespan.Set(int64(e.Makespan()))
-	}
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Event{Time: int64(step), Type: obs.EvPairSelected, A: int32(i), B: int32(j), Value: int64(moved)})
-		if changed {
-			e.tracer.Emit(obs.Event{Time: int64(step), Type: obs.EvMakespanSample, A: -1, B: -1, Value: int64(e.Makespan())})
-		}
 	}
 	if e.spans != nil {
 		var fl span.Flags

@@ -4,11 +4,11 @@ import "hetlb/internal/core"
 
 // Stepper is the read surface a balancing engine exposes to observers: the
 // sequential Engine here and the sharded engine in internal/shardgossip both
-// implement it, so the probes in internal/trace (makespan trajectories,
-// threshold watchers, timeline samplers) work unchanged on either. Every
-// method is an O(1) (amortized) query off the engine's incremental caches —
-// observers run inside the step path, so anything costlier would distort
-// what is being measured.
+// implement it, so an observer (such as the Figure 4 makespan series and the
+// Figure 5 threshold watcher in internal/experiments) works unchanged on
+// either. Every method is an O(1) (amortized) query off the engine's
+// incremental caches — observers run inside the step path, so anything
+// costlier would distort what is being measured.
 type Stepper interface {
 	// Steps returns the number of pairwise balancing operations executed so
 	// far. The sharded engine counts sessions: its unit of progress is the

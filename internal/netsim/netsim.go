@@ -71,7 +71,7 @@ import (
 	"hetlb/internal/rng"
 )
 
-// Message kinds, used as the CounterVec index and the tracer event payload.
+// Message kinds, used as the CounterVec index and the drop span payload.
 const (
 	MsgRequest = iota
 	MsgOffer
@@ -182,11 +182,6 @@ type Config struct {
 	// Metrics, when non-nil, receives message/handshake/fault
 	// instrumentation.
 	Metrics *Metrics
-	// Tracer, when non-nil, receives EvMessageSent/EvMessageRecv events
-	// (Time = virtual time, A = sender, B = receiver, Value = kind), an
-	// EvSessionEnd per completed handshake, and EvMessageDropped/
-	// EvMachineCrash/EvMachineRecover under faults.
-	Tracer *obs.Tracer
 	// Spans, when non-nil, receives the causal span trace: one KindRun span
 	// per Run, one KindSession span per handshake (each side appends a close
 	// record for the same ID, distinguished by Tag; Clock carries the
@@ -426,9 +421,6 @@ func (s *Simulator) post(kind, from, to int, sp span.ID, fn func()) {
 	if met != nil {
 		met.Sent.At(kind).Inc()
 	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvMessageSent, A: int32(from), B: int32(to), Value: int64(kind)})
-	}
 	out := faults.Outcome{Copies: 1}
 	if s.plan != nil {
 		out = s.plan.Message(from, to)
@@ -437,9 +429,6 @@ func (s *Simulator) post(kind, from, to int, sp span.ID, fn func()) {
 		s.stats.Dropped++
 		if met != nil {
 			met.Dropped.Inc()
-		}
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvMessageDropped, A: int32(from), B: int32(to), Value: int64(kind)})
 		}
 		s.faultSpan(sp, span.TagDrop, from, to, mclk, int64(kind))
 		return
@@ -470,9 +459,6 @@ func (s *Simulator) post(kind, from, to int, sp span.ID, fn func()) {
 			if met != nil {
 				met.Delivered.At(kind).Inc()
 				met.Latency.Observe(delay)
-			}
-			if tr := s.cfg.Tracer; tr != nil {
-				tr.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvMessageRecv, A: int32(from), B: int32(to), Value: int64(kind)})
 			}
 			fn()
 		})
@@ -555,9 +541,6 @@ func (s *Simulator) Run() Stats {
 		s.stats.Makespans = append(s.stats.Makespans, cmax)
 		if s.cfg.Metrics != nil {
 			s.cfg.Metrics.Makespan.Set(int64(cmax))
-		}
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvMakespanSample, A: -1, B: -1, Value: int64(cmax)})
 		}
 		if s.tl != nil {
 			s.tl.Record(timeline.Point{
@@ -646,9 +629,6 @@ func (s *Simulator) attempt(i int, epoch uint32) {
 		sid = s.spans.NextID()
 	}
 	m.initSpan = sid
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Emit(obs.Event{Time: m.initStart, Type: obs.EvSessionStart, A: int32(i), B: int32(peer)})
-	}
 	start := m.initStart
 	s.post(MsgRequest, i, peer, sid, func() { s.onRequest(i, peer, seq, start, sid) })
 	if s.plan != nil {
@@ -932,9 +912,6 @@ func (s *Simulator) onCommit(initiator, target int, seq uint64, jobs []int) {
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Handshake.Observe(s.sim.Now() - m.tgtStart)
 	}
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvSessionEnd, A: int32(initiator), B: int32(target), Value: s.sim.Now() - m.tgtStart})
-	}
 }
 
 // onAbort restores (or, per a crash resolution, drops) the target's escrow
@@ -1079,9 +1056,6 @@ func (s *Simulator) crash(cr faults.Crash) {
 	if met != nil {
 		met.Crashes.Inc()
 	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Emit(obs.Event{Time: now, Type: obs.EvMachineCrash, A: int32(x), B: -1, Value: int64(len(phys))})
-	}
 	s.faultSpan(s.runSpan, span.TagCrash, x, -1, m.clock, int64(len(phys)))
 	if cr.LoseJobs {
 		for _, j := range phys {
@@ -1110,9 +1084,6 @@ func (s *Simulator) recover(x int) {
 	s.stats.Recoveries++
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Recoveries.Inc()
-	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Emit(obs.Event{Time: s.sim.Now(), Type: obs.EvMachineRecover, A: int32(x), B: -1, Value: int64(len(m.jobs))})
 	}
 	s.faultSpan(s.runSpan, span.TagRecover, x, -1, m.clock, int64(len(m.jobs)))
 	if len(s.ms) > 1 {

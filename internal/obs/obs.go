@@ -1,20 +1,21 @@
 // Package obs is the observability substrate shared by every runtime in the
 // repository: a concurrency-safe metrics registry (counters, gauges,
-// fixed-bucket histograms, per-index vectors) plus a structured event tracer
-// (bounded ring buffer of typed events).
+// fixed-bucket histograms, per-index vectors). Its subpackages record what
+// happened and how the run converged: span is the one trace model (causal
+// session records, exported as JSONL or Chrome trace_event JSON) and
+// timeline the convergence trajectory.
 //
 // Design constraints, in order:
 //
 //  1. Zero dependencies. Only the standard library; the exposition formats
-//     (Prometheus text, JSON snapshot, JSONL, Chrome trace_event) are
-//     emitted by hand.
+//     (Prometheus text, JSON snapshot) are emitted by hand.
 //  2. Allocation-free record path. Counter.Add, Gauge.Set,
-//     Histogram.Observe, CounterVec.At(i).Add and Tracer.Emit perform no
-//     heap allocation, so they are safe inside the gossip step loop and
-//     the sharded engine's epoch barrier. This is asserted by
+//     Histogram.Observe and CounterVec.At(i).Add perform no heap
+//     allocation, so they are safe inside the gossip step loop and the
+//     sharded engine's epoch barrier. This is asserted by
 //     testing.AllocsPerRun in the package tests.
 //  3. Concurrency-safe. All record operations may be called from any number
-//     of goroutines; metrics use atomics, the tracer a single short mutex.
+//     of goroutines; every instrument records with atomics.
 //
 // Registration is idempotent: asking a Registry for a metric that already
 // exists returns the existing instrument (and panics if the name is reused
@@ -327,11 +328,11 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 
 // CounterFunc registers a pull-style counter: fn is sampled at exposition
 // time instead of being recorded into. Use it to surface monotone state
-// another component already tracks — the canonical example is a tracer
-// ring's emitted/dropped accounting (InstrumentTracer). Re-registering the
-// name replaces the sampler, so a registry outliving its tracer can be
-// re-pointed at a fresh one. fn must be safe to call from any goroutine and
-// should be monotone non-decreasing for the exposition to stay truthful.
+// another component already tracks, such as a ring buffer's appended or
+// dropped count. Re-registering the name replaces the sampler, so a registry
+// outliving that component can be re-pointed at a fresh one. fn must be safe
+// to call from any goroutine and should be monotone non-decreasing for the
+// exposition to stay truthful.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	if fn == nil {
 		panic("obs: CounterFunc needs a sampler")

@@ -12,13 +12,16 @@
 // stored in Span.Clock. Sorting the records of one trace by Clock yields an
 // order consistent with the happened-before relation.
 //
-// The design constraints mirror obs.Tracer:
+// The span ring is the repository's one trace model: every runtime records
+// into it, WriteJSONL exports it for `hetlb explain`, and WriteChromeTrace
+// renders the same records for a trace viewer. Design constraints:
 //
 //  1. Fixed-size records. A Span holds no pointers, so the ring never
 //     allocates after construction and Append is safe on the //hetlb:noalloc
 //     step paths.
 //  2. Bounded. When the ring is full the oldest records are overwritten and
-//     counted in Dropped; the JSONL header makes truncation self-describing.
+//     counted in Dropped; both exports carry the total and dropped counts, so
+//     truncation is self-describing.
 //  3. Deterministic IDs. IDs are allocated sequentially from a per-recorder
 //     namespace. The replication harness gives replication i the namespace
 //     (i+1)<<32 and merges the per-replication rings in index order after
@@ -283,16 +286,8 @@ func (r *Recorder) Dropped() uint64 {
 
 // Spans returns the retained records, oldest first.
 func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.total <= n {
-		return append([]Span(nil), r.buf[:r.total]...)
-	}
-	start := r.total % n
-	out := make([]Span, 0, n)
-	out = append(out, r.buf[start:]...)
-	return append(out, r.buf[:start]...)
+	spans, _, _ := r.snapshot()
+	return spans
 }
 
 // Reset empties the ring and the accounting; the ID allocator keeps
@@ -313,6 +308,22 @@ func (r *Recorder) Merge(src *Recorder) {
 	}
 }
 
+// snapshot returns the retained records, oldest first, with the total and
+// dropped counts read under the same lock, so an export taken while a run is
+// still appending (the debug server) describes one consistent ring state.
+func (r *Recorder) snapshot() (spans []Span, total, dropped uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := uint64(len(r.buf))
+	if r.total <= n {
+		return append([]Span(nil), r.buf[:r.total]...), r.total, 0
+	}
+	start := r.total % n
+	spans = make([]Span, 0, n)
+	spans = append(spans, r.buf[start:]...)
+	return append(spans, r.buf[:start]...), r.total, r.total - n
+}
+
 // WriteJSONL writes a self-describing header line followed by one record
 // per line:
 //
@@ -322,13 +333,49 @@ func (r *Recorder) Merge(src *Recorder) {
 // The header's dropped count makes truncated traces self-describing; flags
 // is the raw Flags bitmask.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	spans := r.Spans()
+	spans, total, dropped := r.snapshot()
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"meta\":\"hetlb-spans\",\"version\":1,\"total\":%d,\"dropped\":%d,\"retained\":%d}\n",
-		r.Total(), r.Dropped(), len(spans))
+		total, dropped, len(spans))
 	for _, s := range spans {
 		fmt.Fprintf(bw, "{\"id\":%d,\"parent\":%d,\"kind\":%q,\"tag\":%q,\"flags\":%d,\"a\":%d,\"b\":%d,\"start\":%d,\"end\":%d,\"clock\":%d,\"v\":%d}\n",
 			uint64(s.ID), uint64(s.Parent), s.Kind.String(), s.Tag.String(), s.Flags, s.A, s.B, s.Start, s.End, s.Clock, s.Value)
 	}
+	return bw.Flush()
+}
+
+// WriteChromeTrace renders the retained records in the Chrome trace_event
+// JSON format (load it in chrome://tracing or Perfetto), one event per
+// record in ring order, so the event count equals the JSONL record count.
+// An interval record becomes a complete event ("ph":"X") with ts = Start and
+// dur = End − Start; a KindFault point becomes a thread-scoped instant. The
+// logical time unit is shown as microseconds. Every event sits on pid 0 with
+// tid = actor A (0 when A is negative); the kind is the name, the tag the
+// category, and the remaining fields go in args. otherData carries the
+// ring's total and dropped counts, as the JSONL header does.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	spans, total, dropped := r.snapshot()
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\"otherData\":{\"meta\":\"hetlb-spans\",\"version\":1,\"total\":%d,\"dropped\":%d,\"retained\":%d},\"traceEvents\":[\n",
+		total, dropped, len(spans))
+	for i, s := range spans {
+		tid := s.A
+		if tid < 0 {
+			tid = 0
+		}
+		fmt.Fprintf(bw, "{\"name\":%q,\"cat\":%q,", s.Kind.String(), s.Tag.String())
+		if s.Kind == KindFault {
+			fmt.Fprintf(bw, "\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%d,", tid, s.Start)
+		} else {
+			fmt.Fprintf(bw, "\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d,", tid, s.Start, s.End-s.Start)
+		}
+		fmt.Fprintf(bw, "\"args\":{\"id\":%d,\"parent\":%d,\"flags\":%d,\"a\":%d,\"b\":%d,\"clock\":%d,\"v\":%d}}",
+			uint64(s.ID), uint64(s.Parent), s.Flags, s.A, s.B, s.Clock, s.Value)
+		if i < len(spans)-1 {
+			bw.WriteByte(',')
+		}
+		bw.WriteByte('\n')
+	}
+	bw.WriteString("],\"displayTimeUnit\":\"ms\"}\n")
 	return bw.Flush()
 }

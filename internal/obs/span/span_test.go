@@ -1,6 +1,8 @@
 package span
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -126,6 +128,69 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if want := `{"id":2,"parent":1,"kind":"fault","tag":"drop","flags":0,"a":3,"b":7,"start":150,"end":150,"clock":0,"v":1}`; lines[2] != want {
 		t.Fatalf("line 2 = %s, want %s", lines[2], want)
+	}
+}
+
+// TestWriteChromeTrace decodes the Chrome rendering of a ring that has
+// overflowed: intervals become complete events, fault points instants, tid
+// is the actor clamped at 0, and otherData carries the ring accounting.
+func TestWriteChromeTrace(t *testing.T) {
+	build := func() *Recorder {
+		r := NewRecorder(3)
+		r.Append(Span{Kind: KindStep, A: 1, B: 2}) // overwritten below
+		sid := r.Append(Span{Kind: KindSession, Tag: TagTarget, Flags: FlagCommitted, A: 3, B: 7, Start: 120, End: 190, Clock: 42, Value: 5})
+		r.Append(Span{Parent: sid, Kind: KindFault, Tag: TagDrop, A: 3, B: 7, Start: 150, End: 150, Value: 1})
+		r.Append(Span{Kind: KindRun, A: -1, B: -1, Start: 0, End: 200})
+		return r
+	}
+	r := build()
+	var first, again, rebuilt bytes.Buffer
+	for _, out := range []struct {
+		r *Recorder
+		b *bytes.Buffer
+	}{{r, &first}, {r, &again}, {build(), &rebuilt}} {
+		if err := out.r.WriteChromeTrace(out.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(first.Bytes(), again.Bytes()) || !bytes.Equal(first.Bytes(), rebuilt.Bytes()) {
+		t.Fatalf("the same ring wrote different bytes:\n%s\n%s\n%s", first.String(), again.String(), rebuilt.String())
+	}
+	var doc struct {
+		OtherData struct{ Total, Dropped, Retained int }
+		// Dur is a pointer so an instant, which has no dur, decodes as nil.
+		Events []struct {
+			Name, Cat, Ph, S string
+			Pid, Tid         int32
+			Ts               int64
+			Dur              *int64
+			Args             struct {
+				ID, Parent uint64
+				A, B       int32
+				V          int64
+			}
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, first.String())
+	}
+	if o := doc.OtherData; o.Total != 4 || o.Dropped != 1 || o.Retained != 3 {
+		t.Fatalf("otherData = %+v, want total 4, dropped 1, retained 3", o)
+	}
+	ev := doc.Events
+	if len(ev) != r.Len() {
+		t.Fatalf("%d events for %d retained records", len(ev), r.Len())
+	}
+	if e := ev[0]; e.Name != "session" || e.Cat != "target" || e.Ph != "X" || e.Tid != 3 ||
+		e.Ts != 120 || e.Dur == nil || *e.Dur != 70 || e.Args.ID != 2 || e.Args.B != 7 || e.Args.V != 5 {
+		t.Fatalf("session event = %+v, want a complete event at ts 120 lasting 70 on tid 3", e)
+	}
+	if e := ev[1]; e.Name != "fault" || e.Cat != "drop" || e.Ph != "i" || e.S != "t" || e.Tid != 3 ||
+		e.Ts != 150 || e.Dur != nil || e.Args.Parent != 2 {
+		t.Fatalf("fault event = %+v, want a thread instant at ts 150 on tid 3", e)
+	}
+	if e := ev[2]; e.Name != "run" || e.Ph != "X" || e.Tid != 0 || e.Args.A != -1 || e.Dur == nil || *e.Dur != 200 {
+		t.Fatalf("run event = %+v, want tid clamped to 0 and dur 200", e)
 	}
 }
 

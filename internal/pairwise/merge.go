@@ -22,35 +22,14 @@ func MergeSortedInto(dst, a, b []int) []int {
 	return append(dst, b[y:]...)
 }
 
-// DiffCount returns how many elements of new are absent from old (both
-// sorted ascending) — i.e. the jobs that arrived on this side of a split.
-// Summed over both sides of a session it is the session's move count: the
-// union is conserved, so every change of the partition shows up as an
-// arrival.
-//
-//hetlb:noalloc
-func DiffCount(old, new []int) int {
-	moved, x := 0, 0
-	for _, v := range new {
-		for x < len(old) && old[x] < v {
-			x++
-		}
-		if x < len(old) && old[x] == v {
-			x++
-		} else {
-			moved++
-		}
-	}
-	return moved
-}
-
 // AppendDiff appends to dst the elements of new that are absent from old
-// (both sorted ascending) and returns the extended slice — the arrived-job
-// set that DiffCount only counts. len(AppendDiff(nil, old, new)) ==
-// DiffCount(old, new) for every input pair. The sharded engine feeds the
-// arrivals of both sides of a session through the cost model to update loads
-// by O(moved) deltas instead of resumming the whole union; a converged
-// session appends nothing and costs one linear scan.
+// (both sorted ascending) and returns the extended slice — the jobs that
+// arrived on this side of a split. Summed over both sides of a session, the
+// appended counts are the session's move count: the union is conserved, so
+// every change of the partition shows up as an arrival. The sharded engine
+// feeds the arrivals of both sides of a session through the cost model to
+// update loads by O(moved) deltas instead of resumming the whole union; a
+// converged session appends nothing and costs one linear scan.
 //
 //hetlb:noalloc
 func AppendDiff(dst, old, new []int) []int {

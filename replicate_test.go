@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hetlb"
+	"hetlb/internal/obs/span"
 )
 
 // TestReplicateDeterministicMonteCarlo drives the public harness facade the
@@ -89,8 +90,8 @@ func TestDeriveSeedIsPure(t *testing.T) {
 
 func TestReplicateMetrics(t *testing.T) {
 	reg := hetlb.NewMetricsRegistry()
-	tr := hetlb.NewEventTrace(256)
-	_, err := hetlb.Replicate(hetlb.ReplicationOptions{Metrics: reg, Trace: tr}, 5, 10,
+	rec := hetlb.NewSpanTrace(256)
+	_, err := hetlb.Replicate(hetlb.ReplicationOptions{Metrics: reg, Spans: rec}, 5, 10,
 		func(rep *hetlb.Replication) (int, error) { return rep.Index, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,16 @@ func TestReplicateMetrics(t *testing.T) {
 	if got := reg.Counter("harness_replications_completed_total", "").Value(); got != 10 {
 		t.Fatalf("completed counter = %d", got)
 	}
-	if tr.Len() != 20 { // one start + one end event per replication
-		t.Fatalf("trace has %d events", tr.Len())
+	reps := 0
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindReplication {
+			reps++
+			if s.Flags&span.FlagFailed != 0 {
+				t.Fatalf("replication %d traced as failed", s.A)
+			}
+		}
+	}
+	if reps != 10 {
+		t.Fatalf("trace has %d replication spans, want 10", reps)
 	}
 }
