@@ -79,26 +79,35 @@ func TestListSchedulingEmpty(t *testing.T) {
 
 func TestRatioLessExactAndTotal(t *testing.T) {
 	tc, _ := core.NewTwoCluster(1, 1,
-		[]core.Cost{2, 4, 1, 3},
-		[]core.Cost{4, 2, 1, 3})
-	// Ratios: j0=0.5, j1=2, j2=1, j3=1. Sorted: j0, then (j2, j3 tie by
-	// index), then j1.
-	jobs := []int{0, 1, 2, 3}
+		[]core.Cost{2, 4, 1, 3, 0, 0, 5, 0},
+		[]core.Cost{4, 2, 1, 3, 0, 5, 0, 0})
+	// Ratios: j0=0.5, j1=2, j2=1, j3=1, j5=0, j6=+inf, and j4, j7 are free
+	// on both clusters, which counts as 1/1. Sorted: j5, j0, then the
+	// ratio-1 jobs by index (j2, j3, j4, j7), then j1, j6.
+	jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	SortByRatio(tc, jobs)
-	want := []int{0, 2, 3, 1}
+	want := []int{5, 0, 2, 3, 4, 7, 1, 6}
 	for i := range want {
 		if jobs[i] != want[i] {
 			t.Fatalf("SortByRatio = %v, want %v", jobs, want)
 		}
 	}
-	// Antisymmetry and totality on distinct jobs.
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 4; b++ {
+	// A strict total order on distinct jobs: antisymmetric, total and
+	// transitive. Without the 1/1 rule, j4 ties with every job and
+	// transitivity fails.
+	n := len(jobs)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
 			if a == b {
 				continue
 			}
 			if RatioLess(tc, a, b) == RatioLess(tc, b, a) {
 				t.Fatalf("RatioLess not a strict total order on (%d, %d)", a, b)
+			}
+			for c := 0; c < n; c++ {
+				if RatioLess(tc, a, b) && RatioLess(tc, b, c) && !RatioLess(tc, a, c) {
+					t.Fatalf("RatioLess not transitive on (%d, %d, %d)", a, b, c)
+				}
 			}
 		}
 	}

@@ -71,10 +71,11 @@ func TwoClusterFractionalLB(tc Clustered) float64 {
 	for j := range jobs {
 		jobs[j] = j
 	}
-	// Sort by increasing p0/p1 via cross multiplication (integer-exact).
+	// Sort by increasing p0/p1, integer-exact (CompareRatios: a job free on
+	// both clusters is ratio 1/1, which keeps the order transitive).
 	sort.Slice(jobs, func(a, b int) bool {
 		ja, jb := jobs[a], jobs[b]
-		return tc.ClusterCost(0, ja)*tc.ClusterCost(1, jb) < tc.ClusterCost(0, jb)*tc.ClusterCost(1, ja)
+		return CompareRatios(tc.ClusterCost(0, ja), tc.ClusterCost(1, ja), tc.ClusterCost(0, jb), tc.ClusterCost(1, jb)) < 0
 	})
 
 	// suffix1[k] = total cluster-1 work of jobs[k:].

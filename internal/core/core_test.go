@@ -377,6 +377,13 @@ func TestTwoClusterFractionalLB(t *testing.T) {
 }
 
 func TestTwoClusterFractionalLBIsLowerBound(t *testing.T) {
+	// A job free on both clusters (job 1) must not break the ratio order:
+	// if job 0 (ratio 2) stays before job 2 (ratio 1/2), the bound reads 2,
+	// but job 2 on cluster 0 and job 0 on cluster 1 give makespan 1.
+	free, _ := NewTwoCluster(1, 1, []Cost{2, 0, 1}, []Cost{1, 0, 2})
+	if lb := TwoClusterFractionalLB(free); lb > 1 {
+		t.Fatalf("fractional LB %v exceeds the optimum 1 with a job free on both clusters", lb)
+	}
 	// Property: the fractional bound never exceeds the makespan of any
 	// feasible integral assignment.
 	gen := rng.New(101)

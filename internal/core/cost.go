@@ -34,6 +34,31 @@ type CostModel interface {
 	Cost(machine, job int) Cost
 }
 
+// CompareRatios orders two cost ratios exactly by integer cross
+// multiplication: it returns a negative number when p1/q1 < p2/q2, a
+// positive one when p1/q1 > p2/q2, and 0 when they are equal (x/0 is +∞).
+// A job priced 0 on both sides counts as ratio 1/1: its cross products are
+// otherwise 0 against every job, which would tie it with all of them and
+// make the order intransitive. Exact while the products fit in an int64.
+// It is the order behind CLB2C and Greedy Load Balancing.
+func CompareRatios(p1, q1, p2, q2 Cost) int {
+	if p1 == 0 && q1 == 0 {
+		p1, q1 = 1, 1
+	}
+	if p2 == 0 && q2 == 0 {
+		p2, q2 = 1, 1
+	}
+	l1, l2 := p1*q2, p2*q1
+	switch {
+	case l1 < l2:
+		return -1
+	case l1 > l2:
+		return 1
+	default:
+		return 0
+	}
+}
+
 // TotalWorkOn returns the sum over all jobs of their cost on the given
 // machine. It is mostly useful for single-cluster reasoning where each job
 // costs the same on every machine of the cluster.

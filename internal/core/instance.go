@@ -292,6 +292,10 @@ func (tc *TwoCluster) ClusterSize(cluster int) int {
 // ClusterCost returns the cost of a job on any machine of the given cluster.
 func (tc *TwoCluster) ClusterCost(cluster, job int) Cost { return tc.p[cluster][job] }
 
+// ClusterCosts returns the cost vector of a cluster, indexed by job, for
+// kernels that read many jobs' costs at once; callers must not modify it.
+func (tc *TwoCluster) ClusterCosts(cluster int) []Cost { return tc.p[cluster] }
+
 // Check implements Checker in O(n): the m×n matrix has only the 2×n stored
 // entries.
 func (tc *TwoCluster) Check() error {

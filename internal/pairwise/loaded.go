@@ -5,9 +5,12 @@ import "hetlb/internal/core"
 // The *Loaded kernel variants account for pre-existing, non-movable load on
 // each machine — in the dynamic simulator this is the remaining time of the
 // job currently running (non-preemptible). The plain Split* kernels are the
-// base == 0 specialization. Canonicalization swaps the bases together with
-// the machines, so the loaded kernels remain functions of the unordered
-// pair.
+// base == 0 specialization up to the order of each side: the loaded kernels
+// return every side in placement order (ratio order for Greedy Load
+// Balancing, head then tail order for CLB2C), not input order, because the
+// dynamic simulator runs a machine's pending jobs in list order.
+// Canonicalization swaps the bases together with the machines, so the
+// loaded kernels remain functions of the unordered pair.
 
 // SplitBasicGreedyLoaded is SplitBasicGreedy starting from loads base1 and
 // base2.
@@ -61,7 +64,7 @@ func SplitGreedyLoadBalancingLoaded(c core.Clustered, m1, m2 int, base1, base2 c
 	}
 	own := c.ClusterOf(m1)
 	l1, l2 := base1, base2
-	for _, j := range sortByOwnRatio(c, own, jobs) {
+	for _, j := range ratioOrder(c, own, jobs) {
 		cost := c.ClusterCost(own, j)
 		if l1 <= l2 {
 			to1 = append(to1, j)
@@ -88,7 +91,7 @@ func SplitCLB2CLoaded(c core.Clustered, mA, mB int, baseA, baseB core.Cost, jobs
 		b0, b1 = b1, b0
 		swapped = true
 	}
-	sorted := sortByOwnRatio(c, 0, jobs)
+	sorted := ratioOrder(c, 0, jobs)
 	var to0, to1 []int
 	l0, l1 := b0, b1
 	lo, hi := 0, len(sorted)-1

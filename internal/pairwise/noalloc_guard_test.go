@@ -95,6 +95,20 @@ func TestSplitCLB2CScratchNoalloc(t *testing.T) {
 	})
 }
 
+func TestSplitLargestFirstScratchNoalloc(t *testing.T) {
+	gen := rng.New(18)
+	tc := workload.UniformTwoCluster(gen, 2, 2, 64, 1, 100)
+	jobs := make([]int, tc.NumJobs())
+	for j := range jobs {
+		jobs[j] = j
+	}
+	var s Scratch
+	// Machines 2 and 3 share cluster 1.
+	assertNoAllocs(t, "SplitLargestFirstScratch", func() {
+		SplitLargestFirstScratch(&s, tc, 3, 2, jobs)
+	})
+}
+
 func TestAppendDiffNoalloc(t *testing.T) {
 	_, a, union := guardInstance(17)
 	old := append([]int(nil), union...)

@@ -8,6 +8,8 @@
 //     loaded machine.
 //   - CLB2C on a pair: Algorithm 5 run on two singleton clusters, used by
 //     DLB2C when the two machines belong to different clusters.
+//   - LargestFirst: the same greedy as GreedyLoadBalancing in decreasing
+//     job size, used by DLBKC within a cluster.
 //
 // Every kernel exists in two layers. The Split* functions are pure: given
 // the pooled job set they return the partition (jobs for the first machine,
@@ -15,6 +17,15 @@
 // sharded engine's workers and the message-passing runtime call on the two
 // machines involved. The same-named convenience wrappers apply a split to a
 // core.Assignment for the sequential engine and the tests.
+//
+// Each side a Split* kernel returns is an ordered subsequence of its input,
+// so a union passed in increasing job order comes back as two sides in
+// increasing job order, ready to become the machines' job lists. The
+// ordering kernels (GreedyLoadBalancing, CLB2C, LargestFirst) get there by
+// sorting packed keys of the pooled jobs, deciding a side per input
+// position, and writing both sides in input order with Scratch.Emit. The
+// *Loaded variants are the exception: they return sides in placement order,
+// which the dynamic simulator uses as each machine's queue.
 //
 // All kernels are deterministic functions of the pooled job set (not of how
 // the pair currently splits it), which makes them idempotent: applying the
@@ -101,8 +112,7 @@ func SplitBasicGreedy(m core.CostModel, m1, m2 int, jobs []int) (to1, to2 []int)
 
 // AppendSplitBasicGreedy is SplitBasicGreedy appending into caller-owned
 // buffers (reused capacity, no allocation in steady state). The greedy loads
-// start at zero regardless of existing buffer content, so MJTB can
-// accumulate the per-type splits of one pair into a single pair of buffers.
+// start at zero regardless of existing buffer content.
 //
 //hetlb:noalloc
 func AppendSplitBasicGreedy(m core.CostModel, m1, m2 int, jobs, to1, to2 []int) ([]int, []int) {
@@ -131,108 +141,47 @@ func BasicGreedy(a *core.Assignment, m1, m2 int) {
 	Apply(a, m1, m2, to1, to2)
 }
 
-// BasicGreedyJobs is BasicGreedy restricted to an explicit job set (used by
-// MJTB to balance one type at a time). The jobs must currently be assigned
-// to m1 or m2.
-func BasicGreedyJobs(a *core.Assignment, m1, m2 int, jobs []int) {
-	to1, to2 := SplitBasicGreedy(a.Model(), m1, m2, jobs)
-	Apply(a, m1, m2, to1, to2)
-}
-
-// sortByOwnRatio orders jobs by increasing cost ratio own-cluster cost over
-// other-cluster cost (exact integer cross multiplication, index tie break).
-func sortByOwnRatio(c core.Clustered, own int, jobs []int) []int {
-	return appendSortedByOwnRatio(nil, c, own, jobs)
-}
-
-// appendSortedByOwnRatio appends jobs to dst and sorts the appended segment
-// by the ratio order. The comparator is a total order (index tie break), so
-// the result is unique regardless of the sort algorithm.
-func appendSortedByOwnRatio(dst []int, c core.Clustered, own int, jobs []int) []int {
-	other := 1 - own
-	start := len(dst)
-	dst = append(dst, jobs...)
-	slices.SortFunc(dst[start:], func(jx, jy int) int {
-		lx := c.ClusterCost(own, jx) * c.ClusterCost(other, jy)
-		ly := c.ClusterCost(own, jy) * c.ClusterCost(other, jx)
-		switch {
-		case lx < ly:
-			return -1
-		case lx > ly:
-			return 1
-		default:
-			return jx - jy
-		}
-	})
-	return dst
-}
-
 // SplitGreedyLoadBalancing implements Algorithm 6 as a pure function for two
-// machines of the same cluster: the pooled jobs are sorted by increasing
-// cost ratio of the pair's own cluster over the other cluster, then each job
-// goes to the machine with the smaller accumulated load (ties to the
-// lower-indexed machine, making the kernel symmetric in its arguments).
+// machines of the same cluster: the pooled jobs are taken in increasing cost
+// ratio of the pair's own cluster over the other cluster, and each job goes
+// to the machine with the smaller accumulated load (ties to the
+// lower-indexed machine, making the kernel symmetric in its arguments). It
+// is SplitGreedyLoadBalancingScratch on a fresh scratch.
 //
 // The ratio order does not change the loads (both machines price jobs
 // identically) but it is essential to the stable-state analysis of
 // Theorem 7: it guarantees that the job of maximal ratio on the makespan
 // machine is placed last.
 func SplitGreedyLoadBalancing(c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) {
-	if c.ClusterOf(m1) != c.ClusterOf(m2) {
-		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
-	}
-	if m1 > m2 {
-		to2, to1 = SplitGreedyLoadBalancing(c, m2, m1, jobs)
-		return to1, to2
-	}
-	own := c.ClusterOf(m1)
-	var l1, l2 core.Cost
-	for _, j := range sortByOwnRatio(c, own, jobs) {
-		cost := c.ClusterCost(own, j)
-		if l1 <= l2 {
-			to1 = append(to1, j)
-			l1 += cost
-		} else {
-			to2 = append(to2, j)
-			l2 += cost
-		}
-	}
-	return to1, to2
+	var s Scratch
+	return SplitGreedyLoadBalancingScratch(&s, c, m1, m2, jobs)
 }
 
 // SplitGreedyLoadBalancingScratch is SplitGreedyLoadBalancing against
-// caller-owned scratch: the returned slices alias s.To1/s.To2 and the ratio
-// order is built in s.Sorted. No allocation in steady state.
+// caller-owned scratch: the returned slices alias s.To1/s.To2 and are
+// ordered subsequences of jobs. No allocation in steady state.
 //
 //hetlb:noalloc
 func SplitGreedyLoadBalancingScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) {
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
 	}
-	swapped := m1 > m2
-	lo := m1
-	if swapped {
-		lo = m2
+	return s.splitGreedy(byRatio, c, m1, m2, jobs)
+}
+
+// SplitLargestFirstScratch splits the pooled jobs of two machines of the
+// same cluster (of a model with any number of clusters) largest job first
+// (ties by index), each job to the machine with the smaller accumulated
+// load, ties to the lower-indexed machine so the kernel is symmetric. The
+// returned slices alias s.To1/s.To2 and are ordered subsequences of jobs.
+// DLBKC runs it within a cluster.
+//
+//hetlb:noalloc
+func SplitLargestFirstScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) {
+	if c.ClusterOf(m1) != c.ClusterOf(m2) {
+		panic("pairwise: a largest-first split requires machines of the same cluster")
 	}
-	own := c.ClusterOf(lo)
-	s.Sorted = appendSortedByOwnRatio(s.Sorted[:0], c, own, jobs)
-	tLo, tHi := s.To1[:0], s.To2[:0]
-	var l1, l2 core.Cost
-	for _, j := range s.Sorted {
-		cost := c.ClusterCost(own, j)
-		if l1 <= l2 {
-			tLo = append(tLo, j)
-			l1 += cost
-		} else {
-			tHi = append(tHi, j)
-			l2 += cost
-		}
-	}
-	s.To1, s.To2 = tLo, tHi
-	if swapped {
-		return tHi, tLo
-	}
-	return tLo, tHi
+	return s.splitGreedy(bySize, c, m1, m2, jobs)
 }
 
 // GreedyLoadBalancing applies SplitGreedyLoadBalancing to the live union of
@@ -283,73 +232,43 @@ func GreedySameCost(a *core.Assignment, m1, m2 int) {
 
 // SplitCLB2C runs Algorithm 5 on two singleton clusters as a pure function.
 // mA and mB may be passed in either order; the returned toA/toB correspond
-// to mA/mB respectively. The jobs are sorted by increasing cluster-0/1 cost
+// to mA/mB respectively. The jobs are taken in increasing cluster-0/1 cost
 // ratio; at each step the head job is tentatively placed on the cluster-0
 // machine and the tail job on the cluster-1 machine, and the placement that
-// finishes earlier is committed (ties favor cluster 0).
+// finishes earlier is committed (ties favor cluster 0). It is
+// SplitCLB2CScratch on a fresh scratch.
 func SplitCLB2C(c core.Clustered, mA, mB int, jobs []int) (toA, toB []int) {
-	if c.ClusterOf(mA) == c.ClusterOf(mB) {
-		panic("pairwise: CLB2C on a pair requires machines of different clusters")
-	}
-	swapped := false
-	m0, m1 := mA, mB
-	if c.ClusterOf(m0) == 1 {
-		m0, m1 = m1, m0
-		swapped = true
-	}
-	sorted := sortByOwnRatio(c, 0, jobs)
-	var to0, to1 []int
-	var l0, l1 core.Cost
-	lo, hi := 0, len(sorted)-1
-	for lo <= hi {
-		jHead, jTail := sorted[lo], sorted[hi]
-		c0 := l0 + c.ClusterCost(0, jHead)
-		c1 := l1 + c.ClusterCost(1, jTail)
-		if c0 <= c1 {
-			to0 = append(to0, jHead)
-			l0 = c0
-			lo++
-		} else {
-			to1 = append(to1, jTail)
-			l1 = c1
-			hi--
-		}
-	}
-	if swapped {
-		return to1, to0
-	}
-	return to0, to1
+	var s Scratch
+	return SplitCLB2CScratch(&s, c, mA, mB, jobs)
 }
 
 // SplitCLB2CScratch is SplitCLB2C against caller-owned scratch: the returned
-// slices alias s.To1/s.To2 and the ratio order is built in s.Sorted.
+// slices alias s.To1/s.To2 and are ordered subsequences of jobs.
 //
 //hetlb:noalloc
 func SplitCLB2CScratch(s *Scratch, c core.Clustered, mA, mB int, jobs []int) (toA, toB []int) {
 	if c.ClusterOf(mA) == c.ClusterOf(mB) {
 		panic("pairwise: CLB2C on a pair requires machines of different clusters")
 	}
-	swapped := c.ClusterOf(mA) == 1
-	s.Sorted = appendSortedByOwnRatio(s.Sorted[:0], c, 0, jobs)
-	to0, to1 := s.To1[:0], s.To2[:0]
+	s.orderBy(byRatio, c, 0, jobs)
+	second := s.Sides(len(jobs))
 	var l0, l1 core.Cost
-	lo, hi := 0, len(s.Sorted)-1
+	lo, hi := 0, len(jobs)-1
 	for lo <= hi {
-		jHead, jTail := s.Sorted[lo], s.Sorted[hi]
-		c0 := l0 + c.ClusterCost(0, jHead)
-		c1 := l1 + c.ClusterCost(1, jTail)
+		head, tail := int(uint32(s.keys[lo])), int(uint32(s.keys[hi]))
+		c0 := l0 + s.costs[head].own
+		c1 := l1 + s.costs[tail].other
 		if c0 <= c1 {
-			to0 = append(to0, jHead)
 			l0 = c0
 			lo++
 		} else {
-			to1 = append(to1, jTail)
+			second[tail] = true
 			l1 = c1
 			hi--
 		}
 	}
-	s.To1, s.To2 = to0, to1
-	if swapped {
+	to0, to1 := s.Emit(jobs)
+	if c.ClusterOf(mA) == 1 {
 		return to1, to0
 	}
 	return to0, to1

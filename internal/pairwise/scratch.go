@@ -1,5 +1,7 @@
 package pairwise
 
+import "slices"
+
 // Scratch holds the reusable buffers behind the allocation-free kernel and
 // balancing variants. One Scratch serves one call chain at a time: the
 // slices returned by the *Scratch kernels and by Protocol.SplitScratch alias
@@ -11,18 +13,19 @@ package pairwise
 //   - the caller owns the Scratch and may mutate (e.g. sort) the returned
 //     slices, since they are its own memory;
 //   - kernels may clobber every buffer except the one passed to them as the
-//     jobs input — SplitScratch implementations write To1/To2/Sorted and the
-//     buckets but never Union, so `p.SplitScratch(s, i, j, s.Union)` is safe;
+//     jobs input — SplitScratch implementations write To1/To2, the ordering
+//     state and the buckets but never Union, so
+//     `p.SplitScratch(s, i, j, s.Union)` is safe;
 //   - buffers only grow, so a scratch reaches its high-water capacity after
 //     a warm-up and performs no further allocations.
 type Scratch struct {
 	// Union is the pooled-jobs buffer, filled by AppendUnion (or a merge in
 	// the sharded engine) and passed to SplitScratch as input.
 	Union []int
-	// To1 and To2 receive the two sides of a split.
+	// To1 and To2 receive the two sides of a split, each an ordered
+	// subsequence of the split's input (the ordering kernels and MJTB write
+	// them through Emit).
 	To1, To2 []int
-	// Sorted is the kernel-internal ordering buffer (ratio or LPT order).
-	Sorted []int
 	// Side1 and Side2 hold the pair's current sides for placement-aware
 	// (min-move) balancing.
 	Side1, Side2 []int
@@ -31,7 +34,45 @@ type Scratch struct {
 	// sharded engine.
 	Diff1, Diff2 []int
 
-	buckets [][]int // per-type buckets for MJTB
+	// keys holds the ordering kernels' packed sort keys, one per pooled
+	// job, in kernel order once sorted (see orderBy).
+	keys []uint64
+	// costs holds each pooled job's costs, read once, by input position.
+	costs []jobCosts
+	// second marks, by input position, the jobs a kernel sends to its
+	// second side (see Sides and Emit).
+	second []bool
+	// buckets are MJTB's per-type buckets of input positions.
+	buckets [][]int
+}
+
+// Sides returns the side marks for n pooled jobs, all cleared (every job on
+// the first side), reusing prior capacity. A kernel sets the mark of each
+// input position whose job goes to the second side, then calls Emit.
+//
+//hetlb:noalloc
+func (s *Scratch) Sides(n int) []bool {
+	s.second = resize(s.second, n)
+	clear(s.second)
+	return s.second
+}
+
+// Emit writes the pooled jobs to To1 and To2 by the marks of the last Sides
+// call, in input order, and returns the two sides. Callers pass the union in
+// increasing job order, so both sides come out in increasing job order too.
+//
+//hetlb:noalloc
+func (s *Scratch) Emit(jobs []int) (to1, to2 []int) {
+	first, second := s.To1[:0], s.To2[:0]
+	for pos, j := range jobs {
+		if s.second[pos] {
+			second = append(second, j)
+		} else {
+			first = append(first, j)
+		}
+	}
+	s.To1, s.To2 = first, second
+	return first, second
 }
 
 // Buckets returns k empty per-type buckets, reusing prior capacity. The
@@ -51,4 +92,10 @@ func (s *Scratch) Buckets(k int) [][]int {
 		s.buckets[i] = s.buckets[i][:0]
 	}
 	return s.buckets
+}
+
+// resize returns buf with length n, growing its capacity (amortized) only
+// when n exceeds it. The contents are unspecified.
+func resize[E any](buf []E, n int) []E {
+	return slices.Grow(buf[:0], n)[:n]
 }

@@ -1,9 +1,6 @@
 package protocol
 
 import (
-	"slices"
-	"sort"
-
 	"hetlb/internal/core"
 	"hetlb/internal/pairwise"
 )
@@ -28,93 +25,23 @@ type DLBKC struct {
 // Name implements Protocol.
 func (DLBKC) Name() string { return "DLBKC" }
 
-// Split implements Protocol.
+// Split implements Protocol: SplitScratch on a fresh scratch.
 func (p DLBKC) Split(i, j int, jobs []int) ([]int, []int) {
-	a := p.Model.ClusterOf(i)
-	b := p.Model.ClusterOf(j)
-	if a == b {
-		return p.splitSameCluster(a, i, j, jobs)
-	}
-	view := p.Model.PairView(a, b)
-	return pairwise.SplitCLB2C(view, i, j, jobs)
+	var s pairwise.Scratch
+	return p.SplitScratch(&s, i, j, jobs)
 }
 
-// splitSameCluster pools the jobs and assigns each, in decreasing size
-// (ties by index), to the machine with the smaller accumulated load; ties
-// go to the lower-indexed machine so the kernel is symmetric.
-func (p DLBKC) splitSameCluster(cluster, m1, m2 int, jobs []int) (to1, to2 []int) {
-	if m1 > m2 {
-		to2, to1 = p.splitSameCluster(cluster, m2, m1, jobs)
-		return to1, to2
-	}
-	sorted := append([]int(nil), jobs...)
-	sort.Slice(sorted, func(x, y int) bool {
-		cx := p.Model.ClusterCost(cluster, sorted[x])
-		cy := p.Model.ClusterCost(cluster, sorted[y])
-		if cx != cy {
-			return cx > cy
-		}
-		return sorted[x] < sorted[y]
-	})
-	var l1, l2 core.Cost
-	for _, j := range sorted {
-		c := p.Model.ClusterCost(cluster, j)
-		if l1 <= l2 {
-			to1 = append(to1, j)
-			l1 += c
-		} else {
-			to2 = append(to2, j)
-			l2 += c
-		}
-	}
-	return to1, to2
-}
-
-// SplitScratch implements Protocol. Cross-cluster pairs reuse the views
-// cached by the model at construction, so both branches are allocation-free.
+// SplitScratch implements Protocol: the largest-first split within a
+// cluster, CLB2C across clusters on the views cached by the model at
+// construction, so both branches are allocation-free.
 func (p DLBKC) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	a := p.Model.ClusterOf(i)
 	b := p.Model.ClusterOf(j)
 	if a == b {
-		return p.splitSameClusterScratch(s, a, i, j, jobs)
+		return pairwise.SplitLargestFirstScratch(s, p.Model, i, j, jobs)
 	}
 	view := p.Model.PairView(a, b)
 	return pairwise.SplitCLB2CScratch(s, view, i, j, jobs)
-}
-
-// splitSameClusterScratch is splitSameCluster against caller-owned scratch.
-func (p DLBKC) splitSameClusterScratch(s *pairwise.Scratch, cluster, m1, m2 int, jobs []int) (to1, to2 []int) {
-	swapped := m1 > m2
-	s.Sorted = append(s.Sorted[:0], jobs...)
-	slices.SortFunc(s.Sorted, func(jx, jy int) int {
-		cx := p.Model.ClusterCost(cluster, jx)
-		cy := p.Model.ClusterCost(cluster, jy)
-		switch {
-		case cx > cy:
-			return -1
-		case cx < cy:
-			return 1
-		default:
-			return jx - jy
-		}
-	})
-	tLo, tHi := s.To1[:0], s.To2[:0]
-	var lLo, lHi core.Cost
-	for _, j := range s.Sorted {
-		c := p.Model.ClusterCost(cluster, j)
-		if lLo <= lHi {
-			tLo = append(tLo, j)
-			lLo += c
-		} else {
-			tHi = append(tHi, j)
-			lHi += c
-		}
-	}
-	s.To1, s.To2 = tLo, tHi
-	if swapped {
-		return tHi, tLo
-	}
-	return tLo, tHi
 }
 
 // Balance implements Protocol.

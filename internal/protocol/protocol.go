@@ -32,13 +32,20 @@ import (
 // are what the engines run hundreds of thousands of times per replication:
 // they reuse caller-owned buffers (see pairwise.Scratch) and must produce
 // bit-identical results to their allocating counterparts — the determinism
-// goldens in internal/experiments pin exactly that.
+// goldens in internal/experiments pin exactly that. Where the two forms
+// would duplicate a kernel loop, the allocating form is the scratch form on
+// a fresh scratch.
+//
+// Both forms return each side as an ordered subsequence of jobs: given the
+// union in increasing index order, both sides come back in increasing index
+// order, which is the sharded engine's job-list invariant, so no caller
+// sorts a split. (The LoadedSplitter forms are the exception; see there.)
 type Protocol interface {
 	// Name identifies the protocol in traces and benchmark output.
 	Name() string
 	// Split partitions the pooled jobs between machines i and j and
-	// returns the two sides. jobs is given in increasing index order and
-	// must not be mutated.
+	// returns the two sides, each an ordered subsequence of jobs. jobs is
+	// given in increasing index order and must not be mutated.
 	Split(i, j int, jobs []int) (toI, toJ []int)
 	// SplitScratch is Split against caller-owned scratch: the returned
 	// slices alias s and stay valid only until s is next used. jobs may
@@ -120,45 +127,42 @@ type MJTB struct {
 // Name implements Protocol.
 func (MJTB) Name() string { return "MJTB" }
 
-// Split implements Protocol.
+// Split implements Protocol: SplitScratch on a fresh scratch.
 func (p MJTB) Split(i, j int, jobs []int) ([]int, []int) {
-	// Partition the union by type, preserving index order within a type,
-	// then balance each type independently.
-	byType := make([][]int, p.Model.NumTypes())
-	for _, job := range jobs {
-		t := p.Model.TypeOf(job)
-		byType[t] = append(byType[t], job)
-	}
-	var toI, toJ []int
-	for t := 0; t < p.Model.NumTypes(); t++ {
-		if len(byType[t]) == 0 {
-			continue
-		}
-		a, b := pairwise.SplitBasicGreedy(p.Model, i, j, byType[t])
-		toI = append(toI, a...)
-		toJ = append(toJ, b...)
-	}
-	return toI, toJ
+	var s pairwise.Scratch
+	return p.SplitScratch(&s, i, j, jobs)
 }
 
-// SplitScratch implements Protocol. The per-type greedy loads start from
-// zero no matter what the output buffers hold, so every type appends into
-// the same To1/To2 pair, exactly mirroring Split's per-type concatenation.
+// SplitScratch implements Protocol. It buckets the input positions by type,
+// keeping input order within a type, runs BasicGreedy on each type with
+// loads starting from zero, and emits both sides in input order.
 func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	byType := s.Buckets(p.Model.NumTypes())
-	for _, job := range jobs {
+	for pos, job := range jobs {
 		t := p.Model.TypeOf(job)
-		byType[t] = append(byType[t], job)
+		byType[t] = append(byType[t], pos)
 	}
-	toI, toJ := s.To1[:0], s.To2[:0]
-	for t := 0; t < p.Model.NumTypes(); t++ {
-		if len(byType[t]) == 0 {
-			continue
+	// Canonical orientation, as in pairwise.AppendSplitBasicGreedy: ties go
+	// to the lower-indexed machine.
+	lo, hi := min(i, j), max(i, j)
+	second := s.Sides(len(jobs))
+	for _, positions := range byType {
+		var lLo, lHi core.Cost
+		for _, pos := range positions {
+			cLo, cHi := p.Model.Cost(lo, jobs[pos]), p.Model.Cost(hi, jobs[pos])
+			if lLo+cLo <= lHi+cHi {
+				lLo += cLo
+			} else {
+				second[pos] = true
+				lHi += cHi
+			}
 		}
-		toI, toJ = pairwise.AppendSplitBasicGreedy(p.Model, i, j, byType[t], toI, toJ)
 	}
-	s.To1, s.To2 = toI, toJ
-	return toI, toJ
+	toLo, toHi := s.Emit(jobs)
+	if i > j {
+		return toHi, toLo
+	}
+	return toLo, toHi
 }
 
 // Balance implements Protocol.

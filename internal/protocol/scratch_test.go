@@ -43,7 +43,9 @@ func scratchCases(seed uint64) []scratchCase {
 
 // TestSplitScratchMatchesSplit checks that for every protocol and random
 // pooled job sets, SplitScratch is bit-identical to Split — including with a
-// dirty scratch carried over between calls and with jobs aliasing s.Union.
+// dirty scratch carried over between calls and with jobs aliasing s.Union —
+// and that it returns each side as an ordered subsequence of jobs: both
+// sides strictly increasing, together exactly the pooled jobs.
 func TestSplitScratchMatchesSplit(t *testing.T) {
 	var s pairwise.Scratch // shared across all cases: leftovers must not leak
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -67,9 +69,67 @@ func TestSplitScratchMatchesSplit(t *testing.T) {
 					t.Fatalf("%s seed=%d pair=(%d,%d): SplitScratch (%v, %v) != Split (%v, %v) for jobs %v",
 						c.name, seed, i, j, gotI, gotJ, wantI, wantJ, jobs)
 				}
+				if !increasing(gotI) || !increasing(gotJ) {
+					t.Fatalf("%s seed=%d pair=(%d,%d): sides (%v, %v) not in job order", c.name, seed, i, j, gotI, gotJ)
+				}
+				if merged := mergeSortedInts(gotI, gotJ); !slices.Equal(merged, jobs) {
+					t.Fatalf("%s seed=%d pair=(%d,%d): sides (%v, %v) do not pool to jobs %v", c.name, seed, i, j, gotI, gotJ, jobs)
+				}
 			}
 		}
 	}
+}
+
+// TestMJTBMatchesPerTypeConcatenation checks MJTB against the form it had
+// before its sides came out in input order: BasicGreedy on each type's jobs
+// in index order, the per-type sides concatenated. The sides must hold the
+// same jobs.
+func TestMJTBMatchesPerTypeConcatenation(t *testing.T) {
+	var s pairwise.Scratch
+	for seed := uint64(1); seed <= 20; seed++ {
+		gen := rng.New(seed)
+		m := 2 + gen.Intn(6)
+		n := 10 + gen.Intn(60)
+		ty := workload.UniformTyped(gen, m, n, 1+gen.Intn(5), 1, 40)
+		p := MJTB{Model: ty}
+		for trial := 0; trial < 20; trial++ {
+			i := gen.Intn(m)
+			j := gen.Pick(m, i)
+			var jobs []int
+			for job := 0; job < n; job++ {
+				if gen.Bool() {
+					jobs = append(jobs, job)
+				}
+			}
+			var wantI, wantJ []int
+			for typ := 0; typ < ty.NumTypes(); typ++ {
+				var ofType []int
+				for _, job := range jobs {
+					if ty.TypeOf(job) == typ {
+						ofType = append(ofType, job)
+					}
+				}
+				a, b := pairwise.SplitBasicGreedy(ty, i, j, ofType)
+				wantI, wantJ = append(wantI, a...), append(wantJ, b...)
+			}
+			slices.Sort(wantI)
+			slices.Sort(wantJ)
+			gotI, gotJ := p.SplitScratch(&s, i, j, jobs)
+			if !slices.Equal(gotI, wantI) || !slices.Equal(gotJ, wantJ) {
+				t.Fatalf("seed=%d pair=(%d,%d): MJTB (%v, %v), per-type reference (%v, %v)", seed, i, j, gotI, gotJ, wantI, wantJ)
+			}
+		}
+	}
+}
+
+// increasing reports whether side is strictly increasing.
+func increasing(side []int) bool {
+	for k := 1; k < len(side); k++ {
+		if side[k-1] >= side[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBalanceScratchMatchesBalance drives two copies of the same start

@@ -14,7 +14,7 @@
 // set of sessions it owns (a session is owned by the lower shard index of
 // its pair). Workers then execute their sessions without long-lived locks:
 // the matching guarantees the sessions of one epoch touch pairwise-disjoint
-// machine state, so the session body (merge, kernel, sort, write-back) is
+// machine state, so the session body (merge, kernel, write-back) is
 // lock-free; only the few-instruction update of a block's partial max/sum
 // accumulators takes that block's mutex (see "Per-shard reductions"). A
 // barrier closes the epoch: the coordinator reduces the S shards'
@@ -644,7 +644,7 @@ func (e *Engine) updatePartials(machine int, old, new core.Cost) {
 
 // session executes pair t of the current epoch on behalf of owner shard s:
 // merge the pair's sorted job lists into the shard's scratch, split with the
-// protocol's kernel, sort the sides back into job order, and apply the
+// protocol's kernel (whose sides come back in job order), and apply the
 // result as O(moved) deltas — AppendDiff yields each side's arrivals (the
 // other side's departures, since the union is conserved), whose costs adjust
 // the pair's loads exactly. A session that moved nothing writes nothing. In
@@ -697,11 +697,9 @@ func (e *Engine) session(s, t int) {
 	sc := &sh.scratch
 	sc.Union = pairwise.MergeSortedInto(sc.Union[:0], e.jobs[i], e.jobs[j])
 	l1, l2 := e.load[i], e.load[j]
+	// The sides are ordered subsequences of the merged union (the Protocol
+	// contract), so they keep the job lists' increasing-index invariant.
 	toI, toJ := e.proto.SplitScratch(sc, i, j, sc.Union)
-	// The split sides alias the scratch, which the session owns — sort them
-	// in place to restore the increasing-index invariant of the job lists.
-	slices.Sort(toI)
-	slices.Sort(toJ)
 	sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], e.jobs[i], toI)
 	sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], e.jobs[j], toJ)
 	moved := len(sc.Diff1) + len(sc.Diff2)
@@ -871,8 +869,6 @@ func (e *Engine) checkStable() bool {
 			}
 			sc.Union = pairwise.MergeSortedInto(sc.Union[:0], e.jobs[i], e.jobs[j])
 			toI, toJ := e.proto.SplitScratch(sc, i, j, sc.Union)
-			slices.Sort(toI)
-			slices.Sort(toJ)
 			if !slices.Equal(toI, e.jobs[i]) || !slices.Equal(toJ, e.jobs[j]) {
 				return false
 			}
