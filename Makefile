@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-stats build test race race-shard bench bench-smoke overhead-guard bench-scale chaos chaos-shard
+.PHONY: check vet lint lint-stats build test race race-shard fuzz bench bench-smoke overhead-guard bench-scale chaos chaos-shard
 
 check: lint build test race
 
@@ -44,6 +44,15 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gossip/... ./internal/shardgossip/... \
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/...
+
+# Fuzzes the incremental stability checker for 30s: random small instances,
+# epoch counts and crash plans, on both engines, where every check must
+# answer as a full scan from pair (0,1) does. go test -fuzz takes one target
+# in one package per run. The committed seed corpus
+# (internal/shardgossip/testdata/fuzz) also runs as plain tests in `make
+# test`; a failing input found here is written next to it.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzStabilityCheck$$' -fuzztime=30s ./internal/shardgossip/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

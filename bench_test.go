@@ -6,12 +6,15 @@
 package hetlb_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hetlb"
 	"hetlb/internal/core"
 	"hetlb/internal/experiments"
 	"hetlb/internal/harness"
+	"hetlb/internal/rng"
+	"hetlb/internal/workload"
 )
 
 // BenchmarkTableI — Theorem 1: work stealing on the trap instance. Reports
@@ -302,4 +305,80 @@ func benchGossipObserved(b *testing.B, observed bool) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// stableShape draws the stable workload's instance shape: m1+m1 machines and
+// n jobs whose costs on either cluster are uniform in [1, 1000].
+func stableShape(m1, n int) *hetlb.TwoCluster {
+	return workload.UniformTwoCluster(rng.New(7), m1, m1, n, 1, 1000)
+}
+
+// BenchmarkTimeToStable times DLB2C from RoundRobin to a verified-stable
+// schedule through hetlb.DLB2C with DetectStability, on 32+32 machines and
+// 512 jobs: the sequential engine (Shards 0, uniform initiators) against the
+// sharded one (Shards 2, random matchings). The two schedules converge at
+// different rates, so each reports the exchanges and job moves it needed.
+func BenchmarkTimeToStable(b *testing.B) {
+	tc := stableShape(32, 512)
+	for _, shards := range []int{0, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var res hetlb.Result
+			var moves int64
+			for i := 0; i < b.N; i++ {
+				reg := hetlb.NewMetricsRegistry()
+				var err error
+				res, err = hetlb.DLB2C(tc, hetlb.RoundRobin(tc), hetlb.RunOptions{
+					Seed: 3, MaxExchanges: 1 << 22, DetectStability: true, Shards: shards, Metrics: reg,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Converged {
+					b.Fatalf("no stable schedule after %d exchanges", res.Exchanges)
+				}
+				moves = reg.Counter("gossip_moves_total", "").Value() + reg.Counter("shardgossip_moves_total", "").Value()
+			}
+			b.ReportMetric(float64(res.Exchanges), "exchanges")
+			b.ReportMetric(float64(moves), "moves")
+		})
+	}
+}
+
+// BenchmarkIsStable times hetlb.IsStable on a stable DLB2C schedule, which
+// is a full scan of every machine pair, at 32+32 machines / 512 jobs and
+// 128+128 / 2048.
+func BenchmarkIsStable(b *testing.B) {
+	for _, size := range []struct{ m1, n int }{{32, 512}, {128, 2048}} {
+		b.Run(fmt.Sprintf("m=%d,n=%d", 2*size.m1, size.n), func(b *testing.B) {
+			tc := stableShape(size.m1, size.n)
+			a := stableSchedule(b, tc)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !hetlb.IsStable(tc, a) {
+					b.Fatal("the converged schedule is not stable")
+				}
+			}
+			m := tc.NumMachines()
+			b.ReportMetric(float64(m*(m-1)/2), "pairs")
+		})
+	}
+}
+
+// stableSchedule runs the sharded DLB2C from RoundRobin until a seed reaches
+// a verified-stable schedule (Proposition 8: not every run does).
+func stableSchedule(b *testing.B, tc *hetlb.TwoCluster) *hetlb.Assignment {
+	b.Helper()
+	for seed := uint64(1); seed <= 8; seed++ {
+		res, err := hetlb.DLB2C(tc, hetlb.RoundRobin(tc), hetlb.RunOptions{
+			Seed: seed, MaxExchanges: 2000 * tc.NumMachines(), DetectStability: true, Shards: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Converged {
+			return res.Assignment
+		}
+	}
+	b.Fatal("no seed reached a stable schedule")
+	return nil
 }

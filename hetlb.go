@@ -332,7 +332,9 @@ func WorkStealingRun(model CostModel, initial *Assignment, opt WorkStealingOptio
 }
 
 // IsStable reports whether no pairwise DLB2C exchange can change the given
-// two-cluster schedule (the premise of Theorem 7).
+// two-cluster schedule (the premise of Theorem 7). It splits every pair of
+// machines once on scratch buffers, without copying the schedule: the same
+// check the engines run when DetectStability is set.
 func IsStable(model Clustered, a *Assignment) bool {
 	return protocol.Stable(protocol.DLB2C{Model: model}, a)
 }

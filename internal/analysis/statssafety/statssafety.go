@@ -17,10 +17,10 @@
 //   - an obs-layer read accessor (Value, Count, Sum, Total, BucketCount,
 //     Len, and the span/timeline reads Spans, Points, Dropped, Root, Seen,
 //     Stride) must not appear in an if/for/switch condition;
-//   - an obs-layer record call (Inc, Add, Set, SetMax, Observe, Emit, and
-//     the span/timeline records Append, Record, NextID, SetRoot, Merge,
-//     Reset, ClaimNamespaces) must not appear inside a branch whose
-//     condition reads the obs layer.
+//   - an obs-layer record call (Inc, Add, Set, SetMax, Observe, and the
+//     span/timeline records Append, Record, NextID, SetRoot, Merge, Reset,
+//     ClaimNamespaces) must not appear inside a branch whose condition reads
+//     the obs layer.
 //
 // Reporting-only branches (progress printing keyed on a counter) are real and
 // allowed — via //hetlb:nondeterministic-ok with a reason saying why the
@@ -52,7 +52,7 @@ var readAccessors = map[string]bool{
 
 var recordCalls = map[string]bool{
 	"Inc": true, "Add": true, "Set": true, "SetMax": true,
-	"Observe": true, "Emit": true,
+	"Observe": true,
 	// span.Recorder / timeline.Recorder records. NextID and ClaimNamespaces
 	// are records too: they advance allocator state, so gating them on an
 	// obs read would shift every later span ID.

@@ -43,18 +43,3 @@ func (h *Histogram) Count() int64 { return h.n }
 
 // Sum reads.
 func (h *Histogram) Sum() int64 { return h.sum }
-
-// Event mirrors obs.Event.
-type Event struct {
-	Time  int64
-	Value int64
-}
-
-// Tracer mirrors obs.Tracer.
-type Tracer struct{ events []Event }
-
-// Emit records.
-func (t *Tracer) Emit(e Event) { t.events = append(t.events, e) }
-
-// Len reads.
-func (t *Tracer) Len() int { return len(t.events) }

@@ -3,14 +3,17 @@
 // and obs records must not sit under obs-keyed branches.
 package netsim
 
-import "hetlb/internal/obs"
+import (
+	"hetlb/internal/obs"
+	"hetlb/internal/obs/span"
+)
 
 // Metrics bundles stub instruments.
 type Metrics struct {
 	Steps    obs.Counter
 	Depth    obs.Gauge
 	Latency  obs.Histogram
-	Trace    obs.Tracer
+	Spans    span.Recorder
 	simSteps int64
 }
 
@@ -27,7 +30,7 @@ func (m *Metrics) Steered(load int64) int64 {
 	case 0:
 		load = 0
 	}
-	if m.Trace.Len() > 0 { // want `simulation control flow keyed on obs read Tracer\.Len`
+	if m.Spans.Len() > 0 { // want `simulation control flow keyed on obs read Recorder\.Len`
 		m.Steps.Inc() // want `obs record Counter\.Inc inside a branch keyed on an obs read`
 	}
 	return load

@@ -14,8 +14,8 @@ import (
 // (jobsOn/posOf) so that Jobs and AppendJobs are O(jobs-on-machine) instead
 // of O(n). The index is built lazily on the first per-machine query and
 // maintained by every mutation from then on; assignments that are never
-// queried per machine (solver outputs, the clones of the stability check)
-// never pay for it. Per-machine lists use swap-delete and are therefore
+// queried per machine (solver outputs, the clones of the state-space
+// exploration) never pay for it. Per-machine lists use swap-delete and are therefore
 // unordered internally; queries sort on the way out, preserving the
 // increasing-job-order contract the kernels and stability detection rely on.
 //
@@ -56,7 +56,8 @@ func (a *Assignment) Model() CostModel { return a.model }
 // Clone returns a deep copy of the assignment sharing the (immutable) model.
 // The job index is not copied: the clone rebuilds it lazily on its first
 // per-machine query. This keeps Clone at three allocations, which the
-// O(m²)-clones stability check (protocol.Stable) depends on.
+// state-space exploration (protocol.Explore, one clone per pair of every
+// reachable state) depends on.
 func (a *Assignment) Clone() *Assignment {
 	b := &Assignment{
 		model:     a.model,
@@ -67,41 +68,52 @@ func (a *Assignment) Clone() *Assignment {
 	return b
 }
 
-// ensureIndex builds the per-machine job index if it is not live. The build
-// is a counting pass followed by per-machine subslices of one exactly-sized
-// backing array: at 10M jobs over 100k machines this is two linear passes and
-// three allocations, where machine-by-machine appends would pay millions of
-// grow-and-copy steps on 100k separately reallocated lists. Full-slice
-// expressions pin each machine's capacity, so a list that later outgrows its
-// block (jobs migrating in) reallocates privately instead of overwriting its
-// neighbour's region.
-func (a *Assignment) ensureIndex() {
-	if a.indexed {
-		return
-	}
-	m := a.model.NumMachines()
-	if a.jobsOn == nil {
-		a.jobsOn = make([][]int, m)
-	}
-	if a.posOf == nil {
-		a.posOf = make([]int, a.model.NumJobs())
-	}
-	counts := make([]int, m)
+// FillJobLists sets lists[i] to the jobs on machine i in increasing job
+// order, for every machine; unassigned jobs are on no list. lists must have
+// one entry per machine, and backing room for every assigned job: the lists
+// are cut from it after a counting pass, so at 10M jobs over 100k machines
+// the build is two linear passes, where machine-by-machine appends would pay
+// millions of grow-and-copy steps on 100k separately reallocated lists.
+// Full-slice expressions pin each list's capacity, so a list that later
+// outgrows its block reallocates privately instead of overwriting its
+// neighbour's.
+func (a *Assignment) FillJobLists(lists [][]int, backing []int) {
+	counts := make([]int, len(lists))
 	for _, i := range a.machineOf {
 		if i != -1 {
 			counts[i]++
 		}
 	}
-	backing := make([]int, 0, a.assigned)
 	start := 0
 	for i, c := range counts {
-		a.jobsOn[i] = backing[start : start : start+c]
+		lists[i] = backing[start : start : start+c]
 		start += c
 	}
 	for j, i := range a.machineOf {
 		if i != -1 {
-			a.posOf[j] = len(a.jobsOn[i])
-			a.jobsOn[i] = append(a.jobsOn[i], j)
+			lists[i] = append(lists[i], j) // increasing j: sorted by construction
+		}
+	}
+}
+
+// ensureIndex builds the per-machine job index if it is not live: the lists
+// of FillJobLists on an exactly-sized backing array, then each job's
+// position in its list. Jobs migrating in later grow a list past its block
+// privately (see FillJobLists).
+func (a *Assignment) ensureIndex() {
+	if a.indexed {
+		return
+	}
+	if a.jobsOn == nil {
+		a.jobsOn = make([][]int, a.model.NumMachines())
+	}
+	if a.posOf == nil {
+		a.posOf = make([]int, a.model.NumJobs())
+	}
+	a.FillJobLists(a.jobsOn, make([]int, a.assigned))
+	for _, list := range a.jobsOn {
+		for p, j := range list {
+			a.posOf[j] = p
 		}
 	}
 	a.indexed = true

@@ -125,8 +125,14 @@ type Engine struct {
 	// high-water marks during the first steps and are reused thereafter.
 	scratch pairwise.Scratch
 	// noChange counts consecutive steps whose pair loads were unchanged;
-	// it gates the expensive full stability check.
+	// it gates the stability check.
 	noChange int
+	// check is the incremental stability checker on the protocol's
+	// BalanceSides step, built by the first UnstablePair call; from then on Step marks
+	// the pair of every step that moved a job. The first check scans every
+	// pair, so the steps before it need no marks, and a run that never
+	// checks never builds it.
+	check *protocol.Checker
 	// cachedMax caches the makespan between steps: a step only touches two
 	// machines, so the maximum is maintained incrementally and the O(m)
 	// rescan happens lazily, only after the top machine loses its top spot.
@@ -201,7 +207,7 @@ func (e *Engine) Moves() int { return e.moves }
 
 // Step performs one pairwise balancing and reports whether the pair's loads
 // changed (a cheap proxy for "the schedule changed" used to pace stability
-// checks; a full check is Stable()).
+// checks; the check itself is UnstablePair).
 //
 //hetlb:noalloc
 func (e *Engine) Step() bool {
@@ -209,6 +215,10 @@ func (e *Engine) Step() bool {
 	i, j := e.selection.Pair(e.gen, m)
 	l1, l2 := e.a.Load(i), e.a.Load(j)
 	moved := e.proto.BalanceScratch(&e.scratch, e.a, i, j)
+	if moved > 0 && e.check != nil {
+		e.check.Mark(i)
+		e.check.Mark(j)
+	}
 	e.moves += moved
 	e.exchanges[i]++
 	e.exchanges[j]++
@@ -307,10 +317,23 @@ type Result struct {
 	FinalMakespan core.Cost
 }
 
+// UnstablePair returns the first pair of machines, in the scan order of
+// protocol.UnstablePair, whose balancing step would change the assignment,
+// or (-1, -1) if the assignment is stable. The answer is always that of a
+// full scan, but the engine's checker only splits the pairs that an earlier
+// call has not verified since Step last moved a job of theirs. Like the
+// Makespan cache it assumes that only Step mutates the assignment.
+func (e *Engine) UnstablePair() (int, int) {
+	if e.check == nil {
+		e.check = protocol.NewChecker(e.a.Model().NumMachines(), e.proto.BalanceSides)
+	}
+	return e.check.CheckAssignment(e.a)
+}
+
 // Run executes up to maxSteps balancing steps. If detectStability is true,
 // the run stops early once the schedule is provably stable: after every
-// window of steps with no observed load change, a full O(m²) stability check
-// is performed. DLB2C runs on adversarial instances may never converge
+// window of steps with no observed load change, UnstablePair checks the
+// schedule. DLB2C runs on adversarial instances may never converge
 // (Proposition 8); maxSteps bounds those.
 func (e *Engine) Run(maxSteps int, detectStability bool) Result {
 	m := e.a.Model().NumMachines()
@@ -324,7 +347,7 @@ func (e *Engine) Run(maxSteps int, detectStability bool) Result {
 		e.Step()
 		if detectStability && e.noChange >= window {
 			e.noChange = 0
-			if protocol.Stable(e.proto, e.a) {
+			if i, _ := e.UnstablePair(); i == -1 {
 				e.closeRunSpan(startStep, true)
 				return Result{Steps: e.steps, Converged: true, FinalMakespan: e.Makespan()}
 			}
@@ -332,7 +355,8 @@ func (e *Engine) Run(maxSteps int, detectStability bool) Result {
 	}
 	converged := false
 	if detectStability {
-		converged = protocol.Stable(e.proto, e.a)
+		i, _ := e.UnstablePair()
+		converged = i == -1
 	}
 	e.closeRunSpan(startStep, converged)
 	return Result{Steps: e.steps, Converged: converged, FinalMakespan: e.Makespan()}

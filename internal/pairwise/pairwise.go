@@ -42,9 +42,9 @@ import (
 // Union returns the jobs currently assigned to either machine, in increasing
 // job order, by a brute-force O(n) scan of the job→machine map. The step
 // paths use the index-backed AppendUnion instead; the scan form stays as the
-// reference the property tests compare the index against, and as what the
-// stability check's short-lived clones use (they never amortize an index
-// build).
+// reference the property tests compare the index against, and as what
+// Protocol.Balance uses on the state-space exploration's short-lived clones
+// (they never amortize an index build).
 func Union(a *core.Assignment, m1, m2 int) []int {
 	var jobs []int
 	for j := 0; j < a.Model().NumJobs(); j++ {

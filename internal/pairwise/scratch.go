@@ -7,7 +7,8 @@ import "slices"
 // slices returned by the *Scratch kernels and by Protocol.SplitScratch alias
 // these buffers and stay valid only until the scratch is used again. The
 // sequential engine owns one Scratch per engine; the sharded engine owns one
-// per shard worker (a Scratch is not safe for concurrent use).
+// per shard worker; each stability checker (protocol.Checker) owns one (a
+// Scratch is not safe for concurrent use).
 //
 // Ownership rules:
 //   - the caller owns the Scratch and may mutate (e.g. sort) the returned
@@ -27,7 +28,8 @@ type Scratch struct {
 	// them through Emit).
 	To1, To2 []int
 	// Side1 and Side2 hold the pair's current sides for placement-aware
-	// (min-move) balancing.
+	// (min-move) balancing, as the input of Protocol.BalanceSides, which
+	// writes neither.
 	Side1, Side2 []int
 	// Diff1 and Diff2 receive the arrived-job sets of a session's two sides
 	// (AppendDiff output), which drive O(moved) load-delta updates in the

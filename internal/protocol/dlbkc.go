@@ -51,3 +51,8 @@ func (p DLBKC) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
 func (p DLBKC) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
 	return balanceScratch(p, s, a, i, j)
 }
+
+// BalanceSides implements Protocol.
+func (p DLBKC) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	return splitSides(p, s, i, j, onI, onJ)
+}

@@ -21,15 +21,6 @@ import (
 // benchmarks quantify what this costs in schedule quality against what it
 // saves in movement.
 
-// PlacedSplitter is implemented by protocols that exploit the *current*
-// placement of the pooled jobs to minimize migrations. Engines use it in
-// preference to Split when available.
-type PlacedSplitter interface {
-	// SplitPlaced partitions the pair's jobs given their current sides.
-	// onI and onJ are in increasing job order and must not be mutated.
-	SplitPlaced(i, j int, onI, onJ []int) (toI, toJ []int)
-}
-
 // transferSameCost moves jobs from the heavier side to the lighter side —
 // choosing at each step the movable job that best halves the imbalance —
 // until no single move reduces it. Both machines must price jobs
@@ -145,12 +136,19 @@ func (p SameCostMinMove) Balance(a *core.Assignment, i, j int) {
 func (p SameCostMinMove) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
 	s.Side1 = a.AppendJobs(s.Side1[:0], i)
 	s.Side2 = a.AppendJobs(s.Side2[:0], j)
-	cost := func(job int) core.Cost { return p.Model.Cost(i, job) }
-	toI, toJ := splitPlacedScratch(s, cost, s.Side1, s.Side2)
+	toI, toJ := p.BalanceSides(s, i, j, s.Side1, s.Side2)
 	return pairwise.ApplyCount(a, i, j, toI, toJ)
 }
 
-// SplitPlaced implements PlacedSplitter.
+// BalanceSides implements Protocol: SplitPlaced on scratch.
+func (p SameCostMinMove) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	cost := func(job int) core.Cost { return p.Model.Cost(i, job) }
+	return splitPlacedScratch(s, cost, onI, onJ)
+}
+
+// SplitPlaced partitions the pair's jobs given their current sides, onI and
+// onJ in increasing job order (not mutated), by transferring jobs from the
+// heavier to the lighter side. It is the allocating form of BalanceSides.
 func (p SameCostMinMove) SplitPlaced(i, j int, onI, onJ []int) ([]int, []int) {
 	cost := func(job int) core.Cost { return p.Model.Cost(i, job) }
 	var lI, lJ core.Cost
@@ -197,20 +195,27 @@ func (p DLB2CMinMove) Balance(a *core.Assignment, i, j int) {
 
 // BalanceScratch implements Protocol.
 func (p DLB2CMinMove) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	if p.Model.ClusterOf(i) != p.Model.ClusterOf(j) {
-		s.Union = pairwise.AppendUnion(s.Union[:0], a, i, j)
-		toI, toJ := pairwise.SplitCLB2CScratch(s, p.Model, i, j, s.Union)
-		return pairwise.ApplyCount(a, i, j, toI, toJ)
-	}
 	s.Side1 = a.AppendJobs(s.Side1[:0], i)
 	s.Side2 = a.AppendJobs(s.Side2[:0], j)
-	cluster := p.Model.ClusterOf(i)
-	cost := func(job int) core.Cost { return p.Model.ClusterCost(cluster, job) }
-	toI, toJ := splitPlacedScratch(s, cost, s.Side1, s.Side2)
+	toI, toJ := p.BalanceSides(s, i, j, s.Side1, s.Side2)
 	return pairwise.ApplyCount(a, i, j, toI, toJ)
 }
 
-// SplitPlaced implements PlacedSplitter.
+// BalanceSides implements Protocol: SplitPlaced on scratch.
+func (p DLB2CMinMove) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	if p.Model.ClusterOf(i) != p.Model.ClusterOf(j) {
+		s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
+		return pairwise.SplitCLB2CScratch(s, p.Model, i, j, s.Union)
+	}
+	cluster := p.Model.ClusterOf(i)
+	cost := func(job int) core.Cost { return p.Model.ClusterCost(cluster, job) }
+	return splitPlacedScratch(s, cost, onI, onJ)
+}
+
+// SplitPlaced partitions the pair's jobs given their current sides, onI and
+// onJ in increasing job order (not mutated): CLB2C across clusters, a
+// transfer from the heavier to the lighter side within one. It is the
+// allocating form of BalanceSides.
 func (p DLB2CMinMove) SplitPlaced(i, j int, onI, onJ []int) ([]int, []int) {
 	if p.Model.ClusterOf(i) != p.Model.ClusterOf(j) {
 		union := mergeSortedInts(onI, onJ)
@@ -263,8 +268,6 @@ func mergeSortedInts(a, b []int) []int {
 }
 
 var (
-	_ Protocol       = SameCostMinMove{}
-	_ Protocol       = DLB2CMinMove{}
-	_ PlacedSplitter = SameCostMinMove{}
-	_ PlacedSplitter = DLB2CMinMove{}
+	_ Protocol = SameCostMinMove{}
+	_ Protocol = DLB2CMinMove{}
 )

@@ -28,6 +28,14 @@ import (
 // function of (i, j, jobs) so that stability is well defined and so that the
 // sequential, sharded and message-passing engines behave identically.
 //
+// Locality contract: a split reads nothing but i, j and the pooled jobs (and
+// the immutable cost model), never the placement of other machines or any
+// state left by earlier calls. BalanceSides likewise reads only i, j and the
+// pair's two sides. So whether a pair's step would change the placement
+// depends on the pair and its two job lists alone, and a pair verified
+// stable stays stable until one of its two machines changes — the premise of
+// the incremental Checker.
+//
 // Every rule exists in an allocating and a scratch form. The scratch forms
 // are what the engines run hundreds of thousands of times per replication:
 // they reuse caller-owned buffers (see pairwise.Scratch) and must produce
@@ -60,11 +68,21 @@ type Protocol interface {
 	// pair's jobs through the assignment's per-machine index and returns
 	// the number of jobs that changed machine.
 	BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int
+	// BalanceSides is the step of BalanceScratch on the pair's current
+	// sides instead of an assignment: onI and onJ are the jobs on i and j
+	// in increasing job order and are not mutated; of s's buffers they may
+	// alias only Side1 and Side2. It returns the jobs the step leaves on i
+	// and on j, each in increasing job order, aliasing s. The rebuild protocols merge the sides and
+	// split the union with SplitScratch; the MinMove protocols transfer
+	// jobs between the sides. The sequential engine's stability check
+	// replays this step, so a value that embeds a Protocol checks the same
+	// step as the BalanceScratch it inherits.
+	BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int)
 }
 
 // balance pools the pair's jobs, splits them with p and applies the result.
 // It scans the job→machine map directly (no index), which is what the
-// stability check's short-lived clones want.
+// state-space exploration's short-lived clones want (see Explore).
 func balance(p Protocol, a *core.Assignment, i, j int) {
 	jobs := pairwise.Union(a, i, j)
 	toI, toJ := p.Split(i, j, jobs)
@@ -81,6 +99,14 @@ func balanceScratch[P Protocol](p P, s *pairwise.Scratch, a *core.Assignment, i,
 	s.Union = pairwise.AppendUnion(s.Union[:0], a, i, j)
 	toI, toJ := p.SplitScratch(s, i, j, s.Union)
 	return pairwise.ApplyCount(a, i, j, toI, toJ)
+}
+
+// splitSides merges the pair's sides into s.Union and splits the union with
+// p's scratch kernel, the split balanceScratch makes: BalanceSides for the
+// rebuild protocols, and the sharded session's step (SplitStep) for all.
+func splitSides[P Protocol](p P, s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
+	return p.SplitScratch(s, i, j, s.Union)
 }
 
 // OJTB is Algorithm 3. It assumes (but does not verify) that all jobs have
@@ -113,6 +139,11 @@ func (p OJTB) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
 // BalanceScratch implements Protocol.
 func (p OJTB) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
 	return balanceScratch(p, s, a, i, j)
+}
+
+// BalanceSides implements Protocol.
+func (p OJTB) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	return splitSides(p, s, i, j, onI, onJ)
 }
 
 // MJTB is Algorithm 4: the typed generalization of OJTB. Each pairwise step
@@ -173,6 +204,11 @@ func (p MJTB) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) 
 	return balanceScratch(p, s, a, i, j)
 }
 
+// BalanceSides implements Protocol.
+func (p MJTB) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	return splitSides(p, s, i, j, onI, onJ)
+}
+
 // DLB2C is Algorithm 7 for a two-cluster model: same-cluster pairs use
 // Greedy Load Balancing (Algorithm 6), cross-cluster pairs use CLB2C on two
 // singleton clusters (Algorithm 5).
@@ -208,6 +244,11 @@ func (p DLB2C) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int)
 	return balanceScratch(p, s, a, i, j)
 }
 
+// BalanceSides implements Protocol.
+func (p DLB2C) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	return splitSides(p, s, i, j, onI, onJ)
+}
+
 // SameCost is the single-cluster protocol used for the homogeneous
 // experiments of Section VII.A: every pair is balanced with the same-cost
 // greedy kernel. On an identical-machines model it is exactly the dynamics
@@ -240,27 +281,25 @@ func (p SameCost) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j i
 	return balanceScratch(p, s, a, i, j)
 }
 
-// Stable reports whether the assignment is a fixed point of the protocol:
-// no pairwise balancing step changes the placement of any job. Stability is
-// the premise of Theorem 7 ("if the algorithm converges..."). The check is
-// O(m²) balancing steps, each on a clone.
-func Stable(p Protocol, a *core.Assignment) bool {
-	i, j := UnstablePair(p, a)
-	return i == -1 && j == -1
+// BalanceSides implements Protocol.
+func (p SameCost) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+	return splitSides(p, s, i, j, onI, onJ)
 }
 
-// UnstablePair returns a pair of machines whose balancing step would change
-// the assignment, or (-1, -1) if the assignment is stable.
+// Stable reports whether the assignment is a fixed point of the protocol:
+// no pairwise balancing step changes the placement of any job. Stability is
+// the premise of Theorem 7 ("if the algorithm converges..."). The check is a
+// full scan of the m(m−1)/2 pairs by one Checker, which replays each pair's
+// step on the two sorted job lists without cloning the assignment.
+func Stable(p Protocol, a *core.Assignment) bool {
+	i, _ := UnstablePair(p, a)
+	return i == -1
+}
+
+// UnstablePair returns the first pair of machines, in the order (0,1),
+// (0,2), …, (1,2), …, whose balancing step would change the assignment, or
+// (-1, -1) if the assignment is stable. It runs a fresh Checker on
+// p.BalanceSides, so the scan starts at (0,1).
 func UnstablePair(p Protocol, a *core.Assignment) (int, int) {
-	m := a.Model().NumMachines()
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			b := a.Clone()
-			p.Balance(b, i, j)
-			if !b.Equal(a) {
-				return i, j
-			}
-		}
-	}
-	return -1, -1
+	return NewChecker(a.Model().NumMachines(), p.BalanceSides).CheckAssignment(a)
 }

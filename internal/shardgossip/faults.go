@@ -31,7 +31,10 @@
 // transition unlatches the verified-stable fast path and resets the quiet
 // counter: a recovery brings frozen work back into play and a crash removes
 // a participant from every future matching, so a previously proven
-// stability no longer holds.
+// stability no longer holds. Every transition also marks its machine for
+// the incremental stability check: the check skips the pairs of a down
+// machine, so they were never verified and must be split again once the
+// machine is back.
 package shardgossip
 
 import (
@@ -132,10 +135,15 @@ func (e *Engine) applyFaults() {
 			e.crashMachine(ev)
 		}
 		// Any transition invalidates a proven stability and dirties the
-		// machine's block so phase B refreshes its partial max.
+		// machine's block so phase B refreshes its partial max. It also
+		// marks the machine for the stability checker: while it was down
+		// its pairs were skipped, not verified.
 		e.stable = false
 		e.noChange = 0
 		e.shards[e.part.ShardOf(int(ev.machine))].dirty = true
+		if e.check != nil {
+			e.check.Mark(int(ev.machine))
+		}
 	}
 	if fired && e.metrics != nil {
 		e.metrics.Down.Set(int64(fs.downCount))

@@ -57,6 +57,18 @@
 // spans), making converged epochs O(1) per session regardless of the mean
 // jobs-per-machine.
 //
+// # Incremental stability check
+//
+// The check that proves stability is protocol.Checker on the sessions' own
+// step (merge, then SplitScratch). It answers as a scan of every pair from
+// (0,1) would, but splits only the pairs it has not verified since their
+// machines last changed: a session that moved jobs marks its two machines,
+// and every crash or recovery marks its machine, whose pairs were skipped
+// while it was down. The engine builds the checker at its first check, a
+// full scan, so a run that never checks neither builds it nor marks. Run
+// still checks after every 2m quiet sessions, so the trajectory is that of
+// a full rescan; only the check's cost falls.
+//
 // # Determinism argument
 //
 // The schedule is a pure function of (seed, epoch) drawn by the single
@@ -82,7 +94,6 @@ package shardgossip
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"hetlb/internal/core"
@@ -272,8 +283,17 @@ type Engine struct {
 	sumLoad   int64
 	cachedMax core.Cost
 	// noChange counts consecutive sessions in all-quiet epochs; it gates the
-	// expensive full stability check, mirroring gossip.Engine.
+	// stability check, mirroring gossip.Engine.
 	noChange int
+	// check is the incremental stability checker on the sessions' own step
+	// (protocol.SplitStep), built by the first check; a run that never
+	// checks never builds it. From then on a session that moved jobs marks
+	// its pair (each machine is in one session per epoch, so the marks never
+	// collide) and every fault transition marks its machine. The first check
+	// scans every pair, so nothing before it needs a mark. The coordinator
+	// builds it, reads the marks and clears them between epochs.
+	//hetlb:frozen
+	check *protocol.Checker
 	// stable latches once checkStable proves the placement pairwise-stable;
 	// from then on sessions take the bookkeeping-only fast path.
 	//hetlb:frozen
@@ -351,24 +371,8 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 		e.faults = fs
 	}
 
-	// Build the job lists with a counting pass over one exactly-sized
-	// backing array — at 10M jobs, per-machine appends onto 100k separately
-	// growing slices would dominate construction.
-	counts := make([]int, m)
-	for j := 0; j < n; j++ {
-		counts[initial.MachineOf(j)]++
-	}
-	backing := make([]int, 0, n)
 	e.jobs = make([][]int, m)
-	start := 0
-	for i, c := range counts {
-		e.jobs[i] = backing[start : start : start+c]
-		start += c
-	}
-	for j := 0; j < n; j++ {
-		i := initial.MachineOf(j)
-		e.jobs[i] = append(e.jobs[i], j) // increasing j: sorted by construction
-	}
+	initial.FillJobLists(e.jobs, make([]int, n))
 	var max core.Cost
 	for i := 0; i < m; i++ {
 		l := initial.Load(i)
@@ -721,6 +725,10 @@ func (e *Engine) session(s, t int) {
 		e.jobs[i] = append(e.jobs[i][:0], toI...)
 		e.jobs[j] = append(e.jobs[j][:0], toJ...)
 		e.load[i], e.load[j] = n1, n2
+		if c := e.check; c != nil {
+			c.Mark(i)
+			c.Mark(j)
+		}
 		e.updatePartials(i, l1, n1)
 		e.updatePartials(j, l2, n2)
 		sh.moves += moved
@@ -839,43 +847,37 @@ func (e *Engine) Snapshot() *core.Assignment {
 }
 
 // checkStable proves or refutes pairwise stability of the current placement
-// without cloning assignments: for every pair (i, j), the protocol kernel
-// applied to the merged union must reproduce the current sides exactly. It
-// is the scratch-based equivalent of protocol.Stable on a Snapshot (same
-// O(m²) pair scan; kernels are deterministic and idempotent). On success the
-// engine latches the verified-stable fast path — sound because a stable
-// placement makes every future session a kernel no-op, so the state can
-// never change again.
+// among the up machines: for every pair (i, j), the session's split of the
+// merged union must reproduce the current sides exactly. The engine's
+// checker answers as a full O(m²) scan would, but splits only the pairs it
+// has not verified since their machines last changed (see
+// protocol.Checker). On success the engine latches the verified-stable fast
+// path — sound because a stable placement makes every future session a
+// kernel no-op, so the state can never change again.
 func (e *Engine) checkStable() bool {
 	if e.stable {
 		return true
 	}
-	m := e.part.NumMachines()
-	sc := &e.shards[0].scratch
-	// Down machines are excluded: they participate in no session, so
-	// stability among the up machines is all a latch may rely on. Any later
-	// crash or recovery re-opens the latch (see applyFaults).
+	if i, _ := e.unstablePair(); i != -1 {
+		return false
+	}
+	e.stable = true
+	return true
+}
+
+// unstablePair runs the engine's incremental check. Down machines are
+// excluded: they participate in no session, so stability among the up
+// machines is all a latch may rely on. Any later crash or recovery marks the
+// machine and re-opens the latch (see applyFaults).
+func (e *Engine) unstablePair() (int, int) {
+	if e.check == nil {
+		e.check = protocol.NewChecker(e.part.NumMachines(), protocol.SplitStep(e.proto))
+	}
 	var down []bool
 	if e.faults != nil {
 		down = e.faults.down
 	}
-	for i := 0; i < m; i++ {
-		if down != nil && down[i] {
-			continue
-		}
-		for j := i + 1; j < m; j++ {
-			if down != nil && down[j] {
-				continue
-			}
-			sc.Union = pairwise.MergeSortedInto(sc.Union[:0], e.jobs[i], e.jobs[j])
-			toI, toJ := e.proto.SplitScratch(sc, i, j, sc.Union)
-			if !slices.Equal(toI, e.jobs[i]) || !slices.Equal(toJ, e.jobs[j]) {
-				return false
-			}
-		}
-	}
-	e.stable = true
-	return true
+	return e.check.Check(e.jobs, down)
 }
 
 // Result summarizes a Run.
@@ -906,8 +908,9 @@ type Result struct {
 // (the session budget of gossip.Engine.Run; the last epoch may overshoot by
 // less than one epoch's worth). If detectStability is true the run stops
 // early once the schedule is provably stable: after every window of quiet
-// sessions, the full O(m²) stability check runs (and, on success, latches
-// the verified-stable session fast path for any further stepping).
+// sessions, the stability check runs (incremental, see checkStable; on
+// success it latches the verified-stable session fast path for any further
+// stepping).
 func (e *Engine) Run(maxSessions int, detectStability bool) Result {
 	m := e.part.NumMachines()
 	startSessions := e.sessions
