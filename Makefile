@@ -45,14 +45,20 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/gossip/... ./internal/shardgossip/... \
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/...
 
-# Fuzzes the incremental stability checker for 30s: random small instances,
-# epoch counts and crash plans, on both engines, where every check must
-# answer as a full scan from pair (0,1) does. go test -fuzz takes one target
-# in one package per run. The committed seed corpus
-# (internal/shardgossip/testdata/fuzz) also runs as plain tests in `make
-# test`; a failing input found here is written next to it.
+# Fuzzes two targets for 30s each. FuzzStabilityCheck: random small
+# instances, epoch counts and crash plans, on both engines, where every
+# check must answer as a full scan from pair (0,1) does. Then FuzzJobOrder:
+# core.OrderJobs in the ratio and size orders against a comparator sort,
+# over costs that are free, tie, share a float32 image or pass 2^31, on
+# both sides of the radix cut-over; a new input's minimization is
+# capped at 5s so it leaves the fuzzer time to run. go test -fuzz takes one
+# target in one package per run. The committed seed corpora
+# (internal/shardgossip/testdata/fuzz, internal/core/testdata/fuzz) also run
+# as plain tests in `make test`; a failing input found here is written next
+# to them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzStabilityCheck$$' -fuzztime=30s ./internal/shardgossip/
+	$(GO) test -run='^$$' -fuzz='^FuzzJobOrder$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

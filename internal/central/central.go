@@ -8,39 +8,17 @@
 //
 // CLB2C doubles as the kernel of the decentralized DLB2C: balancing one
 // machine from each cluster is CLB2C on two singleton "clusters".
+//
+// CLB2C and OnlineLS find the least-loaded machine with a min-heap that
+// holds each machine's load itself, so the machine lists CLB2C takes must
+// name distinct machines.
 package central
 
 import (
-	"container/heap"
 	"sort"
 
 	"hetlb/internal/core"
 )
-
-// loadHeap is a min-heap of machines ordered by current load in an
-// assignment, with machine index as a deterministic tie break.
-type loadHeap struct {
-	a        *core.Assignment
-	machines []int
-}
-
-func (h *loadHeap) Len() int { return len(h.machines) }
-func (h *loadHeap) Less(x, y int) bool {
-	lx, ly := h.a.Load(h.machines[x]), h.a.Load(h.machines[y])
-	if lx != ly {
-		return lx < ly
-	}
-	return h.machines[x] < h.machines[y]
-}
-func (h *loadHeap) Swap(x, y int) { h.machines[x], h.machines[y] = h.machines[y], h.machines[x] }
-func (h *loadHeap) Push(x any)    { h.machines = append(h.machines, x.(int)) }
-func (h *loadHeap) Pop() any {
-	old := h.machines
-	n := len(old)
-	v := old[n-1]
-	h.machines = old[:n-1]
-	return v
-}
 
 // ListScheduling assigns the given jobs, in the given order, each to the
 // machine that completes it earliest (ECT). On identical machines this is
@@ -82,68 +60,70 @@ func LPT(id *core.Identical) *core.Assignment {
 	return ListScheduling(id, jobs)
 }
 
-// RatioLess orders jobs by increasing cost ratio
-// cluster0/cluster1 using exact integer cross multiplication
-// (core.CompareRatios, so a job priced 0 on both clusters counts as ratio
-// 1/1), with the job index as a deterministic tie break. It is the ordering
-// at the heart of CLB2C and of the Greedy Load Balancing of Algorithm 6.
-func RatioLess(m core.Clustered, a, b int) bool {
-	if c := core.CompareRatios(m.ClusterCost(0, a), m.ClusterCost(1, a), m.ClusterCost(0, b), m.ClusterCost(1, b)); c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-// SortByRatio sorts jobs in place by increasing cluster0/cluster1 cost
-// ratio.
-func SortByRatio(m core.Clustered, jobs []int) {
-	sort.Slice(jobs, func(x, y int) bool { return RatioLess(m, jobs[x], jobs[y]) })
-}
-
 // CLB2C implements Algorithm 5 of the paper on an arbitrary sub-problem: it
 // assigns each job of jobs onto one of the machines in ms0 (which must
 // belong to cluster 0) or ms1 (cluster 1), mutating a. The jobs must be
-// unassigned in a.
+// unassigned in a, and ms0 and ms1 must list distinct machines: CLB2C keeps
+// each machine's load in its own heap from the start loads in a, so a
+// machine listed twice would be two machines.
 //
 // The jobs are considered sorted by increasing cost ratio p0/p1. At each
 // step the head job (relatively cheapest on cluster 0) is tentatively placed
 // on the least-loaded machine of ms0 and the tail job on the least-loaded
 // machine of ms1; whichever placement finishes earlier is committed. Ties
-// favor cluster 0, matching the "≤" of the paper's pseudocode.
+// favor cluster 0, matching the "≤" of the paper's pseudocode, and a tie in
+// load goes to the lower-indexed machine.
+//
+// Besides a, a call allocates 32 bytes per job (its two costs, its sort key
+// and a radix slot) and 16 bytes per machine (the heaps).
 func CLB2C(a *core.Assignment, m core.Clustered, ms0, ms1, jobs []int) {
-	sorted := append([]int(nil), jobs...)
-	SortByRatio(m, sorted)
+	p0, p1 := core.GatherCosts(m, 0, jobs, nil), core.GatherCosts(m, 1, jobs, nil)
+	clb2c(a, p0, p1, jobs, ms0, ms1)
+}
 
-	h0 := &loadHeap{a: a, machines: append([]int(nil), ms0...)}
-	h1 := &loadHeap{a: a, machines: append([]int(nil), ms1...)}
-	heap.Init(h0)
-	heap.Init(h1)
-
-	lo, hi := 0, len(sorted)-1
+// clb2c is CLB2C on the jobs at positions 0..len(p0)-1, which cost p0[pos]
+// on cluster 0 and p1[pos] on cluster 1; ids[pos] is the job (pos itself
+// when ids is nil). The order is core.OrderJobs' exact ratio order, whose
+// keys double as the schedule: once a key's job is placed, its high half
+// (the spent ratio image) records the machine, and one pass at the end
+// applies every placement to a.
+func clb2c(a *core.Assignment, p0, p1 []core.Cost, ids, ms0, ms1 []int) {
+	n := len(p0)
+	keys, _ := core.OrderJobs(core.ByRatio, p0, p1, ids, make([]uint64, n), make([]uint64, n))
+	h0, h1 := newMinLoads(a, ms0), newMinLoads(a, ms1)
+	lo, hi := 0, len(keys)-1
 	for lo <= hi {
-		jHead, jTail := sorted[lo], sorted[hi]
-		i0 := h0.machines[0]
-		i1 := h1.machines[0]
-		c0 := a.Load(i0) + m.ClusterCost(0, jHead)
-		c1 := a.Load(i1) + m.ClusterCost(1, jTail)
+		head, tail := uint32(keys[lo]), uint32(keys[hi])
+		c0 := h0[0].load + p0[head]
+		c1 := h1[0].load + p1[tail]
 		if c0 <= c1 {
-			a.Assign(jHead, i0)
+			keys[lo] = uint64(h0[0].machine)<<32 | uint64(head)
+			h0.raiseMin(c0)
 			lo++
-			heap.Fix(h0, 0)
 		} else {
-			a.Assign(jTail, i1)
+			keys[hi] = uint64(h1[0].machine)<<32 | uint64(tail)
+			h1.raiseMin(c1)
 			hi--
-			heap.Fix(h1, 0)
 		}
+	}
+	for _, key := range keys {
+		j := int(uint32(key))
+		if ids != nil {
+			j = ids[j]
+		}
+		a.Assign(j, int(key>>32))
 	}
 }
 
 // RunCLB2C builds a complete schedule of all jobs of a two-cluster model
 // with CLB2C. This is the centralized reference ("cent" in Figure 5 of the
-// paper).
+// paper). On a model with cost vectors (core.TwoCluster) it orders the
+// vectors themselves, so besides the assignment it allocates only the
+// keys, the radix buffer, the heaps and the machine lists.
 func RunCLB2C(m core.Clustered) *core.Assignment {
 	a := core.NewAssignment(m)
-	var ms0, ms1 []int
+	ms0 := make([]int, 0, m.ClusterSize(0))
+	ms1 := make([]int, 0, m.ClusterSize(1))
 	for i := 0; i < m.NumMachines(); i++ {
 		if m.ClusterOf(i) == 0 {
 			ms0 = append(ms0, i)
@@ -151,7 +131,11 @@ func RunCLB2C(m core.Clustered) *core.Assignment {
 			ms1 = append(ms1, i)
 		}
 	}
-	CLB2C(a, m, ms0, ms1, allJobs(m))
+	if v, ok := m.(core.CostVectors); ok {
+		clb2c(a, v.ClusterCosts(0), v.ClusterCosts(1), nil, ms0, ms1)
+	} else {
+		CLB2C(a, m, ms0, ms1, allJobs(m))
+	}
 	return a
 }
 

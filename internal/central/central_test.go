@@ -1,6 +1,11 @@
 package central
 
 import (
+	"container/heap"
+	"fmt"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"hetlb/internal/core"
@@ -90,6 +95,13 @@ func TestRatioLessExactAndTotal(t *testing.T) {
 	for i := range want {
 		if jobs[i] != want[i] {
 			t.Fatalf("SortByRatio = %v, want %v", jobs, want)
+		}
+	}
+	// The shared routine agrees.
+	keys, _ := core.OrderJobs(core.ByRatio, tc.ClusterCosts(0), tc.ClusterCosts(1), nil, nil, nil)
+	for i, key := range keys {
+		if int(uint32(key)) != want[i] {
+			t.Fatalf("core.OrderJobs put job %d at %d, want %v", uint32(key), i, want)
 		}
 	}
 	// A strict total order on distinct jobs: antisymmetric, total and
@@ -232,8 +244,275 @@ func BenchmarkListScheduling(b *testing.B) {
 func BenchmarkCLB2CPaperScale(b *testing.B) {
 	gen := rng.New(10)
 	tc := workload.UniformTwoCluster(gen, 64, 32, 768, 1, 1000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RunCLB2C(tc)
+	}
+}
+
+// BenchmarkRunCLB2C runs the reference of the Figure 5 threshold workload:
+// 8192+8192 machines, 1,638,400 jobs U[1,1000]. Its two 13 MB cost vectors
+// do not fit in cache.
+func BenchmarkRunCLB2C(b *testing.B) {
+	if testing.Short() {
+		b.Skip("1.6M-job instance; -short keeps bench-smoke cheap")
+	}
+	tc := workload.UniformTwoCluster(rng.New(11), 8192, 8192, 1638400, 1, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RunCLB2C(tc)
+	}
+}
+
+// RatioLess orders jobs by increasing cost ratio cluster0/cluster1 using
+// exact integer cross multiplication (core.CompareRatios, so a job priced 0
+// on both clusters counts as ratio 1/1), with the job index as a
+// deterministic tie break: the comparator CLB2C sorted with before it used
+// core.OrderJobs, kept as the oracle of the order.
+func RatioLess(m core.Clustered, a, b int) bool {
+	if c := core.CompareRatios(m.ClusterCost(0, a), m.ClusterCost(1, a), m.ClusterCost(0, b), m.ClusterCost(1, b)); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+// SortByRatio sorts jobs in place by increasing cluster0/cluster1 cost
+// ratio.
+func SortByRatio(m core.Clustered, jobs []int) {
+	sort.Slice(jobs, func(x, y int) bool { return RatioLess(m, jobs[x], jobs[y]) })
+}
+
+// refLoadHeap is a container/heap min-heap of machines ordered by their
+// live load in an assignment, with machine index as a deterministic tie
+// break.
+type refLoadHeap struct {
+	a        *core.Assignment
+	machines []int
+}
+
+func (h *refLoadHeap) Len() int { return len(h.machines) }
+func (h *refLoadHeap) Less(x, y int) bool {
+	lx, ly := h.a.Load(h.machines[x]), h.a.Load(h.machines[y])
+	if lx != ly {
+		return lx < ly
+	}
+	return h.machines[x] < h.machines[y]
+}
+func (h *refLoadHeap) Swap(x, y int) { h.machines[x], h.machines[y] = h.machines[y], h.machines[x] }
+func (h *refLoadHeap) Push(x any)    { h.machines = append(h.machines, x.(int)) }
+func (h *refLoadHeap) Pop() any {
+	old := h.machines
+	v := old[len(old)-1]
+	h.machines = old[:len(old)-1]
+	return v
+}
+
+// refCLB2C is CLB2C as a comparator sort (SortByRatio) and container/heap
+// over the assignment's live loads, placing each job as it goes: the
+// reference TestCLB2CMatchesReference holds CLB2C to.
+func refCLB2C(a *core.Assignment, m core.Clustered, ms0, ms1, jobs []int) {
+	sorted := append([]int(nil), jobs...)
+	SortByRatio(m, sorted)
+	h0 := &refLoadHeap{a: a, machines: append([]int(nil), ms0...)}
+	h1 := &refLoadHeap{a: a, machines: append([]int(nil), ms1...)}
+	heap.Init(h0)
+	heap.Init(h1)
+	lo, hi := 0, len(sorted)-1
+	for lo <= hi {
+		jHead, jTail := sorted[lo], sorted[hi]
+		i0, i1 := h0.machines[0], h1.machines[0]
+		c0 := a.Load(i0) + m.ClusterCost(0, jHead)
+		c1 := a.Load(i1) + m.ClusterCost(1, jTail)
+		if c0 <= c1 {
+			a.Assign(jHead, i0)
+			lo++
+			heap.Fix(h0, 0)
+		} else {
+			a.Assign(jTail, i1)
+			hi--
+			heap.Fix(h1, 0)
+		}
+	}
+}
+
+// opaque hides a model's cost vectors, so CLB2C gathers its costs through
+// ClusterCost.
+type opaque struct{ core.Clustered }
+
+// clb2cFamily draws one job's costs on clusters 0 and 1.
+type clb2cFamily struct {
+	name string
+	draw func(gen *rng.RNG) (core.Cost, core.Cost)
+}
+
+// clb2cFamilies are the cost families TestCLB2CMatchesReference covers.
+// Every family keeps each cross product CompareRatios forms inside an
+// int64, where the comparator reference is exact.
+var clb2cFamilies = []clb2cFamily{
+	{"random", func(gen *rng.RNG) (core.Cost, core.Cost) {
+		return gen.IntRange(1, 1000), gen.IntRange(1, 1000)
+	}},
+	// Free on one or both clusters: ratios 0, +inf and 0/0 (ordered as
+	// 1/1) among ordinary jobs.
+	{"zero", func(gen *rng.RNG) (core.Cost, core.Cost) {
+		switch gen.Intn(4) {
+		case 0:
+			return 0, 0
+		case 1:
+			return 0, gen.IntRange(1, 20)
+		case 2:
+			return gen.IntRange(1, 20), 0
+		default:
+			return gen.IntRange(1, 20), gen.IntRange(1, 20)
+		}
+	}},
+	// Equal ratios in different terms, so exact ties fall to the index.
+	{"equal-ratios", func(gen *rng.RNG) (core.Cost, core.Cost) {
+		r := [][2]core.Cost{{1, 2}, {2, 1}, {1, 1}, {3, 5}}[gen.Intn(4)]
+		k := gen.IntRange(1, 40)
+		return k * r[0], k * r[1]
+	}},
+	// Costs near 2^30 against costs near 2^10: distinct ratios near 2^20
+	// or 2^-20 that share a float32 image.
+	{"shared-image", func(gen *rng.RNG) (core.Cost, core.Cost) {
+		big, small := core.Cost(1)<<30+gen.IntRange(0, 1<<10), core.Cost(1)<<10+gen.IntRange(0, 3)
+		if gen.Bool() {
+			return big, small
+		}
+		return small, big
+	}},
+	// Costs on both sides of 2^31, in both clusters; the largest is
+	// 2^31+2^29, so every cross product stays below 2^63.
+	{"large", func(gen *rng.RNG) (core.Cost, core.Cost) {
+		cost := func() core.Cost {
+			if gen.Bool() {
+				return gen.IntRange(1, 1<<10)
+			}
+			return gen.IntRange(1<<31-1<<20, 1<<31+1<<29)
+		}
+		return cost(), cost()
+	}},
+}
+
+// TestCLB2CMatchesReference requires CLB2C to put every job on the machine
+// the comparator-sort reference puts it on: over every cost family, job
+// counts 0, 1, 2 and on both sides of the radix cut-over, clusters of one
+// machine, machine subsets listed in any order with loads already on them,
+// jobs passed in any order or as nil (no jobs), and a model that hides its
+// cost vectors.
+func TestCLB2CMatchesReference(t *testing.T) {
+	gen := rng.New(12)
+	for _, f := range clb2cFamilies {
+		for trial := 0; trial < 40; trial++ {
+			n := []int{0, 1, 2, 3, 63, 64, 65, 200, 700}[trial%9]
+			m1, m2 := 1+gen.Intn(4), 1+gen.Intn(4)
+			if trial%3 == 0 {
+				m2 = 1
+			}
+			p0, p1 := make([]core.Cost, n), make([]core.Cost, n)
+			for j := range p0 {
+				p0[j], p1[j] = f.draw(gen)
+			}
+			tc, err := core.NewTwoCluster(m1, m2, p0, p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var model core.Clustered = tc
+			if trial%2 == 1 {
+				model = opaque{tc}
+			}
+			what := fmt.Sprintf("%s trial %d: m1=%d m2=%d n=%d model=%T", f.name, trial, m1, m2, n, model)
+
+			// The whole instance.
+			ref := core.NewAssignment(model)
+			refCLB2C(ref, model, seq(0, m1), seq(m1, m1+m2), seq(0, n))
+			sameMachines(t, what+" RunCLB2C", RunCLB2C(model), ref)
+
+			// A sub-problem: a third of the jobs already placed anywhere,
+			// the rest scheduled on random machine subsets, jobs and
+			// machines in random order.
+			got, ref := core.NewAssignment(model), core.NewAssignment(model)
+			var rest []int
+			for j := 0; j < n; j++ {
+				if gen.Intn(3) == 0 {
+					i := gen.Intn(m1 + m2)
+					got.Assign(j, i)
+					ref.Assign(j, i)
+				} else {
+					rest = append(rest, j)
+				}
+			}
+			switch trial % 3 {
+			case 0:
+				slices.Reverse(rest)
+			case 1:
+				gen.ShuffleInts(rest)
+			}
+			ms0, ms1 := subset(gen, seq(0, m1)), subset(gen, seq(m1, m1+m2))
+			CLB2C(got, model, ms0, ms1, nil) // no jobs: places nothing
+			CLB2C(got, model, ms0, ms1, rest)
+			refCLB2C(ref, model, ms0, ms1, rest)
+			sameMachines(t, fmt.Sprintf("%s CLB2C on %v+%v", what, ms0, ms1), got, ref)
+		}
+	}
+}
+
+// TestRunCLB2CMatchesReferenceAtScale compares the schedules of a
+// 131,072-job instance, whose ratios tie in the thousands.
+func TestRunCLB2CMatchesReferenceAtScale(t *testing.T) {
+	const m1, m2, n = 256, 128, 1 << 17
+	tc := workload.UniformTwoCluster(rng.New(13), m1, m2, n, 1, 1000)
+	ref := core.NewAssignment(tc)
+	refCLB2C(ref, tc, seq(0, m1), seq(m1, m1+m2), seq(0, n))
+	sameMachines(t, "131072 jobs", RunCLB2C(tc), ref)
+}
+
+// TestRunCLB2CAllocationPerJob bounds what RunCLB2C allocates at paper
+// scale (64+32 machines, 768 jobs) by three words per job (the
+// assignment's job map, the sort keys and the radix buffer) plus O(m)
+// words: the loads, two heaps of (load, machine) pairs, the two machine
+// lists and a constant for the headers. Replications run CLB2C once each
+// with the collector paused, so every byte shows in their peak memory.
+func TestRunCLB2CAllocationPerJob(t *testing.T) {
+	const m, n, runs = 96, 768, 20
+	tc := workload.UniformTwoCluster(rng.New(10), 64, 32, n, 1, 1000)
+	RunCLB2C(tc)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		RunCLB2C(tc)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(8 * (3*n + 4*m + 32)); perCall > limit {
+		t.Fatalf("RunCLB2C allocates %d bytes per call, want at most %d", perCall, limit)
+	}
+}
+
+// seq returns lo, lo+1, ..., hi-1.
+func seq(lo, hi int) []int {
+	s := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// subset returns a non-empty random subset of s in random order.
+func subset(gen *rng.RNG, s []int) []int {
+	out := slices.Clone(s)
+	gen.ShuffleInts(out)
+	return out[:1+gen.Intn(len(out))]
+}
+
+// sameMachines fails unless got places every job where want does.
+func sameMachines(t *testing.T, what string, got, want *core.Assignment) {
+	t.Helper()
+	for j := 0; j < want.Model().NumJobs(); j++ {
+		if got.MachineOf(j) != want.MachineOf(j) {
+			t.Fatalf("%s: job %d on machine %d, reference %d", what, j, got.MachineOf(j), want.MachineOf(j))
+		}
 	}
 }

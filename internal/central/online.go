@@ -1,7 +1,6 @@
 package central
 
 import (
-	"container/heap"
 	"fmt"
 
 	"hetlb/internal/core"
@@ -16,7 +15,7 @@ import (
 type OnlineLS struct {
 	model      core.CostModel
 	assignment *core.Assignment
-	h          *loadHeap
+	h          minLoads
 }
 
 // NewOnlineLS builds an empty online scheduler over the model.
@@ -26,9 +25,7 @@ func NewOnlineLS(m core.CostModel) *OnlineLS {
 		machines[i] = i
 	}
 	a := core.NewAssignment(m)
-	h := &loadHeap{a: a, machines: machines}
-	heap.Init(h)
-	return &OnlineLS{model: m, assignment: a, h: h}
+	return &OnlineLS{model: m, assignment: a, h: newMinLoads(a, machines)}
 }
 
 // Add places job j on the currently least loaded machine and returns that
@@ -37,9 +34,9 @@ func (o *OnlineLS) Add(job int) int {
 	if o.assignment.MachineOf(job) != -1 {
 		panic(fmt.Sprintf("central: job %d submitted twice", job))
 	}
-	i := o.h.machines[0]
+	i := o.h[0].machine
 	o.assignment.Assign(job, i)
-	heap.Fix(o.h, 0)
+	o.h.raiseMin(o.assignment.Load(i))
 	return i
 }
 

@@ -7,8 +7,9 @@ import "hetlb/internal/core"
 // job currently running (non-preemptible). The plain Split* kernels are the
 // base == 0 specialization up to the order of each side: the loaded kernels
 // return every side in placement order (ratio order for Greedy Load
-// Balancing, head then tail order for CLB2C), not input order, because the
-// dynamic simulator runs a machine's pending jobs in list order.
+// Balancing, size order for the largest-first split, head then tail order
+// for CLB2C), not input order, because the dynamic simulator runs a
+// machine's pending jobs in list order.
 // Canonicalization swaps the bases together with the machines, so the
 // loaded kernels remain functions of the unordered pair.
 
@@ -58,13 +59,30 @@ func SplitGreedyLoadBalancingLoaded(c core.Clustered, m1, m2 int, base1, base2 c
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
 	}
+	return splitGreedyLoaded(ratioOrder, c, m1, m2, base1, base2, jobs)
+}
+
+// SplitLargestFirstLoaded is the largest-first split of
+// SplitLargestFirstScratch starting from loads base1 and base2. DLBKC runs
+// it within a cluster of the dynamic simulator.
+func SplitLargestFirstLoaded(c core.Clustered, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
+	if c.ClusterOf(m1) != c.ClusterOf(m2) {
+		panic("pairwise: a largest-first split requires machines of the same cluster")
+	}
+	return splitGreedyLoaded(sizeOrder, c, m1, m2, base1, base2, jobs)
+}
+
+// splitGreedyLoaded places the jobs in the order inOrder returns on the
+// pair's cluster, each on the machine with the smaller load so far, ties to
+// the lower-indexed machine.
+func splitGreedyLoaded(inOrder func(core.Clustered, int, []int) []int, c core.Clustered, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
 	if m1 > m2 {
-		to2, to1 = SplitGreedyLoadBalancingLoaded(c, m2, m1, base2, base1, jobs)
+		to2, to1 = splitGreedyLoaded(inOrder, c, m2, m1, base2, base1, jobs)
 		return to1, to2
 	}
 	own := c.ClusterOf(m1)
 	l1, l2 := base1, base2
-	for _, j := range ratioOrder(c, own, jobs) {
+	for _, j := range inOrder(c, own, jobs) {
 		cost := c.ClusterCost(own, j)
 		if l1 <= l2 {
 			to1 = append(to1, j)

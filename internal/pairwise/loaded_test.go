@@ -108,3 +108,39 @@ func TestLoadedCLB2CBiasesAwayFromBusyCluster(t *testing.T) {
 		t.Fatalf("loaded CLB2C ignored the base load: %v | %v", toA, toB)
 	}
 }
+
+// TestLargestFirstLoaded holds SplitLargestFirstLoaded to the comparator
+// sort DLBKC's loaded same-cluster split ran before: every side, in
+// placement order, from any base loads and in either argument order. At
+// zero bases it splits as SplitLargestFirstScratch.
+func TestLargestFirstLoaded(t *testing.T) {
+	gen := rng.New(4)
+	var s Scratch
+	for iter := 0; iter < 60; iter++ {
+		n := []int{0, 1, 10, 100}[iter%4]
+		tc := workload.UniformTwoCluster(gen, 2, 2, n, 1, 30)
+		jobs := gen.Perm(n)
+		m1, m2 := 2*(iter%2), 2*(iter%2)+1
+		b1, b2 := gen.IntRange(0, 60), gen.IntRange(0, 60)
+		var w1, w2 []int
+		l1, l2 := b1, b2
+		for _, j := range refSizeOrder(tc, tc.ClusterOf(m1), jobs) {
+			if cost := tc.ClusterCost(tc.ClusterOf(m1), j); l1 <= l2 {
+				w1, l1 = append(w1, j), l1+cost
+			} else {
+				w2, l2 = append(w2, j), l2+cost
+			}
+		}
+		g1, g2 := SplitLargestFirstLoaded(tc, m1, m2, b1, b2, jobs)
+		h2, h1 := SplitLargestFirstLoaded(tc, m2, m1, b2, b1, jobs)
+		if !equalSplits(g1, g2, w1, w2) || !equalSplits(h1, h2, w1, w2) {
+			t.Fatalf("bases (%d, %d): got (%v, %v) and swapped (%v, %v), reference (%v, %v)", b1, b2, g1, g2, h1, h2, w1, w2)
+		}
+		slices.Sort(jobs)
+		u1, u2 := SplitLargestFirstScratch(&s, tc, m1, m2, jobs)
+		z1, z2 := SplitLargestFirstLoaded(tc, m1, m2, 0, 0, jobs)
+		if !equalSplits(u1, u2, sorted(z1), sorted(z2)) {
+			t.Fatal("LargestFirstLoaded(0,0) != unloaded")
+		}
+	}
+}

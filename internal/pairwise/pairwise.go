@@ -166,7 +166,7 @@ func SplitGreedyLoadBalancingScratch(s *Scratch, c core.Clustered, m1, m2 int, j
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
 	}
-	return s.splitGreedy(byRatio, c, m1, m2, jobs)
+	return s.splitGreedy(core.ByRatio, c, m1, m2, jobs)
 }
 
 // SplitLargestFirstScratch splits the pooled jobs of two machines of the
@@ -181,7 +181,7 @@ func SplitLargestFirstScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []i
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: a largest-first split requires machines of the same cluster")
 	}
-	return s.splitGreedy(bySize, c, m1, m2, jobs)
+	return s.splitGreedy(core.BySize, c, m1, m2, jobs)
 }
 
 // GreedyLoadBalancing applies SplitGreedyLoadBalancing to the live union of
@@ -250,14 +250,14 @@ func SplitCLB2CScratch(s *Scratch, c core.Clustered, mA, mB int, jobs []int) (to
 	if c.ClusterOf(mA) == c.ClusterOf(mB) {
 		panic("pairwise: CLB2C on a pair requires machines of different clusters")
 	}
-	s.orderBy(byRatio, c, 0, jobs)
+	s.orderBy(core.ByRatio, c, 0, jobs)
 	second := s.Sides(len(jobs))
 	var l0, l1 core.Cost
 	lo, hi := 0, len(jobs)-1
 	for lo <= hi {
 		head, tail := int(uint32(s.keys[lo])), int(uint32(s.keys[hi]))
-		c0 := l0 + s.costs[head].own
-		c1 := l1 + s.costs[tail].other
+		c0 := l0 + s.own[head]
+		c1 := l1 + s.other[tail]
 		if c0 <= c1 {
 			l0 = c0
 			lo++

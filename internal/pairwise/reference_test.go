@@ -1,6 +1,7 @@
 package pairwise
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -102,6 +103,19 @@ func refLargestFirst(c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) 
 		}
 	}
 	return to1, to2
+}
+
+// refSizeOrder sorts a copy of jobs by decreasing cost on the cluster
+// (index tie break).
+func refSizeOrder(c core.Clustered, cluster int, jobs []int) []int {
+	sorted := slices.Clone(jobs)
+	slices.SortFunc(sorted, func(jx, jy int) int {
+		if r := cmp.Compare(c.ClusterCost(cluster, jy), c.ClusterCost(cluster, jx)); r != 0 {
+			return r
+		}
+		return jx - jy
+	})
+	return sorted
 }
 
 // oracleModel builds a 2+2 two-cluster model (machines 0, 1 in cluster 0;
@@ -253,6 +267,28 @@ func TestRatioOrderMatchesReference(t *testing.T) {
 			for own := 0; own < 2; own++ {
 				if got, want := ratioOrder(tc, own, jobs), refOrder(tc, own, jobs); !slices.Equal(got, want) {
 					t.Fatalf("%s own=%d: ratioOrder %v, reference %v", f.name, own, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSizeOrderMatchesReference pins the placement order of
+// SplitLargestFirstLoaded: sizeOrder is the reference order element for
+// element.
+func TestSizeOrderMatchesReference(t *testing.T) {
+	gen := rng.New(10)
+	const n = 300
+	for _, f := range oracleFamilies(gen, n) {
+		tc := oracleModel(t, f.p0, f.p1)
+		for trial := 0; trial < 20; trial++ {
+			jobs := gen.Perm(n)[:gen.Intn(n+1)]
+			if trial%2 == 0 {
+				slices.Sort(jobs)
+			}
+			for cluster := 0; cluster < 2; cluster++ {
+				if got, want := sizeOrder(tc, cluster, jobs), refSizeOrder(tc, cluster, jobs); !slices.Equal(got, want) {
+					t.Fatalf("%s cluster=%d: sizeOrder %v, reference %v", f.name, cluster, got, want)
 				}
 			}
 		}

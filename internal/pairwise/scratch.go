@@ -1,6 +1,6 @@
 package pairwise
 
-import "slices"
+import "hetlb/internal/core"
 
 // Scratch holds the reusable buffers behind the allocation-free kernel and
 // balancing variants. One Scratch serves one call chain at a time: the
@@ -37,10 +37,12 @@ type Scratch struct {
 	Diff1, Diff2 []int
 
 	// keys holds the ordering kernels' packed sort keys, one per pooled
-	// job, in kernel order once sorted (see orderBy).
-	keys []uint64
-	// costs holds each pooled job's costs, read once, by input position.
-	costs []jobCosts
+	// job, in kernel order once sorted (see orderBy); radix is the second
+	// buffer of core.OrderJobs' radix presort.
+	keys, radix []uint64
+	// own and other hold each pooled job's costs on the pair's own cluster
+	// and on the other one, read once, by input position.
+	own, other []core.Cost
 	// second marks, by input position, the jobs a kernel sends to its
 	// second side (see Sides and Emit).
 	second []bool
@@ -54,7 +56,7 @@ type Scratch struct {
 //
 //hetlb:noalloc
 func (s *Scratch) Sides(n int) []bool {
-	s.second = resize(s.second, n)
+	s.second = core.Resize(s.second, n)
 	clear(s.second)
 	return s.second
 }
@@ -94,10 +96,4 @@ func (s *Scratch) Buckets(k int) [][]int {
 		s.buckets[i] = s.buckets[i][:0]
 	}
 	return s.buckets
-}
-
-// resize returns buf with length n, growing its capacity (amortized) only
-// when n exceeds it. The contents are unspecified.
-func resize[E any](buf []E, n int) []E {
-	return slices.Grow(buf[:0], n)[:n]
 }

@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"sort"
-
 	"hetlb/internal/core"
 	"hetlb/internal/pairwise"
 )
@@ -67,38 +65,10 @@ func (p DLBKC) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]int,
 	a := p.Model.ClusterOf(i)
 	b := p.Model.ClusterOf(j)
 	if a == b {
-		return p.splitSameClusterLoaded(a, i, j, baseI, baseJ, jobs)
+		return pairwise.SplitLargestFirstLoaded(p.Model, i, j, baseI, baseJ, jobs)
 	}
 	view := p.Model.PairView(a, b)
 	return pairwise.SplitCLB2CLoaded(view, i, j, baseI, baseJ, jobs)
-}
-
-func (p DLBKC) splitSameClusterLoaded(cluster, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
-	if m1 > m2 {
-		to2, to1 = p.splitSameClusterLoaded(cluster, m2, m1, base2, base1, jobs)
-		return to1, to2
-	}
-	sorted := append([]int(nil), jobs...)
-	sort.Slice(sorted, func(x, y int) bool {
-		cx := p.Model.ClusterCost(cluster, sorted[x])
-		cy := p.Model.ClusterCost(cluster, sorted[y])
-		if cx != cy {
-			return cx > cy
-		}
-		return sorted[x] < sorted[y]
-	})
-	l1, l2 := base1, base2
-	for _, j := range sorted {
-		c := p.Model.ClusterCost(cluster, j)
-		if l1 <= l2 {
-			to1 = append(to1, j)
-			l1 += c
-		} else {
-			to2 = append(to2, j)
-			l2 += c
-		}
-	}
-	return to1, to2
 }
 
 var (
