@@ -381,7 +381,7 @@ func (c *Concurrency) Concurrent(fn *Func) bool {
 func (c *Concurrency) Entries() []*Func { return c.entries }
 
 // Trace renders the spawn path by which fn is worker-concurrent, e.g.
-// "worker (goroutine started at engine.go:42) → runShard → session".
+// "worker (goroutine started at engine.go:42) → runSessions → session".
 func (c *Concurrency) Trace(fn *Func) string {
 	if !c.Concurrent(fn) {
 		return ""

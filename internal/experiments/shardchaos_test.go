@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hetlb/internal/explain"
 	"hetlb/internal/harness"
+	"hetlb/internal/obs/span"
 )
 
 // The sharded chaos sweep must be bit-identical across worker counts AND
@@ -51,6 +54,39 @@ func TestShardChaosDeterministic(t *testing.T) {
 	}
 	if s := ShardChaosSeries(ref); len(s) != 1 {
 		t.Errorf("ShardChaosSeries returned %d series, want 1", len(s))
+	}
+}
+
+// The reduced sharded chaos sweep's span trace must give every record its
+// own ID, even though each replication records into its own namespace of
+// the trace: hetlb explain merges session records by ID, so it must count
+// one session per session the faulted engines ran.
+func TestShardChaosSpanTraceCountsEverySession(t *testing.T) {
+	cfg := PaperShardChaos().Reduced()
+	cfg.Shards = 2
+	rec := span.NewRecorder(1 << 18)
+	if _, err := ShardChaosWith(harness.Options{Spans: rec}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, hdr, err := explain.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(map[span.ID]bool, len(spans))
+	for _, s := range spans {
+		if ids[s.ID] {
+			t.Fatalf("ID %d recorded twice in a %d-record trace", s.ID, len(spans))
+		}
+		ids[s.ID] = true
+	}
+	// Only the faulted run of each replication records spans.
+	want := len(cfg.CrashCounts) * cfg.Runs * cfg.Epochs * (cfg.Machines / 2)
+	if got := explain.Analyze(spans, hdr, nil, explain.Options{}).SessionCount; got != want {
+		t.Fatalf("explain counts %d sessions, want %d", got, want)
 	}
 }
 

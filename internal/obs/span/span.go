@@ -290,14 +290,6 @@ func (r *Recorder) Spans() []Span {
 	return spans
 }
 
-// Reset empties the ring and the accounting; the ID allocator keeps
-// advancing so IDs are never reused within a recorder's lifetime.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.total = 0
-	r.mu.Unlock()
-}
-
 // Merge appends every retained record of src (oldest first) into r,
 // preserving IDs. Use it only with disjoint namespaces (NewSub): the
 // harness merges per-replication rings in index order, which keeps the

@@ -1,7 +1,9 @@
 package shardgossip
 
 import (
+	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hetlb/internal/core"
@@ -356,4 +358,104 @@ func TestFaultFreeTrajectoryUnchanged(t *testing.T) {
 	if got != want {
 		t.Fatalf("fault-free golden broken:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// decodePlan reads an arbitrary crash plan for m machines, four bytes per
+// crash and at most 12 crashes: the machine, in [-1, m+1], so it may lie out
+// of range; the crash time, in [-1, 22], so it may lie before 1; the
+// recovery, 0 (never) or an offset in [-2, 12] from the crash time, so it
+// may not follow the crash; and LoseJobs, the low bit of the fourth byte.
+// Crashes of one machine may overlap. faults.Validate decides which plans
+// run.
+func decodePlan(data []byte, m int) []faults.Crash {
+	var out []faults.Crash
+	for ; len(data) >= 4 && len(out) < 12; data = data[4:] {
+		cr := faults.Crash{
+			Machine:  int(data[0])%(m+3) - 1,
+			At:       int64(data[1]%24) - 1,
+			LoseJobs: data[3]&1 != 0,
+		}
+		if off := int64(data[2] % 16); off != 0 {
+			cr.RecoverAt = cr.At + off - 3
+		}
+		out = append(out, cr)
+	}
+	return out
+}
+
+// planRun is what a faulted run must reproduce at every shard count.
+type planRun struct {
+	placement string
+	loads     []core.Cost
+	moves     int
+	lost      []LostJob
+	trace     []byte
+}
+
+// runPlan steps p from initial for 36 epochs under plan at the given shard
+// count, checking job conservation after every epoch.
+func runPlan(t *testing.T, p protocol.Protocol, initial *core.Assignment, seed uint64, shards int, plan *faults.Config) planRun {
+	t.Helper()
+	rec := span.NewRecorder(1 << 10)
+	e, err := New(p, initial, Config{Seed: seed, Shards: shards, Faults: plan, Spans: rec})
+	if err != nil {
+		t.Fatalf("S=%d: New rejected a plan faults.Validate accepts: %v", shards, err)
+	}
+	defer e.Close()
+	for k := 0; k < 36; k++ {
+		e.StepEpoch()
+		if err := e.ValidateConservation(); err != nil {
+			t.Fatalf("S=%d epoch %d: %v", shards, k, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return planRun{e.Snapshot().Signature(), slices.Clone(e.load), e.Moves(), e.Lost(), buf.Bytes()}
+}
+
+// FuzzShardedFaultPlan decodes an arbitrary crash plan (decodePlan) for a
+// small instance. Either faults.Validate rejects the plan, and so must New,
+// or a short MJTB run and a short DLB2C run under it conserve every job
+// after each epoch and give identical placements, loads, moves, lost
+// ledgers and span traces at S = 1, 2 and 3.
+func FuzzShardedFaultPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, machines byte, seed uint64, data []byte) {
+		m := 4 + int(machines%9)
+		plan := faults.Config{Crashes: decodePlan(data, m)}
+		gen := rng.New(seed)
+		n := m + gen.Intn(5*m)
+		ty := workload.UniformTyped(gen, m, n, 1+gen.Intn(3), 1, 40)
+		tc := workload.UniformTwoCluster(gen, m/2, m-m/2, n, 1, 40)
+		if err := plan.Validate(m); err != nil {
+			if e, err := New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), Config{Shards: 1, Faults: &plan}); err == nil {
+				e.Close()
+				t.Fatalf("New accepted a plan faults.Validate rejects: %+v", plan.Crashes)
+			}
+			return
+		}
+		for _, c := range []struct {
+			model core.CostModel
+			proto protocol.Protocol
+		}{{ty, protocol.MJTB{Model: ty}}, {tc, protocol.DLB2C{Model: tc}}} {
+			p, initial := c.proto, core.RoundRobin(c.model)
+			base := runPlan(t, p, initial, seed, 1, &plan)
+			for s := 2; s <= 3; s++ {
+				got := runPlan(t, p, initial, seed, s, &plan)
+				switch {
+				case got.placement != base.placement:
+					t.Fatalf("%s S=%d: placement differs from S=1", p.Name(), s)
+				case !slices.Equal(got.loads, base.loads):
+					t.Fatalf("%s S=%d: loads %v, S=1 %v", p.Name(), s, got.loads, base.loads)
+				case got.moves != base.moves:
+					t.Fatalf("%s S=%d: %d moves, S=1 %d", p.Name(), s, got.moves, base.moves)
+				case !slices.Equal(got.lost, base.lost):
+					t.Fatalf("%s S=%d: lost %v, S=1 %v", p.Name(), s, got.lost, base.lost)
+				case !bytes.Equal(got.trace, base.trace):
+					t.Fatalf("%s S=%d: span trace differs from S=1", p.Name(), s)
+				}
+			}
+		}
+	})
 }

@@ -7,30 +7,37 @@
 //
 // # Execution model
 //
-// Machines are assigned to S shards by a core.Partition (contiguous blocks).
-// Time advances in epochs. Each epoch's schedule — a random perfect matching
-// of the machines — is drawn by a dedicated scheduler goroutine one epoch
-// ahead (see "Pipelined schedule" below) and handed to every shard as the
-// set of sessions it owns (a session is owned by the lower shard index of
-// its pair). Workers then execute their sessions without long-lived locks:
-// the matching guarantees the sessions of one epoch touch pairwise-disjoint
-// machine state, so the session body (merge, kernel, write-back) is
-// lock-free; only the few-instruction update of a block's partial max/sum
-// accumulators takes that block's mutex (see "Per-shard reductions"). A
-// barrier closes the epoch: the coordinator reduces the S shards'
+// Machines are assigned to S load blocks by a core.Partition (contiguous
+// blocks), one per worker; the coordinator is worker 0. Time advances in
+// epochs. Each epoch's schedule — a random perfect matching of the machines
+// — is drawn by a dedicated scheduler goroutine one epoch ahead (see
+// "Pipelined schedule" below). The schedule is only the matching: no session
+// belongs to a worker. StepEpoch resets one atomic session counter and wakes
+// the other workers, and every worker, the coordinator included, claims the
+// epoch's sessions from that counter in chunks of consecutive indices until
+// none are left. A chunk is about an eighth of a worker's even share and at
+// least one session, so a worker that wakes late or a chunk that runs slow
+// leaves the rest of the epoch to the others instead of holding the barrier.
+// Workers execute their sessions without long-lived locks: the matching
+// guarantees the sessions of one epoch touch pairwise-disjoint machine
+// state, so the session body (merge, kernel, write-back) is lock-free; only
+// the few-instruction update of a block's partial max/sum accumulators takes
+// that block's mutex (see "Per-shard reductions"). A barrier closes the
+// epoch: the coordinator reduces the S workers' tallies and the S blocks'
 // accumulators in shard order — never rescanning the m loads — and notifies
-// metrics, timeline and observers once per epoch.
+// metrics, spans, timeline and observers once per epoch.
 //
 // # Per-shard reductions
 //
-// Each shard maintains a partial sum and partial max of the loads in its
-// machine block, updated in O(1) per load write under the block's mutex.
-// Within an epoch every machine's load is written at most once (matching),
-// so the partial max is exact unless the write that held the block max
-// decreased it — that write observes old == partialMax and marks the block
-// dirty. Dirty blocks are rescanned in parallel (each owner scans its own
-// O(m/S) block) in a second fan-out before the barrier, so barrier() only
-// folds S partials: the coordinator's former O(m) Amdahl term is gone.
+// Each block maintains a partial sum and partial max of its machines' loads,
+// updated in O(1) per load write under the block's mutex by whichever worker
+// ran the session. Within an epoch every machine's load is written at most
+// once (matching), so the partial max is exact unless the write that held
+// the block max decreased it — that write observes old == partialMax and
+// marks the block dirty. Dirty blocks are rescanned in parallel (worker s
+// scans block s, O(m/S)) in a second fan-out before the barrier, so
+// barrier() only folds S partials: the coordinator's former O(m) Amdahl term
+// is gone.
 //
 // # Pipelined schedule
 //
@@ -41,7 +48,7 @@
 // and handed over by channel, so the serial draw leaves the critical path.
 // StepEpoch receives the pre-drawn front buffer, immediately recycles the
 // previous buffer to the scheduler for epoch k+1, and only then starts the
-// shards.
+// workers.
 //
 // # O(moved) sessions
 //
@@ -77,24 +84,29 @@
 // schedule. Because the schedule is a matching, the sessions of one epoch
 // touch pairwise-disjoint machine state; any interleaving of them produces
 // the same post-epoch state, so placements, loads, moves and exchange
-// counters are bit-identical for any shard count and any GOMAXPROCS. (The
-// issue's alternative — per-worker rng.Substream(seed, shard, epoch)
-// generators — was rejected: any shard-keyed draw that feeds the schedule
-// would make results depend on S, breaking cross-shard-count identity.) The
-// partial max/sum accumulators are reduced in shard order and rescans
-// recompute a block max from loads alone, so they cannot introduce
+// counters are bit-identical for any shard count, any GOMAXPROCS and any
+// split of the claimed chunks among the workers. (The alternative of
+// per-worker rng.Substream(seed, shard, epoch) generators was rejected: any
+// shard-keyed draw that feeds the schedule would make results depend on S,
+// breaking cross-shard-count identity.) The per-worker tallies are sums and
+// the partial max/sum accumulators are reduced in shard order; rescans
+// recompute a block max from loads alone, so none of them can introduce
 // interleaving dependence either.
 //
-// Span traces use per-shard sub-recorders (disjoint ID namespaces) merged in
-// shard order, so the trace is deterministic for a fixed S regardless of
-// scheduling; across different S the same session spans appear grouped by
-// their owner shard.
+// Span traces do not depend on who ran a session. Each session writes its
+// record into the epoch's slot for its session index, and at the barrier
+// the coordinator appends the slots in index order to the engine's own
+// recorder, after the epoch's fault records. Every ID then comes from that
+// recorder's one sequence, so the trace is byte-identical at every shard
+// count and GOMAXPROCS, and a recorder smaller than the run counts what it
+// drops.
 package shardgossip
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hetlb/internal/core"
 	"hetlb/internal/faults"
@@ -106,11 +118,6 @@ import (
 	"hetlb/internal/protocol"
 	"hetlb/internal/rng"
 )
-
-// shardSpanCap bounds each shard's private span ring (one KindSession record
-// per owned session; the ring's stride-free drop accounting keeps truncation
-// honest on long runs).
-const shardSpanCap = 1 << 14
 
 // Worker dispatch phases: after the sessions fan-out, a second fan-out
 // rescans dirty blocks. The coordinator writes phase between barriers; the
@@ -126,7 +133,8 @@ const (
 type Metrics struct {
 	// Epochs counts completed epochs; Sessions the pairwise sessions they
 	// executed; Changed those that altered a pair's loads; Moves the job
-	// migrations; Cross the sessions whose pair straddled two shards.
+	// migrations; Cross the sessions whose two machines lie in different
+	// load blocks, whichever worker ran them.
 	Epochs, Sessions, Changed, Moves, Cross *obs.Counter
 	// Makespan tracks Cmax after every epoch barrier.
 	Makespan *obs.Gauge
@@ -148,7 +156,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Sessions:   r.Counter("shardgossip_sessions_total", "pairwise balancing sessions executed"),
 		Changed:    r.Counter("shardgossip_changed_sessions_total", "sessions that changed the pair's loads"),
 		Moves:      r.Counter("shardgossip_moves_total", "job migrations across all sessions"),
-		Cross:      r.Counter("shardgossip_cross_sessions_total", "sessions whose pair straddled two shards"),
+		Cross:      r.Counter("shardgossip_cross_sessions_total", "sessions whose two machines lie in different load blocks"),
 		Makespan:   r.Gauge("shardgossip_makespan", "current Cmax of the schedule"),
 		EpochMoves: r.Histogram("shardgossip_epoch_moves", "jobs migrated per epoch", obs.Pow2Bounds(24)),
 
@@ -174,9 +182,10 @@ type Config struct {
 	// Metrics, when non-nil, receives per-epoch counters (build with
 	// NewMetrics).
 	Metrics *Metrics
-	// Spans, when non-nil, receives one KindSession span per session
-	// (recorded into per-shard sub-recorders, merged in shard order when a
-	// Run finishes) and a KindRun close record per Run. Times are logical
+	// Spans, when non-nil, receives one KindSession span per session,
+	// appended in session-index order at each epoch's barrier (so StepEpoch
+	// alone records them too), and a KindRun close record per Run. The
+	// trace is byte-identical at every shard count. Times are logical
 	// session indices, never wall clock.
 	Spans *span.Recorder
 	// Timeline, when non-nil, receives one convergence point per epoch:
@@ -207,27 +216,25 @@ func AutoShards(m int) int {
 	return s
 }
 
-// schedule is one epoch's pair matching plus its precomputed distribution:
-// session t pairs pairI[t] with pairJ[t]; sess[s] lists the sessions shard s
-// owns; cross counts pairs straddling two shards. Two schedule buffers
-// double-buffer between the coordinator (executing epoch k) and the
-// scheduler goroutine (drawing epoch k+1).
+// schedule is one epoch's pair matching: session t pairs pairI[t] with
+// pairJ[t]; cross counts the pairs whose machines lie in two load blocks.
+// Two schedule buffers double-buffer between the coordinator (executing
+// epoch k) and the scheduler goroutine (drawing epoch k+1).
 type schedule struct {
 	//hetlb:frozen
 	pairI []int32
 	//hetlb:frozen
 	pairJ []int32
 	//hetlb:frozen
-	sess [][]int32
-	//hetlb:frozen
 	cross int
 }
 
-// shardState is the per-shard slice of the engine a worker owns during an
-// epoch: its scratch, its epoch accumulators (moves/changed, reduced by the
-// coordinator at the barrier in shard order), and the block's partial load
-// reduction. The mutex guards ONLY partialSum/partialMax/dirty — see
-// updatePartials for the locking invariant.
+// shardState is worker s's slice of the engine plus load block s: the
+// worker's scratch and its epoch tallies over the sessions it claimed
+// (moves/changed/voided, reduced by the coordinator at the barrier in shard
+// order), and the block's partial load reduction, which any worker updates.
+// The mutex guards ONLY partialSum/partialMax/dirty — see updatePartials for
+// the locking invariant.
 type shardState struct {
 	mu      sync.Mutex
 	scratch pairwise.Scratch
@@ -244,7 +251,6 @@ type shardState struct {
 	partialMax core.Cost
 	//hetlb:guarded
 	dirty bool
-	spans *span.Recorder // nil when span recording is off
 }
 
 // Engine drives one sharded simulation run. It is not safe for concurrent
@@ -256,8 +262,8 @@ type Engine struct {
 	seed  uint64
 
 	// Per-machine state. During an epoch each entry is written by at most
-	// one worker (the owner of the machine's session — the schedule is a
-	// matching), and the epoch barrier publishes all writes back to the
+	// one worker (the one that claimed the machine's session — the schedule
+	// is a matching), and the epoch barrier publishes all writes back to the
 	// coordinator.
 	jobs      [][]int // jobs[i] is machine i's job list, sorted ascending
 	load      []core.Cost
@@ -276,6 +282,10 @@ type Engine struct {
 	shards []shardState
 	//hetlb:frozen
 	phase int // worker dispatch phase for the current fan-out
+	// next is the index of the current epoch's first unclaimed session;
+	// StepEpoch resets it before the fan-out, and every worker claims
+	// chunks of sessions from it (see runSessions).
+	next atomic.Int64
 
 	epoch     int
 	sessions  int // total sessions executed; the Stepper's step count
@@ -305,6 +315,7 @@ type Engine struct {
 	metrics   *Metrics
 	spans     *span.Recorder
 	runSpan   span.ID
+	slots     []span.Span // session t's record until the epoch's barrier; nil when spans are off
 	timeline  *timeline.Recorder
 	observers []gossip.Observer
 	// self is the engine pre-boxed as a gossip.Stepper so observer
@@ -312,8 +323,8 @@ type Engine struct {
 	self gossip.Stepper
 
 	// Worker pool, live iff NumShards() > 1: worker s (s >= 1) blocks on
-	// start[s]; the coordinator runs shard 0 inline. Signalling is channel
-	// send + WaitGroup, so steady-state epochs allocate nothing.
+	// start[s]; the coordinator is worker 0 and runs inline. Signalling is
+	// channel send + WaitGroup, so steady-state epochs allocate nothing.
 	start  []chan struct{}
 	quit   chan struct{}
 	wg     sync.WaitGroup
@@ -397,10 +408,7 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 
 	if e.spans != nil {
 		e.runSpan = e.spans.NextID()
-		ns := e.spans.ClaimNamespaces(shards)
-		for s := range e.shards {
-			e.shards[s].spans = span.NewSub(shardSpanCap, ns+uint64(s))
-		}
+		e.slots = make([]span.Span, m/2)
 	}
 	e.self = e
 
@@ -419,7 +427,6 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 		e.drawKick <- &schedule{
 			pairI: make([]int32, m/2),
 			pairJ: make([]int32, m/2),
-			sess:  make([][]int32, shards),
 		}
 	}
 	return e, nil
@@ -469,9 +476,9 @@ func (e *Engine) Exchanges() []int { return e.exchanges }
 
 var _ gossip.Stepper = (*Engine)(nil)
 
-// worker is the loop of shard s (s >= 1): when signalled, run the current
-// phase's work for the shard (sessions, or a dirty-block rescan), report
-// through the epoch WaitGroup, exit on Close.
+// worker is the loop of worker s (s >= 1): when signalled, run the current
+// phase's work (claim sessions, or rescan block s), report through the epoch
+// WaitGroup, exit on Close.
 func (e *Engine) worker(s int) {
 	for {
 		select {
@@ -481,7 +488,7 @@ func (e *Engine) worker(s int) {
 			if e.phase == phaseRescan {
 				e.rescanBlock(s)
 			} else {
-				e.runShard(s)
+				e.runSessions(s)
 			}
 			e.wg.Done()
 		}
@@ -506,32 +513,21 @@ func (e *Engine) scheduler() {
 	}
 }
 
-// drawSchedule fills b with epoch's matching and session-ownership lists.
-// Session t pairs perm[2t] with perm[2t+1]; the owner is the lower of the
-// two shard indices. Ownership lists reuse their buffers, so warm draws
-// allocate nothing.
+// drawSchedule fills b with epoch's matching: session t pairs perm[2t] with
+// perm[2t+1]. It allocates nothing.
 //
 //hetlb:noalloc
 func (e *Engine) drawSchedule(b *schedule, epoch uint64) {
 	e.drawGen.Reseed(rng.DeriveSeed(e.seed, epoch))
 	e.drawGen.PermInto(e.perm)
-	for s := range b.sess {
-		b.sess[s] = b.sess[s][:0]
-	}
 	b.cross = 0
 	for t := range b.pairI {
 		i, j := e.perm[2*t], e.perm[2*t+1]
 		b.pairI[t] = int32(i)
 		b.pairJ[t] = int32(j)
-		si, sj := e.part.ShardOf(i), e.part.ShardOf(j)
-		owner := si
-		if sj < owner {
-			owner = sj
-		}
-		if si != sj {
+		if e.part.ShardOf(i) != e.part.ShardOf(j) {
 			b.cross++
 		}
-		b.sess[owner] = append(b.sess[owner], int32(t))
 	}
 }
 
@@ -558,16 +554,19 @@ func (e *Engine) StepEpoch() bool {
 		sh.changed = 0
 		sh.voided = 0
 	}
+	// The reset is ordered before every worker's first claim by the start
+	// send below.
+	e.next.Store(0)
 	if e.start != nil {
 		e.phase = phaseSessions
 		e.wg.Add(len(e.shards) - 1)
 		for s := 1; s < len(e.shards); s++ {
 			e.start[s] <- struct{}{}
 		}
-		e.runShard(0)
+		e.runSessions(0)
 		e.wg.Wait()
-		// Phase B: owners of dirty blocks rescan them in parallel. The
-		// barrier above ordered every load write before these reads.
+		// Phase B: worker s rescans block s if it is dirty, in parallel.
+		// The barrier above ordered every load write before these reads.
 		dirty := 0
 		for s := 1; s < len(e.shards); s++ {
 			if e.shards[s].dirty {
@@ -590,7 +589,7 @@ func (e *Engine) StepEpoch() bool {
 			e.wg.Wait()
 		}
 	} else {
-		e.runShard(0)
+		e.runSessions(0)
 		if e.shards[0].dirty {
 			e.rescanBlock(0)
 		}
@@ -598,15 +597,32 @@ func (e *Engine) StepEpoch() bool {
 	return e.barrier()
 }
 
-// runShard executes shard s's owned sessions in schedule order.
-func (e *Engine) runShard(s int) {
-	for _, t := range e.cur.sess[s] {
-		e.session(s, int(t))
+// runSessions is worker s's share of an epoch: it claims the next chunk of
+// consecutive session indices and runs them on its own scratch, until the
+// epoch has none left. Every worker runs it concurrently, the coordinator
+// included, so the split follows who is free rather than a fixed
+// assignment; results do not depend on it (see "Determinism argument").
+//
+//hetlb:noalloc
+func (e *Engine) runSessions(s int) {
+	n := int64(len(e.cur.pairI))
+	// About eight chunks per worker and at least one session each: a
+	// worker that starts late still finds work, and claims stay rare.
+	chunk := max(1, n/int64(8*len(e.shards)))
+	for {
+		hi := e.next.Add(chunk)
+		lo := hi - chunk
+		if lo >= n {
+			return
+		}
+		for t := lo; t < min(hi, n); t++ {
+			e.session(s, int(t))
+		}
 	}
 }
 
-// rescanBlock recomputes shard s's partial max from its O(m/S) block of
-// loads. It runs only between the session barrier and the epoch barrier
+// rescanBlock recomputes block s's partial max from its O(m/S) loads, on
+// worker s. It runs only between the session barrier and the epoch barrier
 // (phase B), when no session is writing loads, so it takes no lock.
 func (e *Engine) rescanBlock(s int) {
 	sh := &e.shards[s]
@@ -617,8 +633,8 @@ func (e *Engine) rescanBlock(s int) {
 			max = l
 		}
 	}
-	sh.partialMax = max //hetlb:concurrency-ok phase B rescan: the session barrier ordered every load write before this read, and only block s's owner rescans block s
-	sh.dirty = false    //hetlb:concurrency-ok phase B rescan: only block s's owner clears its own dirty flag between the session and epoch barriers
+	sh.partialMax = max //hetlb:concurrency-ok phase B rescan: the session barrier ordered every load write before this read, and only worker s rescans block s
+	sh.dirty = false    //hetlb:concurrency-ok phase B rescan: only worker s clears block s's dirty flag between the session and epoch barriers
 }
 
 // updatePartials folds one machine's load change into its block's partial
@@ -646,15 +662,15 @@ func (e *Engine) updatePartials(machine int, old, new core.Cost) {
 	sh.mu.Unlock()
 }
 
-// session executes pair t of the current epoch on behalf of owner shard s:
-// merge the pair's sorted job lists into the shard's scratch, split with the
+// session executes pair t of the current epoch on worker s: merge the
+// pair's sorted job lists into the worker's scratch, split with the
 // protocol's kernel (whose sides come back in job order), and apply the
 // result as O(moved) deltas — AppendDiff yields each side's arrivals (the
 // other side's departures, since the union is conserved), whose costs adjust
 // the pair's loads exactly. A session that moved nothing writes nothing. In
-// steady state the only memory touched is the shard's scratch and the pair's
-// job lists; once the engine is verified stable, the kernel is skipped
-// entirely (see package doc).
+// steady state the only memory touched is the worker's scratch, the pair's
+// job lists and, when spans are on, slot t; once the engine is verified
+// stable, the kernel is skipped entirely (see package doc).
 //
 //hetlb:noalloc
 func (e *Engine) session(s, t int) {
@@ -666,8 +682,8 @@ func (e *Engine) session(s, t int) {
 		// down-set is fixed at the epoch's start, so the voided set is a
 		// pure function of (schedule, plan, epoch) at any shard count.
 		sh.voided++
-		if sh.spans != nil {
-			sh.spans.Append(span.Span{
+		if e.slots != nil {
+			e.slots[t] = span.Span{
 				Parent: e.runSpan,
 				Kind:   span.KindSession,
 				Tag:    span.TagCrash,
@@ -676,7 +692,7 @@ func (e *Engine) session(s, t int) {
 				B:      int32(j),
 				Start:  int64(e.sessions + t),
 				End:    int64(e.sessions + t),
-			})
+			}
 		}
 		return
 	}
@@ -685,15 +701,15 @@ func (e *Engine) session(s, t int) {
 	if e.stable {
 		// Verified-stable fast path: the kernel is provably a no-op, so
 		// only the bookkeeping of a no-change session remains.
-		if sh.spans != nil {
-			sh.spans.Append(span.Span{
+		if e.slots != nil {
+			e.slots[t] = span.Span{
 				Parent: e.runSpan,
 				Kind:   span.KindSession,
 				A:      int32(i),
 				B:      int32(j),
 				Start:  int64(e.sessions + t),
 				End:    int64(e.sessions + t),
-			})
+			}
 		}
 		return
 	}
@@ -737,12 +753,12 @@ func (e *Engine) session(s, t int) {
 			sh.changed++
 		}
 	}
-	if sh.spans != nil {
+	if e.slots != nil {
 		var fl span.Flags
 		if changed {
 			fl = span.FlagCommitted
 		}
-		sh.spans.Append(span.Span{
+		e.slots[t] = span.Span{
 			Parent: e.runSpan,
 			Kind:   span.KindSession,
 			Flags:  fl,
@@ -751,15 +767,21 @@ func (e *Engine) session(s, t int) {
 			Start:  int64(e.sessions + t),
 			End:    int64(e.sessions + t),
 			Value:  int64(moved),
-		})
+		}
 	}
 }
 
-// barrier closes the epoch on the coordinator: reduce the shards' epoch
-// accumulators and partial load reductions in shard order — S values, never
-// the m loads — and notify metrics, timeline and observers.
+// barrier closes the epoch on the coordinator: reduce the workers' tallies
+// and the blocks' partial load reductions in shard order — S values, never
+// the m loads — append the epoch's session records in index order, and
+// notify metrics, timeline and observers.
 func (e *Engine) barrier() bool {
 	np := len(e.cur.pairI)
+	if e.slots != nil {
+		for _, s := range e.slots[:np] {
+			e.spans.Append(s)
+		}
+	}
 	moves, changed := 0, 0
 	var max core.Cost
 	var sum int64
@@ -924,7 +946,7 @@ func (e *Engine) Run(maxSessions int, detectStability bool) Result {
 			e.noChange = 0
 			if e.checkStable() {
 				a := e.Snapshot()
-				e.finishSpans(startSessions, true)
+				e.closeRunSpan(startSessions, true)
 				return e.makeResult(a, true)
 			}
 		}
@@ -934,7 +956,7 @@ func (e *Engine) Run(maxSessions int, detectStability bool) Result {
 	if detectStability {
 		converged = e.checkStable()
 	}
-	e.finishSpans(startSessions, converged)
+	e.closeRunSpan(startSessions, converged)
 	return e.makeResult(a, converged)
 }
 
@@ -950,17 +972,12 @@ func (e *Engine) makeResult(a *core.Assignment, converged bool) Result {
 	return r
 }
 
-// finishSpans merges the per-shard session rings into the main recorder in
-// shard order (then resets them for the next Run) and appends the run
-// span's close record, mirroring gossip.Engine.closeRunSpan.
-func (e *Engine) finishSpans(startSessions int, converged bool) {
+// closeRunSpan appends the run span's close record, mirroring
+// gossip.Engine.closeRunSpan; the sessions' records reached the recorder at
+// their epochs' barriers.
+func (e *Engine) closeRunSpan(startSessions int, converged bool) {
 	if e.spans == nil {
 		return
-	}
-	for s := range e.shards {
-		sub := e.shards[s].spans
-		e.spans.Merge(sub)
-		sub.Reset()
 	}
 	var fl span.Flags
 	if converged {
