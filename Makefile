@@ -1,4 +1,7 @@
-# Developer entry points; CI (.github/workflows/ci.yml) runs `make check`.
+# Developer entry points. `make check` runs lint, build, test and race
+# locally; CI (.github/workflows/ci.yml) runs separate jobs instead: lint,
+# test, fuzz, shard-race, bench-smoke, race-harness, chaos-shard and chaos,
+# several of them through the targets below.
 
 GO ?= go
 
@@ -45,7 +48,7 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/gossip/... ./internal/shardgossip/... \
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/...
 
-# Fuzzes three targets for 30s each. FuzzStabilityCheck: random small
+# Fuzzes five targets for 30s each. FuzzStabilityCheck: random small
 # instances, epoch counts and crash plans, on both engines, where every
 # check must answer as a full scan from pair (0,1) does. FuzzShardedFaultPlan:
 # arbitrary crash plans (machines out of range, overlapping intervals,
@@ -56,15 +59,20 @@ race:
 # Then FuzzJobOrder: core.OrderJobs in the ratio and size orders against a
 # comparator sort, over costs that are free, tie, share a float32 image or
 # pass 2^31, on both sides of the radix cut-over; a new input's minimization
-# is capped at 5s so it leaves the fuzzer time to run. go test -fuzz takes
-# one target in one package per run. The committed seed corpora
-# (internal/shardgossip/testdata/fuzz, internal/core/testdata/fuzz) also run
-# as plain tests in `make test`; a failing input found here is written next
-# to them.
+# is capped at 5s so it leaves the fuzzer time to run. Then FuzzReadSpans
+# and FuzzReadTimeline: arbitrary bytes to the `hetlb explain` readers,
+# which must return an error or data that Analyze and the text report
+# handle without panicking. go test -fuzz takes one target in one package
+# per run. The committed seed corpora (internal/shardgossip/testdata/fuzz,
+# internal/core/testdata/fuzz, internal/explain/testdata/fuzz) also run as
+# plain tests in `make test`; a failing input found here is written next to
+# them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzStabilityCheck$$' -fuzztime=30s ./internal/shardgossip/
 	$(GO) test -run='^$$' -fuzz='^FuzzShardedFaultPlan$$' -fuzztime=30s ./internal/shardgossip/
 	$(GO) test -run='^$$' -fuzz='^FuzzJobOrder$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadSpans$$' -fuzztime=30s ./internal/explain/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTimeline$$' -fuzztime=30s ./internal/explain/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -47,31 +47,50 @@ func cmdChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	crashCounts, err := parseInts(*crashes)
+	if err != nil {
+		return fmt.Errorf("-crashes: %w", err)
+	}
+	for _, c := range crashCounts {
+		if c < 0 {
+			return fmt.Errorf("-crashes: %d is negative; want crash counts of at least 0", c)
+		}
+	}
+	if *shards < -1 {
+		return fmt.Errorf("-shards = %d; want -1 (auto), 0 (message-passing runtime) or a shard count", *shards)
+	}
 	if *shards != 0 {
+		if *lose < 0 || *lose > 1 {
+			return fmt.Errorf("-lose = %v; want a probability in [0, 1]", *lose)
+		}
 		scfg := sdef
 		scfg.Machines, scfg.Types = *machines, *types
 		scfg.LoseProb, scfg.Epochs = *lose, *epochs
 		scfg.Jobs, scfg.Runs, scfg.Seed = *jobs, *runs, *seed
+		scfg.CrashCounts = crashCounts
 		if *shards > 0 {
 			scfg.Shards = *shards
 		} else {
 			scfg.Shards = 0 // AutoShards
 		}
-		var err error
-		if scfg.CrashCounts, err = parseInts(*crashes); err != nil {
-			return fmt.Errorf("-crashes: %w", err)
-		}
 		return runShardChaos(scfg, *parallel, *timeout, obs)
+	}
+	// The instance generator treats bad sizes as programming errors and
+	// panics, so command-line input is checked here first.
+	switch {
+	case *m1 < 1:
+		return fmt.Errorf("-m1 = %d; want at least 1 machine", *m1)
+	case *m2 < 1:
+		return fmt.Errorf("-m2 = %d; want at least 1 machine", *m2)
+	case *jobs < 1:
+		return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
 	}
 	cfg := def
 	cfg.M1, cfg.M2, cfg.Jobs = *m1, *m2, *jobs
 	cfg.Runs, cfg.Horizon, cfg.Seed = *runs, *horizon, *seed
-	var err error
+	cfg.CrashCounts = crashCounts
 	if cfg.LossRates, err = parseFloats(*loss); err != nil {
 		return fmt.Errorf("-loss: %w", err)
-	}
-	if cfg.CrashCounts, err = parseInts(*crashes); err != nil {
-		return fmt.Errorf("-crashes: %w", err)
 	}
 
 	sinks, err := obs.setup()

@@ -21,6 +21,15 @@ func cmdMarkov(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The default total divides by m, so sizes are checked here first.
+	switch {
+	case *m < 2:
+		return fmt.Errorf("-m = %d; want at least 2 machines", *m)
+	case *pmax < 1:
+		return fmt.Errorf("-pmax = %d; want a job size of at least 1", *pmax)
+	case *total < 0:
+		return fmt.Errorf("-total = %d; want a non-negative load", *total)
+	}
 	w := *total
 	if w == 0 {
 		w = markov.MinimumTotalForBound(*m, *pmax)

@@ -40,6 +40,56 @@ func TestSimRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// TestCommandsRejectBadInput feeds the other subcommands flags that no
+// instance can be built from, or that name nothing the command can run;
+// each must come back as an error that names the flag, not as a panic and
+// not as a run.
+func TestCommandsRejectBadInput(t *testing.T) {
+	cases := []struct {
+		cmd  string
+		run  func([]string) error
+		args []string
+		flag string
+	}{
+		{"explore", cmdExplore, []string{"-builtin=false", "-m1", "0"}, "-m1"},
+		{"explore", cmdExplore, []string{"-builtin=false", "-m2", "-1"}, "-m2"},
+		{"explore", cmdExplore, []string{"-builtin=false", "-hi", "0"}, "-hi"},
+		{"explore", cmdExplore, []string{"-builtin=false", "-jobs", "-3"}, "-jobs"},
+		{"markov", cmdMarkov, []string{"-m", "0"}, "-m"},
+		{"markov", cmdMarkov, []string{"-m", "0", "-mc", "10"}, "-m"},
+		{"worksteal", cmdWorksteal, []string{"-m", "0"}, "-m"},
+		{"worksteal", cmdWorksteal, []string{"-m", "-1"}, "-m"},
+		{"worksteal", cmdWorksteal, []string{"-jobs", "-1"}, "-jobs"},
+		{"worksteal", cmdWorksteal, []string{"-lo", "5", "-hi", "1"}, "-hi"},
+		{"worksteal", cmdWorksteal, []string{"-hi", "9223372036854775807"}, "-hi"},
+		{"chaos", cmdChaos, []string{"-m1", "0"}, "-m1"},
+		{"chaos", cmdChaos, []string{"-m2", "0"}, "-m2"},
+		{"chaos", cmdChaos, []string{"-jobs", "-1"}, "-jobs"},
+		{"chaos", cmdChaos, []string{"-crashes", "-1"}, "-crashes"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-crashes", "0,-1"}, "-crashes"},
+		{"chaos", cmdChaos, []string{"-shards", "-2"}, "-shards"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-lose", "2"}, "-lose"},
+		{"worksteal", cmdWorksteal, []string{"-lo", "-1"}, "-lo"},
+		{"worksteal", cmdWorksteal, []string{"-trap", "-1"}, "-trap"},
+	}
+	for _, c := range cases {
+		t.Run(c.cmd+" "+strings.Join(c.args, " "), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s %v panicked: %v", c.cmd, c.args, r)
+				}
+			}()
+			err := c.run(c.args)
+			if err == nil {
+				t.Fatalf("%s %v accepted", c.cmd, c.args)
+			}
+			if !strings.Contains(err.Error(), c.flag) {
+				t.Fatalf("%s %v: error %q does not name %s", c.cmd, c.args, err, c.flag)
+			}
+		})
+	}
+}
+
 // TestSimAcceptsSmallSizes guards the other side of the validation: the
 // smallest meaningful systems still run.
 func TestSimAcceptsSmallSizes(t *testing.T) {

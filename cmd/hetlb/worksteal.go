@@ -27,6 +27,24 @@ func cmdWorksteal(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The generator treats bad sizes as programming errors and panics, so
+	// command-line input is checked here first.
+	if *trap < 0 {
+		return fmt.Errorf("-trap = %d; want a positive n, or 0 for a generated instance", *trap)
+	}
+	switch {
+	case *trap > 0: // the trap instance ignores the generator's flags
+	case *m < 1:
+		return fmt.Errorf("-m = %d; want at least 1 machine", *m)
+	case *jobs < 1:
+		return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
+	case *lo < 0:
+		return fmt.Errorf("-lo = %d; want a non-negative cost", *lo)
+	case *hi < *lo:
+		return fmt.Errorf("-hi = %d is below -lo = %d", *hi, *lo)
+	case *hi >= core.Infinite:
+		return fmt.Errorf("-hi = %d; want a cost below %d, which marks a job that cannot run", *hi, core.Infinite)
+	}
 	sinks, err := ob.setup()
 	if err != nil {
 		return err

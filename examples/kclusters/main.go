@@ -66,12 +66,8 @@ func main() {
 
 	// Where did each job family end up? Count jobs per cluster.
 	perCluster := make([]int, len(sizes))
-	machine := 0
-	for c, s := range sizes {
-		for k := 0; k < s; k++ {
-			perCluster[c] += len(res.Assignment.Jobs(machine))
-			machine++
-		}
+	for j := 0; j < model.NumJobs(); j++ {
+		perCluster[model.ClusterOf(res.Assignment.MachineOf(j))]++
 	}
 	fmt.Println("jobs per generation after balancing:")
 	for c, n := range perCluster {

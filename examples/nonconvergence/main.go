@@ -16,8 +16,9 @@ import (
 
 func main() {
 	// The 5-job, 3-machine (2+1 clusters) instance from the repository's
-	// Proposition 8 reproduction (found by cmd/findcycle): from this
-	// initial placement, 19 schedules are reachable and none is stable.
+	// Proposition 8 reproduction (found by `hetlb explore -builtin=false
+	// -tries 400`): from this initial placement, 19 schedules are reachable
+	// and none is stable.
 	model, err := hetlb.NewTwoCluster(2, 1,
 		[]hetlb.Cost{1, 4, 2, 1, 5},
 		[]hetlb.Cost{3, 2, 1, 1, 2})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -10,30 +9,18 @@ import (
 // It is the object every balancing algorithm manipulates. Loads are
 // maintained incrementally so Makespan and Load are O(1) amortized queries.
 //
-// Beyond the job→machine map, an Assignment keeps a per-machine job index
-// (jobsOn/posOf) so that Jobs and AppendJobs are O(jobs-on-machine) instead
-// of O(n). The index is built lazily on the first per-machine query and
-// maintained by every mutation from then on; assignments that are never
-// queried per machine (solver outputs, the clones of the state-space
-// exploration) never pay for it. Per-machine lists use swap-delete and are therefore
-// unordered internally; queries sort on the way out, preserving the
-// increasing-job-order contract the kernels and stability detection rely on.
+// An Assignment keeps only the job→machine map and the loads: it has no
+// per-machine job index, so Jobs is an O(n) scan. The engines keep sorted
+// per-machine job lists of their own (FillJobLists builds them in one
+// counting pass) and apply each pair step's arrivals through Move.
 //
 // An Assignment is not safe for concurrent mutation; the sharded engine
-// (internal/shardgossip) keeps per-machine job lists of its own and
-// materializes an Assignment only on snapshot.
+// (internal/shardgossip) materializes one only on snapshot.
 type Assignment struct {
 	model     CostModel
 	machineOf []int  // machineOf[job] = machine, or -1 if unassigned
 	load      []Cost // load[machine] = sum of costs of its jobs
 	assigned  int    // number of assigned jobs
-
-	// Per-machine job index, live iff indexed is true. jobsOn[i] holds
-	// machine i's jobs in arbitrary order; posOf[j] is job j's position in
-	// jobsOn[machineOf[j]] (meaningless while j is unassigned).
-	jobsOn  [][]int
-	posOf   []int
-	indexed bool
 }
 
 // NewAssignment returns an empty assignment (all jobs unassigned) over the
@@ -53,19 +40,16 @@ func NewAssignment(m CostModel) *Assignment {
 // Model returns the cost model the assignment refers to.
 func (a *Assignment) Model() CostModel { return a.model }
 
-// Clone returns a deep copy of the assignment sharing the (immutable) model.
-// The job index is not copied: the clone rebuilds it lazily on its first
-// per-machine query. This keeps Clone at three allocations, which the
-// state-space exploration (protocol.Explore, one clone per pair of every
-// reachable state) depends on.
+// Clone returns a deep copy of the assignment sharing the (immutable) model,
+// in three allocations; the state-space exploration (protocol.Explore)
+// clones once per pair of every reachable state.
 func (a *Assignment) Clone() *Assignment {
-	b := &Assignment{
+	return &Assignment{
 		model:     a.model,
 		machineOf: append([]int(nil), a.machineOf...),
 		load:      append([]Cost(nil), a.load...),
 		assigned:  a.assigned,
 	}
-	return b
 }
 
 // FillJobLists sets lists[i] to the jobs on machine i in increasing job
@@ -96,45 +80,6 @@ func (a *Assignment) FillJobLists(lists [][]int, backing []int) {
 	}
 }
 
-// ensureIndex builds the per-machine job index if it is not live: the lists
-// of FillJobLists on an exactly-sized backing array, then each job's
-// position in its list. Jobs migrating in later grow a list past its block
-// privately (see FillJobLists).
-func (a *Assignment) ensureIndex() {
-	if a.indexed {
-		return
-	}
-	if a.jobsOn == nil {
-		a.jobsOn = make([][]int, a.model.NumMachines())
-	}
-	if a.posOf == nil {
-		a.posOf = make([]int, a.model.NumJobs())
-	}
-	a.FillJobLists(a.jobsOn, make([]int, a.assigned))
-	for _, list := range a.jobsOn {
-		for p, j := range list {
-			a.posOf[j] = p
-		}
-	}
-	a.indexed = true
-}
-
-// indexAssign records job joining machine in the live index.
-func (a *Assignment) indexAssign(job, machine int) {
-	a.posOf[job] = len(a.jobsOn[machine])
-	a.jobsOn[machine] = append(a.jobsOn[machine], job)
-}
-
-// indexUnassign removes job from machine's list by swap-delete.
-func (a *Assignment) indexUnassign(job, machine int) {
-	list := a.jobsOn[machine]
-	pos, last := a.posOf[job], len(list)-1
-	moved := list[last]
-	list[pos] = moved
-	a.posOf[moved] = pos
-	a.jobsOn[machine] = list[:last]
-}
-
 // Assign places job j on the given machine. The job must currently be
 // unassigned.
 func (a *Assignment) Assign(job, machine int) {
@@ -144,9 +89,6 @@ func (a *Assignment) Assign(job, machine int) {
 	a.machineOf[job] = machine
 	a.load[machine] += a.model.Cost(machine, job)
 	a.assigned++
-	if a.indexed {
-		a.indexAssign(job, machine)
-	}
 }
 
 // Unassign removes job j from its machine. The job must be assigned.
@@ -158,9 +100,6 @@ func (a *Assignment) Unassign(job int) {
 	a.load[i] -= a.model.Cost(i, job)
 	a.machineOf[job] = -1
 	a.assigned--
-	if a.indexed {
-		a.indexUnassign(job, i)
-	}
 }
 
 // Move transfers job j to the given machine (assigning it if it was
@@ -207,23 +146,16 @@ func (a *Assignment) Unplaced() []int {
 }
 
 // Jobs returns the jobs currently assigned to the given machine, in
-// increasing job order. It is O(k log k) for k jobs on the machine (plus a
-// one-time O(n+m) index build on the assignment's first per-machine query);
-// hot paths that want to avoid the allocation use AppendJobs.
+// increasing job order, by an O(n) scan of the job→machine map. It serves
+// reports and tests; the engines keep job lists of their own.
 func (a *Assignment) Jobs(machine int) []int {
-	return a.AppendJobs(nil, machine)
-}
-
-// AppendJobs appends the jobs currently assigned to the given machine to
-// dst, in increasing job order, and returns the extended slice. It performs
-// no allocation once dst has the capacity, which is what makes the engines'
-// step paths allocation-free in steady state.
-func (a *Assignment) AppendJobs(dst []int, machine int) []int {
-	a.ensureIndex()
-	start := len(dst)
-	dst = append(dst, a.jobsOn[machine]...)
-	slices.Sort(dst[start:])
-	return dst
+	var jobs []int
+	for j, i := range a.machineOf {
+		if i == machine {
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
 }
 
 // Makespan returns the maximum machine load, i.e. Cmax of the partition.
@@ -293,39 +225,6 @@ func (a *Assignment) Validate() error {
 	}
 	if count != a.assigned {
 		return fmt.Errorf("core: assigned counter %d != actual %d", a.assigned, count)
-	}
-	return a.validateIndex()
-}
-
-// validateIndex cross-checks the per-machine job index against machineOf:
-// every assigned job must sit exactly where posOf says, every indexed job
-// must be assigned to the machine whose list holds it, and list sizes must
-// add up. A live index that drifted from machineOf would silently corrupt
-// every kernel input, so tests surface it here rather than downstream.
-func (a *Assignment) validateIndex() error {
-	if !a.indexed {
-		return nil
-	}
-	if len(a.jobsOn) != a.model.NumMachines() {
-		return fmt.Errorf("core: index has %d machine lists for %d machines", len(a.jobsOn), a.model.NumMachines())
-	}
-	total := 0
-	for i, list := range a.jobsOn {
-		total += len(list)
-		for pos, j := range list {
-			if j < 0 || j >= len(a.machineOf) {
-				return fmt.Errorf("core: index lists invalid job %d on machine %d", j, i)
-			}
-			if a.machineOf[j] != i {
-				return fmt.Errorf("core: index lists job %d on machine %d but machineOf says %d", j, i, a.machineOf[j])
-			}
-			if a.posOf[j] != pos {
-				return fmt.Errorf("core: job %d at position %d of machine %d but posOf says %d", j, pos, i, a.posOf[j])
-			}
-		}
-	}
-	if total != a.assigned {
-		return fmt.Errorf("core: index holds %d jobs, assigned counter %d", total, a.assigned)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestCheckerFastPaths verifies that every structured model catches a
 // negative cost through its own Check fast path (the constructors do not
@@ -80,28 +83,13 @@ func TestJobsOfTypeBuckets(t *testing.T) {
 	}
 }
 
-// TestEnsureIndexPresized pins the index build at its counted shape: a small
-// constant number of allocations regardless of m and n (subslices of one
-// backing array), with the index still passing full validation — including
-// with unassigned jobs in the mapping.
+// TestEnsureIndexPresized pins the build of the engines' per-machine job
+// lists (FillJobLists) at its counted shape: one allocation, the counts,
+// regardless of m and n (the lists are cut from the caller's backing array),
+// and every list equal to the O(n) Jobs scan, in increasing job order, with
+// unassigned jobs on no list.
 func TestEnsureIndexPresized(t *testing.T) {
 	model, _ := NewIdentical(257, make([]Cost, 10_000))
-	const runs = 8
-	as := make([]*Assignment, runs+1)
-	for i := range as {
-		as[i] = RoundRobin(model)
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() { as[next].ensureIndex(); next++ })
-	if allocs > 4 {
-		t.Errorf("ensureIndex: %v allocations per build, want <= 4 (jobsOn, posOf, counts, backing)", allocs)
-	}
-	for _, a := range as {
-		if err := a.Validate(); err != nil {
-			t.Fatalf("presized index fails validation: %v", err)
-		}
-	}
-
 	machineOf := make([]int, model.NumJobs())
 	for j := range machineOf {
 		machineOf[j] = j % 257
@@ -109,14 +97,31 @@ func TestEnsureIndexPresized(t *testing.T) {
 			machineOf[j] = -1 // holes must not corrupt the counted layout
 		}
 	}
-	holey, err := FromMachineOf(model, machineOf)
+	for _, a := range []*Assignment{RoundRobin(model), mustFromMachineOf(t, model, machineOf)} {
+		lists := make([][]int, model.NumMachines())
+		backing := make([]int, a.NumAssigned())
+		allocs := testing.AllocsPerRun(8, func() { a.FillJobLists(lists, backing) })
+		if allocs > 1 {
+			t.Errorf("FillJobLists: %v allocations per build, want <= 1 (counts)", allocs)
+		}
+		total := 0
+		for i, list := range lists {
+			if want := a.Jobs(i); !slices.Equal(list, want) {
+				t.Fatalf("machine %d: list %v, Jobs scan %v", i, list, want)
+			}
+			total += len(list)
+		}
+		if total != a.NumAssigned() {
+			t.Fatalf("lists hold %d jobs, %d assigned", total, a.NumAssigned())
+		}
+	}
+}
+
+func mustFromMachineOf(t *testing.T, m CostModel, machineOf []int) *Assignment {
+	t.Helper()
+	a, err := FromMachineOf(m, machineOf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := holey.Jobs(3); len(got) == 0 {
-		t.Fatal("expected jobs on machine 3")
-	}
-	if err := holey.Validate(); err != nil {
-		t.Fatalf("index with unassigned jobs fails validation: %v", err)
-	}
+	return a
 }

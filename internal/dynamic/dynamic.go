@@ -15,9 +15,11 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hetlb/internal/core"
 	"hetlb/internal/des"
+	"hetlb/internal/pairwise"
 	"hetlb/internal/protocol"
 	"hetlb/internal/rng"
 )
@@ -73,6 +75,8 @@ type Simulator struct {
 	ms    []machine
 	left  int
 	res   Result
+	// scratch backs the kernel calls of protocols without a loaded form.
+	scratch pairwise.Scratch
 }
 
 // New validates the configuration and builds a simulator.
@@ -221,7 +225,8 @@ func (s *Simulator) balanceTick() {
 	if ls, ok := s.proto.(protocol.LoadedSplitter); ok {
 		toI, toPeer = ls.SplitLoaded(i, peer, s.remaining(i), s.remaining(peer), union)
 	} else {
-		toI, toPeer = s.proto.Split(i, peer, union)
+		toI, toPeer = s.proto.SplitScratch(&s.scratch, i, peer, union)
+		toI, toPeer = slices.Clone(toI), slices.Clone(toPeer)
 	}
 	moved := countMoves(s.ms[i].pending, toI) + countMoves(s.ms[peer].pending, toPeer)
 	if moved > 0 {

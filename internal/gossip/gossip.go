@@ -5,6 +5,12 @@
 // sequence of pairwise exchanges, which is how the paper itself counts
 // "iterations" (Figures 4 and 5).
 //
+// The engine steps the way a sharded session does. It keeps one sorted job
+// list per machine, built once by New; a step runs the protocol's
+// BalanceSides on the pair's two lists, finds the arrivals on each side
+// (pairwise.AppendDiff) and moves only those in the live assignment, so the
+// assignment, loads and observers see every step as it happens.
+//
 // The engine is deliberately decoupled from what is measured: observers
 // receive every step and can record makespan trajectories, threshold
 // crossings or exchange counts (the Figure 4 and Figure 5 probes in
@@ -121,6 +127,9 @@ type Engine struct {
 	exchanges []int // per-machine count of balancing participations
 	steps     int
 	moves     int // total job migrations across all steps
+	// jobs[i] is machine i's job list in increasing job order, built by New
+	// and rewritten by every step that moves a job of machine i.
+	jobs [][]int
 	// scratch backs the allocation-free step path; buffers grow to their
 	// high-water marks during the first steps and are reused thereafter.
 	scratch pairwise.Scratch
@@ -128,10 +137,10 @@ type Engine struct {
 	// it gates the stability check.
 	noChange int
 	// check is the incremental stability checker on the protocol's
-	// BalanceSides step, built by the first UnstablePair call; from then on Step marks
-	// the pair of every step that moved a job. The first check scans every
-	// pair, so the steps before it need no marks, and a run that never
-	// checks never builds it.
+	// BalanceSides step, built by the first UnstablePair call; from then on
+	// Step marks the pair of every step that moved a job. The first check
+	// scans every pair, so the steps before it need no marks, and a run that
+	// never checks never builds it.
 	check *protocol.Checker
 	// cachedMax caches the makespan between steps: a step only touches two
 	// machines, so the maximum is maintained incrementally and the O(m)
@@ -161,7 +170,8 @@ type Config struct {
 }
 
 // New builds an engine around a protocol and an initial assignment. The
-// assignment is mutated in place by Run/Step.
+// assignment is mutated in place by Run/Step; the engine's job lists are
+// built from it here, so it must not be mutated by anything else afterwards.
 func New(p protocol.Protocol, a *core.Assignment, cfg Config) *Engine {
 	sel := cfg.Selection
 	if sel == nil {
@@ -176,7 +186,9 @@ func New(p protocol.Protocol, a *core.Assignment, cfg Config) *Engine {
 		spans:     cfg.Spans,
 		timeline:  cfg.Timeline,
 		exchanges: make([]int, a.Model().NumMachines()),
+		jobs:      make([][]int, a.Model().NumMachines()),
 	}
+	a.FillJobLists(e.jobs, make([]int, a.NumAssigned()))
 	for i := 0; i < a.Model().NumMachines(); i++ {
 		e.sumLoad += int64(a.Load(i))
 	}
@@ -214,10 +226,26 @@ func (e *Engine) Step() bool {
 	m := e.a.Model().NumMachines()
 	i, j := e.selection.Pair(e.gen, m)
 	l1, l2 := e.a.Load(i), e.a.Load(j)
-	moved := e.proto.BalanceScratch(&e.scratch, e.a, i, j)
-	if moved > 0 && e.check != nil {
-		e.check.Mark(i)
-		e.check.Mark(j)
+	sc := &e.scratch
+	// The sides come back in job order (the Protocol contract), so they
+	// keep the lists' invariant; the arrivals on each side are the moves.
+	toI, toJ := e.proto.BalanceSides(sc, i, j, e.jobs[i], e.jobs[j])
+	sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], e.jobs[i], toI)
+	sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], e.jobs[j], toJ)
+	moved := len(sc.Diff1) + len(sc.Diff2)
+	if moved > 0 {
+		for _, job := range sc.Diff1 {
+			e.a.Move(job, i)
+		}
+		for _, job := range sc.Diff2 {
+			e.a.Move(job, j)
+		}
+		e.jobs[i] = append(e.jobs[i][:0], toI...)
+		e.jobs[j] = append(e.jobs[j][:0], toJ...)
+		if e.check != nil {
+			e.check.Mark(i)
+			e.check.Mark(j)
+		}
 	}
 	e.moves += moved
 	e.exchanges[i]++
@@ -291,9 +319,8 @@ func (e *Engine) Step() bool {
 
 // Makespan returns the current Cmax of the schedule, served from the
 // engine's incremental cache (amortized O(1) per step versus the O(m) scan
-// of Assignment.Makespan). The cache assumes the assignment is mutated only
-// through Step; an observer that moves jobs itself must use
-// e.Assignment().Makespan() instead.
+// of Assignment.Makespan). Like the engine's job lists, the cache assumes
+// the assignment is mutated only through Step.
 func (e *Engine) Makespan() core.Cost {
 	if !e.maxValid {
 		e.cachedMax = e.a.Makespan()
@@ -320,14 +347,15 @@ type Result struct {
 // UnstablePair returns the first pair of machines, in the scan order of
 // protocol.UnstablePair, whose balancing step would change the assignment,
 // or (-1, -1) if the assignment is stable. The answer is always that of a
-// full scan, but the engine's checker only splits the pairs that an earlier
-// call has not verified since Step last moved a job of theirs. Like the
-// Makespan cache it assumes that only Step mutates the assignment.
+// full scan, but the engine's checker reads the engine's own job lists and
+// only splits the pairs that an earlier call has not verified since Step
+// last moved a job of theirs. Like the Makespan cache it assumes that only
+// Step mutates the assignment.
 func (e *Engine) UnstablePair() (int, int) {
 	if e.check == nil {
-		e.check = protocol.NewChecker(e.a.Model().NumMachines(), e.proto.BalanceSides)
+		e.check = protocol.NewChecker(len(e.jobs), e.proto.BalanceSides)
 	}
-	return e.check.CheckAssignment(e.a)
+	return e.check.Check(e.jobs, nil)
 }
 
 // Run executes up to maxSteps balancing steps. If detectStability is true,

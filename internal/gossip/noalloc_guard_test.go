@@ -9,7 +9,7 @@ import (
 // TestEngineStepNoalloc is the dynamic half of the //hetlb:noalloc contract
 // on Engine.Step (the static half is hetlbvet's noalloc analyzer): once the
 // engine has settled into steady state — loads near-balanced, scratch and
-// per-machine job index at their high-water capacities — a step must not
+// per-machine job lists at their high-water capacities — a step must not
 // allocate, for every protocol, at the paper's evaluation scale.
 func TestEngineStepNoalloc(t *testing.T) {
 	const m, n = 96, 768

@@ -13,12 +13,13 @@ import (
 )
 
 // BenchmarkEngineStep measures the bare per-step cost of the sequential
-// engine — pair selection, union pooling, kernel, apply, bookkeeping — for
-// every protocol, at the paper's scale (m=96, n=768) and at 10× that
-// (m=960, n=7680). The per-step cost must be O(|union|), independent of n
-// for a fixed jobs-per-machine density, and allocation-free in steady state;
-// BENCH_3.json records the pre-index O(n) baseline next to the current
-// numbers.
+// engine — pair selection, the step on the pair's two sorted job lists
+// (merge, kernel, diff), moving the arrivals, bookkeeping — for every
+// protocol, at the paper's scale (m=96, n=768) and at 10× that (m=960,
+// n=7680). The per-step cost must be O(|union|), independent of n for a
+// fixed jobs-per-machine density, and allocation-free in steady state;
+// BENCH_3.json records the O(n) scan baseline next to the numbers of the
+// job-index step that preceded the job lists.
 func BenchmarkEngineStep(b *testing.B) {
 	for _, sc := range []struct {
 		name string
@@ -34,7 +35,7 @@ func BenchmarkEngineStep(b *testing.B) {
 				a := core.RoundRobin(pc.model)
 				e := New(pc.proto, a, Config{Seed: 7})
 				// Settle into the steady state the figures run in: loads
-				// near-balanced, scratch and index capacities at their
+				// near-balanced, scratch and job-list capacities at their
 				// high-water marks.
 				for s := 0; s < 4*m; s++ {
 					e.Step()

@@ -13,7 +13,7 @@
 //	   | <----- REJECT ----- |   (instead of OFFER when target is busy)
 //
 // The initiator locks itself while a session is in flight, computes the
-// protocol's pure Split kernel between OFFER and COMMIT, and both sides
+// protocol's pure split kernel between OFFER and COMMIT, and both sides
 // unlock on completion. Concurrent sessions on disjoint pairs proceed in
 // parallel in virtual time; a busy target rejects, and the initiator backs
 // off and retries with a fresh random peer. This demonstrates that
@@ -59,6 +59,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hetlb/internal/core"
@@ -67,6 +68,7 @@ import (
 	"hetlb/internal/obs"
 	"hetlb/internal/obs/span"
 	"hetlb/internal/obs/timeline"
+	"hetlb/internal/pairwise"
 	"hetlb/internal/protocol"
 	"hetlb/internal/rng"
 )
@@ -328,6 +330,9 @@ type Simulator struct {
 	tl            *timeline.Recorder
 	runSpan       span.ID
 	stats         Stats
+	// scratch backs the kernel calls; a session's two sides are copied out
+	// of it before they become job lists.
+	scratch pairwise.Scratch
 }
 
 // New validates the configuration and prepares a run from the initial
@@ -760,7 +765,7 @@ func (s *Simulator) resolveTarget(t int, def resKind) {
 		// Merge, don't assign: while the session was open the target may
 		// have reclaimed an outbox from an earlier initiator role, so jobs
 		// is not necessarily empty.
-		m.jobs = mergeSorted(m.jobs, m.escrow)
+		m.jobs = pairwise.MergeSortedInto(nil, m.jobs, m.escrow)
 	}
 	fl := span.FlagAborted
 	if kind == resDropEscrow {
@@ -851,14 +856,16 @@ func (s *Simulator) onOffer(initiator, target int, seq uint64, targetJobs []int,
 		// A reclaim pending against a previous session with this target
 		// must merge back before the split, so the kernel sees those jobs.
 		s.sweepOutbox(initiator)
-		union := mergeSorted(m.jobs, targetJobs)
-		toI, toT := s.proto.Split(initiator, target, union)
-		toI = sortedCopy(toI)
-		toT = sortedCopy(toT)
+		sc := &s.scratch
+		sc.Union = pairwise.MergeSortedInto(sc.Union[:0], m.jobs, targetJobs)
+		toI, toT := s.proto.SplitScratch(sc, initiator, target, sc.Union)
 		// Jobs that switched machines: arrived at the initiator (absent from
 		// its pre-split list) or at the target (absent from the offer).
-		moved := len(toI) - intersectCount(toI, m.jobs) + len(toT) - intersectCount(toT, targetJobs)
+		sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], m.jobs, toI)
+		sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], targetJobs, toT)
+		moved := len(sc.Diff1) + len(sc.Diff2)
 		s.stats.JobsMoved += moved
+		toI, toT = slices.Clone(toI), slices.Clone(toT)
 		m.jobs = toI
 		if m.done == nil {
 			m.done = make(map[int]doneRec)
@@ -904,7 +911,7 @@ func (s *Simulator) onCommit(initiator, target int, seq uint64, jobs []int) {
 	// Merge, don't assign: jobs the target reclaimed from an old outbox
 	// while this session was open live in m.jobs and are not part of the
 	// committed split.
-	m.jobs = mergeSorted(m.jobs, jobs)
+	m.jobs = pairwise.MergeSortedInto(nil, m.jobs, jobs)
 	m.escrow = nil
 	s.closeSession(m.tgtSpan, span.TagTarget, span.FlagCommitted, initiator, target, m.tgtStart, m.clock, int64(len(jobs)))
 	m.tgtSeq = 0
@@ -944,7 +951,7 @@ func (s *Simulator) sweepOutbox(i int) {
 		}
 		delete(s.deadRes, key)
 		delete(m.done, t)
-		m.jobs = mergeSorted(m.jobs, d.toT)
+		m.jobs = pairwise.MergeSortedInto(nil, m.jobs, d.toT)
 		s.stats.JobsReclaimed += len(d.toT)
 		if met := s.cfg.Metrics; met != nil {
 			met.JobsReclaimed.Add(int64(len(d.toT)))
@@ -1219,44 +1226,4 @@ func (s *Simulator) Placement() (*core.Assignment, error) {
 		}
 	}
 	return a, nil
-}
-
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
-		if a[x] < b[y] {
-			out = append(out, a[x])
-			x++
-		} else {
-			out = append(out, b[y])
-			y++
-		}
-	}
-	out = append(out, a[x:]...)
-	return append(out, b[y:]...)
-}
-
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c
-}
-
-// intersectCount returns |a ∩ b| for two sorted ascending slices.
-func intersectCount(a, b []int) int {
-	n, x, y := 0, 0, 0
-	for x < len(a) && y < len(b) {
-		switch {
-		case a[x] < b[y]:
-			x++
-		case a[x] > b[y]:
-			y++
-		default:
-			n++
-			x++
-			y++
-		}
-	}
-	return n
 }

@@ -4,7 +4,7 @@ import "hetlb/internal/core"
 
 // The *Loaded kernel variants account for pre-existing, non-movable load on
 // each machine — in the dynamic simulator this is the remaining time of the
-// job currently running (non-preemptible). The plain Split* kernels are the
+// job currently running (non-preemptible). The plain kernels are the
 // base == 0 specialization up to the order of each side: the loaded kernels
 // return every side in placement order (ratio order for Greedy Load
 // Balancing, size order for the largest-first split, head then tail order
@@ -13,8 +13,8 @@ import "hetlb/internal/core"
 // Canonicalization swaps the bases together with the machines, so the
 // loaded kernels remain functions of the unordered pair.
 
-// SplitBasicGreedyLoaded is SplitBasicGreedy starting from loads base1 and
-// base2.
+// SplitBasicGreedyLoaded is AppendSplitBasicGreedy starting from loads
+// base1 and base2.
 func SplitBasicGreedyLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
 	if m1 > m2 {
 		to2, to1 = SplitBasicGreedyLoaded(m, m2, m1, base2, base1, jobs)
@@ -34,7 +34,8 @@ func SplitBasicGreedyLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost
 	return to1, to2
 }
 
-// SplitSameCostLoaded is SplitSameCost starting from loads base1 and base2.
+// SplitSameCostLoaded is AppendSplitSameCost starting from loads base1 and
+// base2.
 func SplitSameCostLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
 	if m1 > m2 {
 		to2, to1 = SplitSameCostLoaded(m, m2, m1, base2, base1, jobs)
@@ -53,8 +54,8 @@ func SplitSameCostLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost, j
 	return to1, to2
 }
 
-// SplitGreedyLoadBalancingLoaded is SplitGreedyLoadBalancing starting from
-// loads base1 and base2.
+// SplitGreedyLoadBalancingLoaded is SplitGreedyLoadBalancingScratch
+// starting from loads base1 and base2.
 func SplitGreedyLoadBalancingLoaded(c core.Clustered, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
@@ -95,8 +96,8 @@ func splitGreedyLoaded(inOrder func(core.Clustered, int, []int) []int, c core.Cl
 	return to1, to2
 }
 
-// SplitCLB2CLoaded is SplitCLB2C starting from pre-existing loads baseA and
-// baseB on mA and mB respectively.
+// SplitCLB2CLoaded is SplitCLB2CScratch starting from pre-existing loads
+// baseA and baseB on mA and mB respectively.
 func SplitCLB2CLoaded(c core.Clustered, mA, mB int, baseA, baseB core.Cost, jobs []int) (toA, toB []int) {
 	if c.ClusterOf(mA) == c.ClusterOf(mB) {
 		panic("pairwise: CLB2C on a pair requires machines of different clusters")

@@ -31,12 +31,12 @@ func TestLoadedZeroBaseMatchesUnloaded(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		d := workload.UniformDense(gen, 2, 10, 1, 30)
 		jobs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		u1, u2 := SplitBasicGreedy(d, 0, 1, jobs)
+		u1, u2 := AppendSplitBasicGreedy(d, 0, 1, jobs, nil, nil)
 		l1, l2 := SplitBasicGreedyLoaded(d, 0, 1, 0, 0, jobs)
 		if !equalSplits(u1, u2, l1, l2) {
 			t.Fatal("BasicGreedyLoaded(0,0) != BasicGreedy")
 		}
-		s1, s2 := SplitSameCost(d, 0, 1, jobs)
+		s1, s2 := AppendSplitSameCost(d, 0, 1, jobs, nil, nil)
 		sl1, sl2 := SplitSameCostLoaded(d, 0, 1, 0, 0, jobs)
 		if !equalSplits(s1, s2, sl1, sl2) {
 			t.Fatal("SameCostLoaded(0,0) != SameCost")
@@ -58,12 +58,13 @@ func TestLoadedZeroBaseMatchesUnloadedClustered(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		tc := workload.UniformTwoCluster(gen, 2, 2, 10, 1, 30)
 		jobs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		g1, g2 := SplitGreedyLoadBalancing(tc, 0, 1, jobs)
+		var s Scratch
+		g1, g2 := SplitGreedyLoadBalancingScratch(&s, tc, 0, 1, jobs)
 		gl1, gl2 := SplitGreedyLoadBalancingLoaded(tc, 0, 1, 0, 0, jobs)
 		if !equalSplits(g1, g2, sorted(gl1), sorted(gl2)) {
 			t.Fatal("GreedyLoadBalancingLoaded(0,0) != unloaded")
 		}
-		c1, c2 := SplitCLB2C(tc, 0, 2, jobs)
+		c1, c2 := SplitCLB2CScratch(&s, tc, 0, 2, jobs)
 		cl1, cl2 := SplitCLB2CLoaded(tc, 0, 2, 0, 0, jobs)
 		if !equalSplits(c1, c2, sorted(cl1), sorted(cl2)) {
 			t.Fatal("CLB2CLoaded(0,0) != unloaded")

@@ -2,9 +2,9 @@ package pairwise
 
 // MergeSortedInto appends the sorted merge of a and b (each sorted
 // ascending) to dst and returns the extended slice. It is the pooling step
-// of a pair session in the sharded engine: each side keeps its job list
-// sorted, so the union of a pair is a linear merge into the session's
-// scratch, not a concatenate-and-sort.
+// of every engine's pair step: each machine keeps its job list sorted, so
+// the union of a pair is a linear merge into the step's scratch, not a
+// concatenate-and-sort.
 //
 //hetlb:noalloc
 func MergeSortedInto(dst, a, b []int) []int {
@@ -26,10 +26,11 @@ func MergeSortedInto(dst, a, b []int) []int {
 // (both sorted ascending) and returns the extended slice — the jobs that
 // arrived on this side of a split. Summed over both sides of a session, the
 // appended counts are the session's move count: the union is conserved, so
-// every change of the partition shows up as an arrival. The sharded engine
+// every change of the partition shows up as an arrival. The sequential
+// engine moves exactly the arrivals in its assignment; the sharded engine
 // feeds the arrivals of both sides of a session through the cost model to
-// update loads by O(moved) deltas instead of resumming the whole union; a
-// converged session appends nothing and costs one linear scan.
+// update loads by O(moved) deltas instead of resumming the whole union. A
+// converged step appends nothing and costs one linear scan.
 //
 //hetlb:noalloc
 func AppendDiff(dst, old, new []int) []int {

@@ -24,35 +24,14 @@ func assertNoAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
-func guardInstance(seed uint64) (*core.Dense, *core.Assignment, []int) {
+func guardInstance(seed uint64) (*core.Dense, []int) {
 	gen := rng.New(seed)
 	d := workload.UniformDense(gen, 4, 64, 1, 100)
-	a := core.RoundRobin(d)
-	union := AppendUnion(nil, a, 0, 1)
-	return d, a, union
-}
-
-func TestAppendUnionNoalloc(t *testing.T) {
-	_, a, dst := guardInstance(11)
-	assertNoAllocs(t, "AppendUnion", func() {
-		dst = AppendUnion(dst[:0], a, 0, 1)
-	})
-}
-
-func TestApplyCountNoalloc(t *testing.T) {
-	d, a, union := guardInstance(12)
-	to1, to2 := SplitBasicGreedy(d, 0, 1, union)
-	// Swap the two sides and back so every run performs real Moves; the
-	// per-machine job index reaches its high-water capacity on the first
-	// swap and is reused thereafter.
-	assertNoAllocs(t, "ApplyCount", func() {
-		ApplyCount(a, 0, 1, to2, to1)
-		ApplyCount(a, 0, 1, to1, to2)
-	})
+	return d, Union(core.RoundRobin(d), 0, 1)
 }
 
 func TestAppendSplitBasicGreedyNoalloc(t *testing.T) {
-	d, _, union := guardInstance(13)
+	d, union := guardInstance(13)
 	var to1, to2 []int
 	assertNoAllocs(t, "AppendSplitBasicGreedy", func() {
 		to1, to2 = AppendSplitBasicGreedy(d, 0, 1, union, to1[:0], to2[:0])
@@ -60,7 +39,7 @@ func TestAppendSplitBasicGreedyNoalloc(t *testing.T) {
 }
 
 func TestAppendSplitSameCostNoalloc(t *testing.T) {
-	d, _, union := guardInstance(14)
+	d, union := guardInstance(14)
 	var to1, to2 []int
 	assertNoAllocs(t, "AppendSplitSameCost", func() {
 		to1, to2 = AppendSplitSameCost(d, 0, 1, union, to1[:0], to2[:0])
@@ -110,9 +89,8 @@ func TestSplitLargestFirstScratchNoalloc(t *testing.T) {
 }
 
 func TestAppendDiffNoalloc(t *testing.T) {
-	_, a, union := guardInstance(17)
+	_, union := guardInstance(17)
 	old := append([]int(nil), union...)
-	_ = a
 	// new differs from old in a prefix swap so every run appends real work.
 	new := append([]int(nil), old...)
 	for i := 0; i < len(new)/2; i++ {

@@ -9,6 +9,48 @@ import (
 	"hetlb/internal/workload"
 )
 
+// apply splits the pair's pooled jobs with split and moves every job whose
+// machine changed: one kernel step on an assignment.
+func apply(a *core.Assignment, m1, m2 int, split func(jobs []int) (to1, to2 []int)) {
+	to1, to2 := split(Union(a, m1, m2))
+	for _, j := range to1 {
+		if a.MachineOf(j) != m1 {
+			a.Move(j, m1)
+		}
+	}
+	for _, j := range to2 {
+		if a.MachineOf(j) != m2 {
+			a.Move(j, m2)
+		}
+	}
+}
+
+func basicGreedy(a *core.Assignment, m1, m2 int) {
+	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
+		return AppendSplitBasicGreedy(a.Model(), m1, m2, jobs, nil, nil)
+	})
+}
+
+func greedySameCost(a *core.Assignment, m1, m2 int) {
+	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
+		return AppendSplitSameCost(a.Model(), m1, m2, jobs, nil, nil)
+	})
+}
+
+func greedyLoadBalancing(a *core.Assignment, c core.Clustered, m1, m2 int) {
+	var s Scratch
+	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
+		return SplitGreedyLoadBalancingScratch(&s, c, m1, m2, jobs)
+	})
+}
+
+func clb2cPair(a *core.Assignment, c core.Clustered, mA, mB int) {
+	var s Scratch
+	apply(a, mA, mB, func(jobs []int) ([]int, []int) {
+		return SplitCLB2CScratch(&s, c, mA, mB, jobs)
+	})
+}
+
 func TestUnion(t *testing.T) {
 	d := core.MustDense([][]core.Cost{{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}})
 	a, _ := core.FromMachineOf(d, []int{0, 1, 2, 0})
@@ -38,7 +80,7 @@ func TestBasicGreedyOneTypeOptimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := core.AllOnMachine(ty, 0)
-		BasicGreedy(a, 0, 1)
+		basicGreedy(a, 0, 1)
 		opt := exact.Solve(ty).Opt
 		if a.Makespan() != opt {
 			t.Fatalf("BasicGreedy %d != OPT %d (n=%d, p=%d/%d)", a.Makespan(), opt, n, p1, p2)
@@ -57,7 +99,7 @@ func TestBasicGreedyPreservesJobSet(t *testing.T) {
 	_ = before
 	union := Union(a, 0, 1)
 	outside := Union(a, 2, 2)
-	BasicGreedy(a, 0, 1)
+	basicGreedy(a, 0, 1)
 	// Jobs of machine 2 untouched, union still on {0, 1}, all assigned.
 	for _, j := range outside {
 		if a.MachineOf(j) != 2 {
@@ -79,9 +121,9 @@ func TestBasicGreedyIdempotent(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		d := workload.UniformDense(gen, 2, 10, 1, 30)
 		a := core.RoundRobin(d)
-		BasicGreedy(a, 0, 1)
+		basicGreedy(a, 0, 1)
 		b := a.Clone()
-		BasicGreedy(b, 0, 1)
+		basicGreedy(b, 0, 1)
 		if !a.Equal(b) {
 			t.Fatal("BasicGreedy is not idempotent")
 		}
@@ -96,7 +138,7 @@ func TestGreedySameCostBalances(t *testing.T) {
 		n := 1 + gen.Intn(12)
 		id := workload.UniformIdentical(gen, 2, n, 1, 20)
 		a := core.AllOnMachine(id, 0)
-		GreedySameCost(a, 0, 1)
+		greedySameCost(a, 0, 1)
 		var pmax core.Cost
 		for j := 0; j < n; j++ {
 			if s := id.Size(j); s > pmax {
@@ -117,9 +159,9 @@ func TestGreedySameCostIdempotent(t *testing.T) {
 	gen := rng.New(5)
 	id := workload.UniformIdentical(gen, 3, 10, 1, 100)
 	a := core.RoundRobin(id)
-	GreedySameCost(a, 0, 2)
+	greedySameCost(a, 0, 2)
 	b := a.Clone()
-	GreedySameCost(b, 0, 2)
+	greedySameCost(b, 0, 2)
 	if !a.Equal(b) {
 		t.Fatal("GreedySameCost is not idempotent")
 	}
@@ -133,7 +175,7 @@ func TestGreedyLoadBalancingSameClusterOnly(t *testing.T) {
 			t.Fatal("cross-cluster GreedyLoadBalancing did not panic")
 		}
 	}()
-	GreedyLoadBalancing(a, tc, 0, 3)
+	greedyLoadBalancing(a, tc, 0, 3)
 }
 
 func TestGreedyLoadBalancingBalancesAndConserves(t *testing.T) {
@@ -142,7 +184,7 @@ func TestGreedyLoadBalancingBalancesAndConserves(t *testing.T) {
 		tc := workload.UniformTwoCluster(gen, 3, 2, 20, 1, 50)
 		a := core.RoundRobin(tc)
 		work := a.TotalWork()
-		GreedyLoadBalancing(a, tc, 0, 2) // both in cluster 0
+		greedyLoadBalancing(a, tc, 0, 2) // both in cluster 0
 		if a.TotalWork() != work {
 			t.Fatal("same-cluster balancing changed total work")
 		}
@@ -176,7 +218,7 @@ func TestGreedyLoadBalancingMaxRatioPlacedLast(t *testing.T) {
 	// by the tie rule), so after balancing the high-ratio job sits alone.
 	tc, _ := core.NewTwoCluster(2, 1, []core.Cost{1, 10}, []core.Cost{10, 1})
 	a, _ := core.FromMachineOf(tc, []int{0, 0, -1, -1, -1}[:2])
-	GreedyLoadBalancing(a, tc, 0, 1)
+	greedyLoadBalancing(a, tc, 0, 1)
 	// job 0 (ratio 0.1) placed first on the emptier machine; job 1
 	// (ratio 10) goes to whichever machine has smaller load then.
 	if a.MachineOf(0) == a.MachineOf(1) {
@@ -192,7 +234,7 @@ func TestCLB2CPairCrossClusterOnly(t *testing.T) {
 			t.Fatal("same-cluster CLB2CPair did not panic")
 		}
 	}()
-	CLB2CPair(a, tc, 0, 1)
+	clb2cPair(a, tc, 0, 1)
 }
 
 func TestCLB2CPairOrientation(t *testing.T) {
@@ -201,8 +243,8 @@ func TestCLB2CPairOrientation(t *testing.T) {
 	tc := workload.UniformTwoCluster(gen, 1, 1, 12, 1, 40)
 	a := core.RoundRobin(tc)
 	b := a.Clone()
-	CLB2CPair(a, tc, 0, 1)
-	CLB2CPair(b, tc, 1, 0)
+	clb2cPair(a, tc, 0, 1)
+	clb2cPair(b, tc, 1, 0)
 	if !a.Equal(b) {
 		t.Fatal("CLB2CPair depends on argument order")
 	}
@@ -216,7 +258,7 @@ func TestCLB2CPairMovesBiasedJobs(t *testing.T) {
 		[]core.Cost{100, 100, 1},
 		[]core.Cost{1, 1, 100})
 	a, _ := core.FromMachineOf(tc, []int{0, 0, 1})
-	CLB2CPair(a, tc, 0, 1)
+	clb2cPair(a, tc, 0, 1)
 	if a.MachineOf(0) != 1 || a.MachineOf(1) != 1 || a.MachineOf(2) != 0 {
 		t.Fatalf("biased jobs not exchanged: %s", a)
 	}
@@ -227,9 +269,9 @@ func TestCLB2CPairIdempotent(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		tc := workload.UniformTwoCluster(gen, 2, 2, 14, 1, 30)
 		a := core.RoundRobin(tc)
-		CLB2CPair(a, tc, 1, 3)
+		clb2cPair(a, tc, 1, 3)
 		b := a.Clone()
-		CLB2CPair(b, tc, 1, 3)
+		clb2cPair(b, tc, 1, 3)
 		if !a.Equal(b) {
 			t.Fatal("CLB2CPair is not idempotent")
 		}
@@ -290,24 +332,4 @@ func exhaustivePair(a *core.Assignment, m core.CostModel, m1, m2 int, jobs []int
 		}
 	}
 	return best
-}
-
-func BenchmarkBasicGreedyPair(b *testing.B) {
-	gen := rng.New(9)
-	id := workload.UniformIdentical(gen, 2, 256, 1, 1000)
-	a := core.RoundRobin(id)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BasicGreedy(a, 0, 1)
-	}
-}
-
-func BenchmarkCLB2CPair(b *testing.B) {
-	gen := rng.New(10)
-	tc := workload.UniformTwoCluster(gen, 1, 1, 256, 1, 1000)
-	a := core.RoundRobin(tc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CLB2CPair(a, tc, 0, 1)
-	}
 }

@@ -7,8 +7,9 @@ import "hetlb/internal/core"
 // slices returned by the *Scratch kernels and by Protocol.SplitScratch alias
 // these buffers and stay valid only until the scratch is used again. The
 // sequential engine owns one Scratch per engine; the sharded engine owns one
-// per shard worker; each stability checker (protocol.Checker) owns one (a
-// Scratch is not safe for concurrent use).
+// per shard worker; each stability checker (protocol.Checker) and each
+// message-passing or dynamic simulator owns one (a Scratch is not safe for
+// concurrent use).
 //
 // Ownership rules:
 //   - the caller owns the Scratch and may mutate (e.g. sort) the returned
@@ -20,8 +21,8 @@ import "hetlb/internal/core"
 //   - buffers only grow, so a scratch reaches its high-water capacity after
 //     a warm-up and performs no further allocations.
 type Scratch struct {
-	// Union is the pooled-jobs buffer, filled by AppendUnion (or a merge in
-	// the sharded engine) and passed to SplitScratch as input.
+	// Union is the pooled-jobs buffer, filled by MergeSortedInto and passed
+	// to SplitScratch as input.
 	Union []int
 	// To1 and To2 receive the two sides of a split, each an ordered
 	// subsequence of the split's input (the ordering kernels and MJTB write
@@ -31,9 +32,9 @@ type Scratch struct {
 	// (min-move) balancing, as the input of Protocol.BalanceSides, which
 	// writes neither.
 	Side1, Side2 []int
-	// Diff1 and Diff2 receive the arrived-job sets of a session's two sides
-	// (AppendDiff output), which drive O(moved) load-delta updates in the
-	// sharded engine.
+	// Diff1 and Diff2 receive the arrived-job sets of a step's two sides
+	// (AppendDiff output): the moves the sequential engine applies and the
+	// O(moved) load deltas of a sharded session.
 	Diff1, Diff2 []int
 
 	// keys holds the ordering kernels' packed sort keys, one per pooled

@@ -16,7 +16,7 @@ func cloneUnstablePair(p Protocol, a *core.Assignment) (int, int) {
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			b := a.Clone()
-			p.Balance(b, i, j)
+			Balance(p, b, i, j)
 			if !b.Equal(a) {
 				return i, j
 			}
@@ -39,8 +39,8 @@ func randomPlacement(gen *rng.RNG, model core.CostModel, skip int) *core.Assignm
 }
 
 // embedded wraps a protocol the way instrumentation does, inheriting every
-// method. Its Balance and BalanceScratch are the inner protocol's, so its
-// stability check must be the inner protocol's too.
+// method. Its BalanceSides is the inner protocol's, so its stability check
+// must be the inner protocol's too.
 type embedded struct{ Protocol }
 
 // TestUnstablePairMatchesCloneOracle checks, for all 7 protocols, bare and
@@ -78,7 +78,7 @@ func TestUnstablePairMatchesCloneOracle(t *testing.T) {
 						}
 					}
 					i := gen.Intn(m)
-					c.proto.Balance(a, i, gen.Pick(m, i))
+					Balance(c.proto, a, i, gen.Pick(m, i))
 				}
 			}
 		}
@@ -109,7 +109,7 @@ func TestCheckerSkipsOnlyVerifiedPairs(t *testing.T) {
 					i := gen.Intn(m)
 					j := gen.Pick(m, i)
 					before := a.Clone()
-					c.proto.Balance(a, i, j)
+					Balance(c.proto, a, i, j)
 					if !a.Equal(before) {
 						ch.Mark(i)
 						ch.Mark(j)

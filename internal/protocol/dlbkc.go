@@ -25,12 +25,6 @@ type DLBKC struct {
 // Name implements Protocol.
 func (DLBKC) Name() string { return "DLBKC" }
 
-// Split implements Protocol: SplitScratch on a fresh scratch.
-func (p DLBKC) Split(i, j int, jobs []int) ([]int, []int) {
-	var s pairwise.Scratch
-	return p.SplitScratch(&s, i, j, jobs)
-}
-
 // SplitScratch implements Protocol: the largest-first split within a
 // cluster, CLB2C across clusters on the views cached by the model at
 // construction, so both branches are allocation-free.
@@ -42,14 +36,6 @@ func (p DLBKC) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, [
 	}
 	view := p.Model.PairView(a, b)
 	return pairwise.SplitCLB2CScratch(s, view, i, j, jobs)
-}
-
-// Balance implements Protocol.
-func (p DLBKC) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
-
-// BalanceScratch implements Protocol.
-func (p DLBKC) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	return balanceScratch(p, s, a, i, j)
 }
 
 // BalanceSides implements Protocol.

@@ -34,7 +34,7 @@ func TestDLBKCPreservesJobs(t *testing.T) {
 	for s := 0; s < 400; s++ {
 		i := gen.Intn(6)
 		j := gen.Pick(6, i)
-		proto.Balance(a, i, j)
+		Balance(proto, a, i, j)
 	}
 	if !a.Complete() {
 		t.Fatal("jobs lost")
@@ -58,8 +58,8 @@ func TestDLBKCMatchesDLB2CWithTwoClusters(t *testing.T) {
 		aT, _ := core.FromMachineOf(tc, []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3})
 		// Cross-cluster pair (machine 0 in cluster 0, machine 2 in
 		// cluster 1).
-		DLBKC{Model: kc}.Balance(aK, 0, 2)
-		DLB2C{Model: tc}.Balance(aT, 0, 2)
+		Balance(DLBKC{Model: kc}, aK, 0, 2)
+		Balance(DLB2C{Model: tc}, aT, 0, 2)
 		for j := 0; j < 12; j++ {
 			if aK.MachineOf(j) != aT.MachineOf(j) {
 				t.Fatalf("iter %d: cross-cluster splits diverge at job %d:\n%s\n%s",
@@ -83,7 +83,7 @@ func TestDLBKCEquilibriumNearLPBound(t *testing.T) {
 		for s := 0; s < 40*m; s++ {
 			i := gen.Intn(m)
 			j := gen.Pick(m, i)
-			proto.Balance(a, i, j)
+			Balance(proto, a, i, j)
 		}
 		lb, err := lp.FractionalMakespanKCluster(kc)
 		if err != nil {
@@ -100,8 +100,8 @@ func TestDLBKCSameClusterSymmetric(t *testing.T) {
 	kc := randomKCluster(gen, 2, 3, 18, 30)
 	proto := DLBKC{Model: kc}
 	jobs := []int{0, 3, 5, 7, 11, 16}
-	to1a, to2a := proto.Split(0, 2, jobs) // both in cluster 0
-	to2b, to1b := proto.Split(2, 0, jobs)
+	to1a, to2a := split(proto, 0, 2, jobs) // both in cluster 0
+	to2b, to1b := split(proto, 2, 0, jobs)
 	if len(to1a) != len(to1b) || len(to2a) != len(to2b) {
 		t.Fatal("same-cluster split depends on argument order")
 	}
@@ -129,7 +129,7 @@ func TestDLBKCStableSmallOptimal(t *testing.T) {
 	for s := 0; s < 200; s++ {
 		i := gen.Intn(3)
 		j := gen.Pick(3, i)
-		proto.Balance(a, i, j)
+		Balance(proto, a, i, j)
 	}
 	opt := exact.Solve(kc).Opt
 	if a.Makespan() != opt {
@@ -150,6 +150,6 @@ func BenchmarkDLBKCStep4Clusters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x := gen.Intn(m)
 		y := gen.Pick(m, x)
-		proto.Balance(a, x, y)
+		Balance(proto, a, x, y)
 	}
 }

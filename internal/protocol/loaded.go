@@ -8,9 +8,10 @@ import (
 // LoadedSplitter is implemented by protocols whose kernels can account for
 // pre-existing non-movable load on each machine — in the dynamic execution
 // simulator this is the remaining time of the currently running,
-// non-preemptible job. SplitLoaded must reduce to Split when both bases are
-// zero, up to the order of each side: the loaded forms return the sides in
-// placement order, which the simulator runs as each machine's queue.
+// non-preemptible job. SplitLoaded must reduce to SplitScratch when both
+// bases are zero, up to the order of each side: the loaded forms return the
+// sides in placement order, which the simulator runs as each machine's
+// queue.
 type LoadedSplitter interface {
 	SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) (toI, toJ []int)
 }

@@ -1,9 +1,11 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"hetlb/internal/core"
+	"hetlb/internal/pairwise"
 	"hetlb/internal/rng"
 	"hetlb/internal/workload"
 )
@@ -17,7 +19,7 @@ func sumCosts(m core.CostModel, machine int, jobs []int) core.Cost {
 }
 
 func TestMinMoveImbalanceBounded(t *testing.T) {
-	// After SplitPlaced the pair's imbalance is at most the largest
+	// After the placed step the pair's imbalance is at most the largest
 	// pooled job — the same class as the rebuild kernel.
 	gen := rng.New(1)
 	for iter := 0; iter < 100; iter++ {
@@ -32,7 +34,7 @@ func TestMinMoveImbalanceBounded(t *testing.T) {
 				onJ = append(onJ, j)
 			}
 		}
-		toI, toJ := p.SplitPlaced(0, 1, onI, onJ)
+		toI, toJ := placed(p, 0, 1, onI, onJ)
 		if len(toI)+len(toJ) != n {
 			t.Fatal("jobs lost")
 		}
@@ -60,7 +62,7 @@ func TestMinMoveMovesFewerJobs(t *testing.T) {
 	onI := []int{0, 1, 2, 3}
 	onJ := []int{4, 5}
 	p := SameCostMinMove{Model: id}
-	toI, toJ := p.SplitPlaced(0, 1, onI, onJ)
+	toI, toJ := placed(p, 0, 1, onI, onJ)
 	if len(toI) != 3 || len(toJ) != 3 {
 		t.Fatalf("expected 3|3 split, got %d|%d", len(toI), len(toJ))
 	}
@@ -88,8 +90,8 @@ func TestMinMoveFixedPointIsIdempotent(t *testing.T) {
 			onJ = append(onJ, j)
 		}
 	}
-	toI, toJ := p.SplitPlaced(0, 1, onI, onJ)
-	againI, againJ := p.SplitPlaced(0, 1, toI, toJ)
+	toI, toJ := placed(p, 0, 1, onI, onJ)
+	againI, againJ := placed(p, 0, 1, toI, toJ)
 	if len(againI) != len(toI) || len(againJ) != len(toJ) {
 		t.Fatal("second application changed the split")
 	}
@@ -107,7 +109,7 @@ func TestDLB2CMinMoveCrossClusterStillCorrects(t *testing.T) {
 		[]core.Cost{100, 100, 1},
 		[]core.Cost{1, 1, 100})
 	p := DLB2CMinMove{Model: tc}
-	toI, toJ := p.SplitPlaced(0, 1, []int{0, 1}, []int{2})
+	toI, toJ := placed(p, 0, 1, []int{0, 1}, []int{2})
 	// Jobs 0,1 belong on cluster 1; job 2 on cluster 0.
 	if len(toI) != 1 || toI[0] != 2 || len(toJ) != 2 {
 		t.Fatalf("affinity not corrected: %v | %v", toI, toJ)
@@ -128,7 +130,7 @@ func TestMinMoveReducesTrafficAtSimilarQuality(t *testing.T) {
 			i := g.Intn(8)
 			j := g.Pick(8, i)
 			before := snapshot(a, i, j)
-			p.Balance(a, i, j)
+			Balance(p, a, i, j)
 			moves += diffs(a, before)
 		}
 		return a.Makespan(), moves
@@ -167,12 +169,19 @@ func diffs(a *core.Assignment, before map[int]int) int {
 func TestTransferHandlesEmptySides(t *testing.T) {
 	id, _ := core.NewIdentical(2, []core.Cost{7})
 	p := SameCostMinMove{Model: id}
-	toI, toJ := p.SplitPlaced(0, 1, nil, []int{0})
+	toI, toJ := placed(p, 0, 1, nil, []int{0})
 	if len(toI)+len(toJ) != 1 {
 		t.Fatal("job lost")
 	}
-	toI2, toJ2 := p.SplitPlaced(0, 1, nil, nil)
+	toI2, toJ2 := placed(p, 0, 1, nil, nil)
 	if len(toI2) != 0 || len(toJ2) != 0 {
 		t.Fatal("phantom jobs")
 	}
+}
+
+// placed is p's BalanceSides step on a fresh scratch, copied out of it.
+func placed(p Protocol, i, j int, onI, onJ []int) ([]int, []int) {
+	var s pairwise.Scratch
+	toI, toJ := p.BalanceSides(&s, i, j, onI, onJ)
+	return slices.Clone(toI), slices.Clone(toJ)
 }

@@ -12,11 +12,14 @@
 //     clusters; any stable schedule is a 2-approximation (Theorem 7), but
 //     the protocol may never stabilize (Proposition 8).
 //
-// Each protocol exposes the pure Split form (partition a pooled job set
-// between two machines) used by the sharded and message-passing engines,
-// and the Balance form that applies the split to a core.Assignment, used by
-// the sequential gossip engine and the exhaustive state-space exploration
-// of Proposition 8. Both forms share the kernels in internal/pairwise.
+// A protocol is its pair step in two forms that share the kernels in
+// internal/pairwise. SplitScratch partitions a pooled job set between two
+// machines; BalanceSides steps from the pair's two current job lists. Every
+// engine steps on sorted per-machine job lists: the sequential engine runs
+// BalanceSides, the sharded and message-passing engines merge the two lists
+// and run SplitScratch. Balance applies one BalanceSides step to a
+// core.Assignment for the exhaustive state-space exploration of
+// Proposition 8.
 package protocol
 
 import (
@@ -24,9 +27,10 @@ import (
 	"hetlb/internal/pairwise"
 )
 
-// Protocol is a decentralized balancing rule. Split must be a deterministic
-// function of (i, j, jobs) so that stability is well defined and so that the
-// sequential, sharded and message-passing engines behave identically.
+// Protocol is a decentralized balancing rule. SplitScratch must be a
+// deterministic function of (i, j, jobs) so that stability is well defined
+// and so that the sequential, sharded and message-passing engines behave
+// identically.
 //
 // Locality contract: a split reads nothing but i, j and the pooled jobs (and
 // the immutable cost model), never the placement of other machines or any
@@ -36,74 +40,62 @@ import (
 // stable stays stable until one of its two machines changes — the premise of
 // the incremental Checker.
 //
-// Every rule exists in an allocating and a scratch form. The scratch forms
-// are what the engines run hundreds of thousands of times per replication:
-// they reuse caller-owned buffers (see pairwise.Scratch) and must produce
-// bit-identical results to their allocating counterparts — the determinism
-// goldens in internal/experiments pin exactly that. Where the two forms
-// would duplicate a kernel loop, the allocating form is the scratch form on
-// a fresh scratch.
+// Both methods reuse caller-owned buffers (see pairwise.Scratch): the
+// engines run them hundreds of thousands of times per replication, and a
+// reused scratch must give the bit-identical result of a fresh one.
 //
-// Both forms return each side as an ordered subsequence of jobs: given the
-// union in increasing index order, both sides come back in increasing index
-// order, which is the sharded engine's job-list invariant, so no caller
-// sorts a split. (The LoadedSplitter forms are the exception; see there.)
+// Given inputs in increasing job order, both return each side in increasing
+// job order (a split's sides are ordered subsequences of the pooled jobs),
+// which is every engine's job-list invariant, so no caller sorts a step's
+// result. (The LoadedSplitter forms are the exception; see there.)
 type Protocol interface {
 	// Name identifies the protocol in traces and benchmark output.
 	Name() string
-	// Split partitions the pooled jobs between machines i and j and
-	// returns the two sides, each an ordered subsequence of jobs. jobs is
-	// given in increasing index order and must not be mutated.
-	Split(i, j int, jobs []int) (toI, toJ []int)
-	// SplitScratch is Split against caller-owned scratch: the returned
-	// slices alias s and stay valid only until s is next used. jobs may
-	// alias s.Union (implementations write the other buffers only); the
-	// caller owns the result and may reorder it in place.
+	// SplitScratch partitions the pooled jobs between machines i and j
+	// and returns the two sides, each an ordered subsequence of jobs. jobs
+	// is given in increasing index order and is not mutated; it may alias
+	// s.Union (implementations write the other buffers only). The returned
+	// slices alias s and stay valid only until s is next used; the caller
+	// owns them and may reorder them in place.
 	SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) (toI, toJ []int)
-	// Balance performs one pairwise balancing step between machines i and
-	// j of the assignment.
-	Balance(a *core.Assignment, i, j int)
-	// BalanceScratch is Balance reusing caller-owned scratch — the
-	// allocation-free step path of the sequential engine. It reads the
-	// pair's jobs through the assignment's per-machine index and returns
-	// the number of jobs that changed machine.
-	BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int
-	// BalanceSides is the step of BalanceScratch on the pair's current
-	// sides instead of an assignment: onI and onJ are the jobs on i and j
-	// in increasing job order and are not mutated; of s's buffers they may
-	// alias only Side1 and Side2. It returns the jobs the step leaves on i
-	// and on j, each in increasing job order, aliasing s. The rebuild protocols merge the sides and
+	// BalanceSides is one pairwise balancing step of machines i and j:
+	// onI and onJ are the jobs on i and j in increasing job order and are
+	// not mutated; of s's buffers they may alias only Side1 and Side2. It
+	// returns the jobs the step leaves on i and on j, each in increasing
+	// job order, aliasing s. The rebuild protocols merge the sides and
 	// split the union with SplitScratch; the MinMove protocols transfer
-	// jobs between the sides. The sequential engine's stability check
-	// replays this step, so a value that embeds a Protocol checks the same
-	// step as the BalanceScratch it inherits.
+	// jobs between the sides. The sequential engine steps with it and its
+	// stability check replays it, so a value that embeds a Protocol steps
+	// and checks the step it inherits.
 	BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int)
 }
 
-// balance pools the pair's jobs, splits them with p and applies the result.
-// It scans the job→machine map directly (no index), which is what the
-// state-space exploration's short-lived clones want (see Explore).
-func balance(p Protocol, a *core.Assignment, i, j int) {
-	jobs := pairwise.Union(a, i, j)
-	toI, toJ := p.Split(i, j, jobs)
-	pairwise.Apply(a, i, j, toI, toJ)
-}
-
-// balanceScratch pools the pair's jobs through the assignment's job index
-// into s.Union, splits them with p's scratch kernel and applies the result,
-// returning the migration count. It is generic so that protocol values whose
-// fields are interfaces (SameCost, OJTB, DLB2C) are not re-boxed into the
-// Protocol interface on every step — that boxing was the last per-step heap
-// allocation.
-func balanceScratch[P Protocol](p P, s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	s.Union = pairwise.AppendUnion(s.Union[:0], a, i, j)
-	toI, toJ := p.SplitScratch(s, i, j, s.Union)
-	return pairwise.ApplyCount(a, i, j, toI, toJ)
+// Balance performs one step of p on machines i and j of the assignment: it
+// lists the two machines' jobs by an O(n) scan, runs p.BalanceSides on a
+// fresh scratch, and moves the jobs whose machine changed. It is the
+// sequential engine's step without the engine's job lists, which is what
+// the state-space exploration's short-lived clones want (see Explore).
+func Balance(p Protocol, a *core.Assignment, i, j int) {
+	var s pairwise.Scratch
+	toI, toJ := p.BalanceSides(&s, i, j, a.Jobs(i), a.Jobs(j))
+	for _, job := range toI {
+		if a.MachineOf(job) != i {
+			a.Move(job, i)
+		}
+	}
+	for _, job := range toJ {
+		if a.MachineOf(job) != j {
+			a.Move(job, j)
+		}
+	}
 }
 
 // splitSides merges the pair's sides into s.Union and splits the union with
-// p's scratch kernel, the split balanceScratch makes: BalanceSides for the
-// rebuild protocols, and the sharded session's step (SplitStep) for all.
+// p's scratch kernel: BalanceSides for the rebuild protocols, and the
+// sharded session's step (SplitStep) for all. It is generic so that
+// protocol values whose fields are interfaces (SameCost, OJTB, DLB2C) are
+// not re-boxed into the Protocol interface on every step, which would be a
+// per-step heap allocation.
 func splitSides[P Protocol](p P, s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
 	s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
 	return p.SplitScratch(s, i, j, s.Union)
@@ -122,23 +114,10 @@ type OJTB struct {
 // Name implements Protocol.
 func (OJTB) Name() string { return "OJTB" }
 
-// Split implements Protocol using BasicGreedy (Algorithm 2).
-func (p OJTB) Split(i, j int, jobs []int) ([]int, []int) {
-	return pairwise.SplitBasicGreedy(p.Model, i, j, jobs)
-}
-
 // SplitScratch implements Protocol.
 func (p OJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	s.To1, s.To2 = pairwise.AppendSplitBasicGreedy(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
-}
-
-// Balance implements Protocol.
-func (p OJTB) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
-
-// BalanceScratch implements Protocol.
-func (p OJTB) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	return balanceScratch(p, s, a, i, j)
 }
 
 // BalanceSides implements Protocol.
@@ -157,12 +136,6 @@ type MJTB struct {
 
 // Name implements Protocol.
 func (MJTB) Name() string { return "MJTB" }
-
-// Split implements Protocol: SplitScratch on a fresh scratch.
-func (p MJTB) Split(i, j int, jobs []int) ([]int, []int) {
-	var s pairwise.Scratch
-	return p.SplitScratch(&s, i, j, jobs)
-}
 
 // SplitScratch implements Protocol. It buckets the input positions by type,
 // keeping input order within a type, runs BasicGreedy on each type with
@@ -196,14 +169,6 @@ func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []
 	return toLo, toHi
 }
 
-// Balance implements Protocol.
-func (p MJTB) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
-
-// BalanceScratch implements Protocol.
-func (p MJTB) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	return balanceScratch(p, s, a, i, j)
-}
-
 // BalanceSides implements Protocol.
 func (p MJTB) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
 	return splitSides(p, s, i, j, onI, onJ)
@@ -220,28 +185,12 @@ type DLB2C struct {
 // Name implements Protocol.
 func (DLB2C) Name() string { return "DLB2C" }
 
-// Split implements Protocol.
-func (p DLB2C) Split(i, j int, jobs []int) ([]int, []int) {
-	if p.Model.ClusterOf(i) == p.Model.ClusterOf(j) {
-		return pairwise.SplitGreedyLoadBalancing(p.Model, i, j, jobs)
-	}
-	return pairwise.SplitCLB2C(p.Model, i, j, jobs)
-}
-
 // SplitScratch implements Protocol.
 func (p DLB2C) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	if p.Model.ClusterOf(i) == p.Model.ClusterOf(j) {
 		return pairwise.SplitGreedyLoadBalancingScratch(s, p.Model, i, j, jobs)
 	}
 	return pairwise.SplitCLB2CScratch(s, p.Model, i, j, jobs)
-}
-
-// Balance implements Protocol.
-func (p DLB2C) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
-
-// BalanceScratch implements Protocol.
-func (p DLB2C) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	return balanceScratch(p, s, a, i, j)
 }
 
 // BalanceSides implements Protocol.
@@ -262,23 +211,10 @@ type SameCost struct {
 // Name implements Protocol.
 func (SameCost) Name() string { return "SameCost" }
 
-// Split implements Protocol.
-func (p SameCost) Split(i, j int, jobs []int) ([]int, []int) {
-	return pairwise.SplitSameCost(p.Model, i, j, jobs)
-}
-
 // SplitScratch implements Protocol.
 func (p SameCost) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	s.To1, s.To2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
-}
-
-// Balance implements Protocol.
-func (p SameCost) Balance(a *core.Assignment, i, j int) { balance(p, a, i, j) }
-
-// BalanceScratch implements Protocol.
-func (p SameCost) BalanceScratch(s *pairwise.Scratch, a *core.Assignment, i, j int) int {
-	return balanceScratch(p, s, a, i, j)
 }
 
 // BalanceSides implements Protocol.

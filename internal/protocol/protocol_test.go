@@ -16,7 +16,7 @@ func drive(p Protocol, a *core.Assignment, gen *rng.RNG, maxSteps int) bool {
 	for s := 0; s < maxSteps; s++ {
 		i := gen.Intn(m)
 		j := gen.Pick(m, i)
-		p.Balance(a, i, j)
+		Balance(p, a, i, j)
 		if s%25 == 24 && Stable(p, a) {
 			return true
 		}
@@ -74,7 +74,7 @@ func TestOJTBMakespanNonIncreasingOneType(t *testing.T) {
 		for s := 0; s < 200; s++ {
 			i := gen.Intn(m)
 			j := gen.Pick(m, i)
-			OJTB{Model: ty}.Balance(a, i, j)
+			Balance(OJTB{Model: ty}, a, i, j)
 			if cur := a.Makespan(); cur > prev {
 				t.Fatalf("makespan increased %d -> %d at step %d", prev, cur, s)
 			} else {
@@ -168,7 +168,7 @@ func TestDLB2CPreservesJobs(t *testing.T) {
 	for s := 0; s < 500; s++ {
 		i := gen.Intn(5)
 		j := gen.Pick(5, i)
-		proto.Balance(a, i, j)
+		Balance(proto, a, i, j)
 	}
 	if !a.Complete() {
 		t.Fatal("DLB2C lost jobs")
@@ -189,7 +189,7 @@ func TestSameCostReachesNearBalance(t *testing.T) {
 	for s := 0; s < 4000; s++ {
 		i := gen.Intn(8)
 		j := gen.Pick(8, i)
-		proto.Balance(a, i, j)
+		Balance(proto, a, i, j)
 	}
 	var sum, pmax core.Cost
 	for j := 0; j < 64; j++ {
@@ -213,7 +213,7 @@ func TestStableDetectsFixedPoint(t *testing.T) {
 	if Stable(SameCost{Model: id}, a) {
 		t.Fatal("4+4 on one machine reported stable")
 	}
-	SameCost{Model: id}.Balance(a, 0, 1)
+	Balance(SameCost{Model: id}, a, 0, 1)
 	if !Stable(SameCost{Model: id}, a) {
 		t.Fatalf("balanced 4|4 not stable: %s", a)
 	}
@@ -248,7 +248,7 @@ func TestCycleInstanceNeverConverges(t *testing.T) {
 		for i := 0; i < m && !found; i++ {
 			for j := i + 1; j < m && !found; j++ {
 				b := cyc[k].Clone()
-				DLB2C{Model: tc}.Balance(b, i, j)
+				Balance(DLB2C{Model: tc}, b, i, j)
 				found = b.Equal(cyc[k+1])
 			}
 		}
@@ -310,7 +310,7 @@ func BenchmarkDLB2CStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m1 := gen.Intn(96)
 		m2 := gen.Pick(96, m1)
-		proto.Balance(a, m1, m2)
+		Balance(proto, a, m1, m2)
 	}
 }
 

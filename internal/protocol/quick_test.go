@@ -36,7 +36,7 @@ func TestQuickJobConservation(t *testing.T) {
 		for s := 0; s < 40; s++ {
 			i := gen.Intn(m)
 			j := gen.Pick(m, i)
-			proto.Balance(a, i, j)
+			Balance(proto, a, i, j)
 		}
 		return a.Complete() && a.Validate() == nil
 	}
@@ -46,7 +46,7 @@ func TestQuickJobConservation(t *testing.T) {
 }
 
 func TestQuickSplitPartitions(t *testing.T) {
-	// Property: Split returns a partition of its input — every job on
+	// Property: a split returns a partition of its input — every job on
 	// exactly one side, nothing invented.
 	f := func(seed uint64) bool {
 		tc, a, proto, gen := quickInstance(seed)
@@ -62,7 +62,7 @@ func TestQuickSplitPartitions(t *testing.T) {
 				union = append(union, job)
 			}
 		}
-		toI, toJ := proto.Split(i, j, union)
+		toI, toJ := split(proto, i, j, union)
 		seen := make(map[int]int)
 		for _, job := range toI {
 			seen[job]++
@@ -86,7 +86,7 @@ func TestQuickSplitPartitions(t *testing.T) {
 }
 
 func TestQuickSplitSymmetry(t *testing.T) {
-	// Property: Split is a function of the unordered pair — swapping the
+	// Property: a split is a function of the unordered pair — swapping the
 	// arguments swaps the outputs.
 	f := func(seed uint64) bool {
 		tc, a, proto, gen := quickInstance(seed)
@@ -102,8 +102,8 @@ func TestQuickSplitSymmetry(t *testing.T) {
 				union = append(union, job)
 			}
 		}
-		aI, aJ := proto.Split(i, j, union)
-		bJ, bI := proto.Split(j, i, union)
+		aI, aJ := split(proto, i, j, union)
+		bJ, bI := split(proto, j, i, union)
 		if len(aI) != len(bI) || len(aJ) != len(bJ) {
 			return false
 		}
@@ -155,7 +155,7 @@ func TestQuickOJTBPairMaxNonIncreasing(t *testing.T) {
 			if l := a.Load(j); l > before {
 				before = l
 			}
-			proto.Balance(a, i, j)
+			Balance(proto, a, i, j)
 			after := a.Load(i)
 			if l := a.Load(j); l > after {
 				after = l
@@ -182,9 +182,9 @@ func TestQuickIdempotentStep(t *testing.T) {
 		}
 		i := gen.Intn(m)
 		j := gen.Pick(m, i)
-		proto.Balance(a, i, j)
+		Balance(proto, a, i, j)
 		b := a.Clone()
-		proto.Balance(b, i, j)
+		Balance(proto, b, i, j)
 		return b.Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -208,7 +208,7 @@ func TestQuickMinMoveSameLoadsClassAsRebuild(t *testing.T) {
 				onJ = append(onJ, j)
 			}
 		}
-		toI, toJ := p.SplitPlaced(0, 1, onI, onJ)
+		toI, toJ := placed(p, 0, 1, onI, onJ)
 		var lI, lJ, pmax core.Cost
 		for _, j := range toI {
 			lI += id.Size(j)
@@ -257,7 +257,7 @@ func TestQuickMJTBTypePreservation(t *testing.T) {
 		for s := 0; s < 20; s++ {
 			i := gen.Intn(m)
 			j := gen.Pick(m, i)
-			proto.Balance(a, i, j)
+			Balance(proto, a, i, j)
 		}
 		after := countByType()
 		for t := range before {

@@ -26,8 +26,8 @@ type Reachability struct {
 }
 
 // Explore runs a breadth-first search over schedules: from each state, every
-// machine pair is balanced on a clone and new states are enqueued. maxStates
-// caps the exploration.
+// machine pair is balanced on a clone (Balance) and new states are enqueued.
+// maxStates caps the exploration.
 func Explore(p Protocol, start *core.Assignment, maxStates int) *Reachability {
 	m := start.Model().NumMachines()
 	seen := map[string]bool{start.Signature(): true}
@@ -50,7 +50,7 @@ func Explore(p Protocol, start *core.Assignment, maxStates int) *Reachability {
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
 				next := cur.Clone()
-				p.Balance(next, i, j)
+				Balance(p, next, i, j)
 				if next.Equal(cur) {
 					continue
 				}
@@ -100,7 +100,7 @@ func FindCycle(p Protocol, start *core.Assignment, maxStates int) []*core.Assign
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
 				next := s.Clone()
-				p.Balance(next, i, j)
+				Balance(p, next, i, j)
 				if next.Equal(s) {
 					continue
 				}

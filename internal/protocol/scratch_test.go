@@ -41,11 +41,19 @@ func scratchCases(seed uint64) []scratchCase {
 	}
 }
 
+// split is p's split of jobs on a fresh scratch, copied out of it.
+func split(p Protocol, i, j int, jobs []int) ([]int, []int) {
+	var s pairwise.Scratch
+	toI, toJ := p.SplitScratch(&s, i, j, jobs)
+	return slices.Clone(toI), slices.Clone(toJ)
+}
+
 // TestSplitScratchMatchesSplit checks that for every protocol and random
-// pooled job sets, SplitScratch is bit-identical to Split — including with a
-// dirty scratch carried over between calls and with jobs aliasing s.Union —
-// and that it returns each side as an ordered subsequence of jobs: both
-// sides strictly increasing, together exactly the pooled jobs.
+// pooled job sets, SplitScratch on a reused scratch is bit-identical to a
+// split on a fresh one — with a dirty scratch carried over between calls and
+// with jobs aliasing s.Union — and that it returns each side as an ordered
+// subsequence of jobs: both sides strictly increasing, together exactly the
+// pooled jobs.
 func TestSplitScratchMatchesSplit(t *testing.T) {
 	var s pairwise.Scratch // shared across all cases: leftovers must not leak
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -62,17 +70,17 @@ func TestSplitScratchMatchesSplit(t *testing.T) {
 						jobs = append(jobs, job)
 					}
 				}
-				wantI, wantJ := c.proto.Split(i, j, jobs)
+				wantI, wantJ := split(c.proto, i, j, jobs)
 				s.Union = append(s.Union[:0], jobs...)
 				gotI, gotJ := c.proto.SplitScratch(&s, i, j, s.Union)
 				if !slices.Equal(wantI, gotI) || !slices.Equal(wantJ, gotJ) {
-					t.Fatalf("%s seed=%d pair=(%d,%d): SplitScratch (%v, %v) != Split (%v, %v) for jobs %v",
+					t.Fatalf("%s seed=%d pair=(%d,%d): reused scratch (%v, %v) != fresh scratch (%v, %v) for jobs %v",
 						c.name, seed, i, j, gotI, gotJ, wantI, wantJ, jobs)
 				}
 				if !increasing(gotI) || !increasing(gotJ) {
 					t.Fatalf("%s seed=%d pair=(%d,%d): sides (%v, %v) not in job order", c.name, seed, i, j, gotI, gotJ)
 				}
-				if merged := mergeSortedInts(gotI, gotJ); !slices.Equal(merged, jobs) {
+				if merged := pairwise.MergeSortedInto(nil, gotI, gotJ); !slices.Equal(merged, jobs) {
 					t.Fatalf("%s seed=%d pair=(%d,%d): sides (%v, %v) do not pool to jobs %v", c.name, seed, i, j, gotI, gotJ, jobs)
 				}
 			}
@@ -109,7 +117,7 @@ func TestMJTBMatchesPerTypeConcatenation(t *testing.T) {
 						ofType = append(ofType, job)
 					}
 				}
-				a, b := pairwise.SplitBasicGreedy(ty, i, j, ofType)
+				a, b := pairwise.AppendSplitBasicGreedy(ty, i, j, ofType, nil, nil)
 				wantI, wantJ = append(wantI, a...), append(wantJ, b...)
 			}
 			slices.Sort(wantI)
@@ -133,11 +141,14 @@ func increasing(side []int) bool {
 }
 
 // TestBalanceScratchMatchesBalance drives two copies of the same start
-// through the same pair sequence — one with Balance, one with BalanceScratch
-// — and checks that the assignments stay identical and that the returned
-// migration count matches the observed machine changes.
+// through the same pair sequence — one with Balance (an O(n) scan of each
+// machine and a fresh scratch per step), one with BalanceSides on sorted
+// per-machine job lists kept by the caller and one scratch shared by every
+// case, as the sequential engine steps — and checks that the assignments
+// stay identical, that each side comes back in job order, and that the
+// AppendDiff arrivals count exactly the observed machine changes.
 func TestBalanceScratchMatchesBalance(t *testing.T) {
-	var s pairwise.Scratch
+	var s pairwise.Scratch // shared across all cases: leftovers must not leak
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, c := range scratchCases(seed) {
 			gen := rng.New(seed*104729 + 11)
@@ -147,31 +158,50 @@ func TestBalanceScratchMatchesBalance(t *testing.T) {
 			for job := 0; job < n; job++ {
 				ref.Assign(job, gen.Intn(m))
 			}
-			idx := ref.Clone()
+			lst := ref.Clone()
+			lists := make([][]int, m)
+			for i := range lists {
+				lists[i] = lst.Jobs(i)
+			}
 			for step := 0; step < 60; step++ {
 				i := gen.Intn(m)
 				j := gen.Pick(m, i)
-				before := snapshot(idx, i, j)
-				c.proto.Balance(ref, i, j)
-				moved := c.proto.BalanceScratch(&s, idx, i, j)
-				if !idx.Equal(ref) {
-					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): BalanceScratch diverged from Balance",
+				before := snapshot(lst, i, j)
+				Balance(c.proto, ref, i, j)
+				toI, toJ := c.proto.BalanceSides(&s, i, j, lists[i], lists[j])
+				if !increasing(toI) || !increasing(toJ) {
+					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): sides (%v, %v) not in job order",
+						c.name, seed, step, i, j, toI, toJ)
+				}
+				s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], lists[i], toI)
+				s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], lists[j], toJ)
+				for _, job := range s.Diff1 {
+					lst.Move(job, i)
+				}
+				for _, job := range s.Diff2 {
+					lst.Move(job, j)
+				}
+				lists[i] = append(lists[i][:0], toI...)
+				lists[j] = append(lists[j][:0], toJ...)
+				if !lst.Equal(ref) {
+					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): BalanceSides step diverged from Balance",
 						c.name, seed, step, i, j)
 				}
-				if want := diffs(idx, before); moved != want {
-					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): BalanceScratch reported %d moves, observed %d",
+				if moved, want := len(s.Diff1)+len(s.Diff2), diffs(lst, before); moved != want {
+					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): BalanceSides step counted %d moves, observed %d",
 						c.name, seed, step, i, j, moved, want)
 				}
-				if err := idx.Validate(); err != nil {
-					t.Fatalf("%s seed=%d step=%d: invalid after BalanceScratch: %v", c.name, seed, step, err)
+				if err := lst.Validate(); err != nil {
+					t.Fatalf("%s seed=%d step=%d: invalid after BalanceSides step: %v", c.name, seed, step, err)
 				}
 			}
 		}
 	}
 }
 
-// TestBalanceScratchStableNoMoves checks the migration counter at a fixed
-// point: once the pair is stable, BalanceScratch must report zero moves.
+// TestBalanceScratchStableNoMoves checks the scratch step at a fixed point:
+// once Balance has balanced a pair, BalanceSides on the pair's sides must
+// leave both sides as they are, so a repeated step moves nothing.
 func TestBalanceScratchStableNoMoves(t *testing.T) {
 	var s pairwise.Scratch
 	for _, c := range scratchCases(3) {
@@ -180,9 +210,10 @@ func TestBalanceScratchStableNoMoves(t *testing.T) {
 		a := core.RoundRobin(c.model)
 		i := gen.Intn(m)
 		j := gen.Pick(m, i)
-		c.proto.Balance(a, i, j)
-		if moved := c.proto.BalanceScratch(&s, a, i, j); moved != 0 {
-			t.Errorf("%s: repeated step on pair (%d,%d) reported %d moves, want 0", c.name, i, j, moved)
+		Balance(c.proto, a, i, j)
+		onI, onJ := a.Jobs(i), a.Jobs(j)
+		if toI, toJ := c.proto.BalanceSides(&s, i, j, onI, onJ); !slices.Equal(toI, onI) || !slices.Equal(toJ, onJ) {
+			t.Errorf("%s: repeated step on pair (%d,%d) moved jobs: (%v, %v) -> (%v, %v)", c.name, i, j, onI, onJ, toI, toJ)
 		}
 	}
 }

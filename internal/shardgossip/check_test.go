@@ -98,7 +98,7 @@ func cloneScan(p protocol.Protocol, a *core.Assignment) (int, int) {
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			b := a.Clone()
-			p.Balance(b, i, j)
+			protocol.Balance(p, b, i, j)
 			if !b.Equal(a) {
 				return i, j
 			}

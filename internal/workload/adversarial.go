@@ -87,11 +87,12 @@ func PairwiseTrapOptimal(d *core.Dense) *core.Assignment {
 //
 // The paper's own 5-job/3-machine instance is only given graphically
 // (Figure 1(d)); the instance below — with the same shape, 5 jobs on 3
-// machines split 2+1 across the clusters — was found with cmd/findcycle,
-// which exhaustively enumerates the schedules reachable under every pairwise
-// balancing sequence. From the returned assignment, 19 schedules are
-// reachable, none of them stable, so DLB2C provably never converges here
-// (verified by TestCycleInstanceNeverConverges).
+// machines split 2+1 across the clusters — was found by `hetlb explore
+// -builtin=false -tries 400` (seed 1, try 351), which exhaustively
+// enumerates the schedules reachable under every pairwise balancing
+// sequence of random instances. From the returned assignment, 19 schedules
+// are reachable, none of them stable, so DLB2C provably never converges
+// here (verified by TestCycleInstanceNeverConverges).
 func CycleInstance() (*core.TwoCluster, *core.Assignment) {
 	// Cluster 0 has machines {0, 1}; cluster 1 has machine {2}.
 	// Job costs per cluster:
