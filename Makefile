@@ -43,10 +43,13 @@ test:
 # scaled-down driver through the harness at Parallelism 4 and GOMAXPROCS.
 # The analysis suite rides along too: its loader caches packages behind a
 # plain map, so racing the tests documents that each test process loads
-# sequentially.
+# sequentially. core and central race the first calls of a two-cluster
+# model's cached ratio order, which engines, harness workers and CLB2C
+# share.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gossip/... ./internal/shardgossip/... \
-		./internal/harness/... ./internal/experiments/... ./internal/analysis/...
+		./internal/harness/... ./internal/experiments/... ./internal/analysis/... \
+		./internal/core/... ./internal/central/...
 
 # Fuzzes five targets for 30s each. FuzzStabilityCheck: random small
 # instances, epoch counts and crash plans, on both engines, where every

@@ -56,6 +56,9 @@ func cmdChaos(args []string) error {
 			return fmt.Errorf("-crashes: %d is negative; want crash counts of at least 0", c)
 		}
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel = %d; want a worker count of at least 1, or 0 for GOMAXPROCS", *parallel)
+	}
 	if *shards < -1 {
 		return fmt.Errorf("-shards = %d; want -1 (auto), 0 (message-passing runtime) or a shard count", *shards)
 	}

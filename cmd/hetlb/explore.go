@@ -29,6 +29,9 @@ func cmdExplore(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxStates < 1 {
+		return fmt.Errorf("-maxstates = %d; want a state cap of at least 1", *maxStates)
+	}
 
 	var tc *core.TwoCluster
 	var start *core.Assignment

@@ -55,6 +55,8 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"explore", cmdExplore, []string{"-builtin=false", "-m2", "-1"}, "-m2"},
 		{"explore", cmdExplore, []string{"-builtin=false", "-hi", "0"}, "-hi"},
 		{"explore", cmdExplore, []string{"-builtin=false", "-jobs", "-3"}, "-jobs"},
+		{"explore", cmdExplore, []string{"-maxstates", "0"}, "-maxstates"},
+		{"explore", cmdExplore, []string{"-builtin=false", "-maxstates", "-5"}, "-maxstates"},
 		{"markov", cmdMarkov, []string{"-m", "0"}, "-m"},
 		{"markov", cmdMarkov, []string{"-m", "0", "-mc", "10"}, "-m"},
 		{"worksteal", cmdWorksteal, []string{"-m", "0"}, "-m"},
@@ -69,6 +71,8 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"chaos", cmdChaos, []string{"-shards", "1", "-crashes", "0,-1"}, "-crashes"},
 		{"chaos", cmdChaos, []string{"-shards", "-2"}, "-shards"},
 		{"chaos", cmdChaos, []string{"-shards", "1", "-lose", "2"}, "-lose"},
+		{"chaos", cmdChaos, []string{"-parallel", "-3", "-runs", "2", "-m1", "4", "-m2", "4", "-jobs", "32"}, "-parallel"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-parallel", "-1"}, "-parallel"},
 		{"worksteal", cmdWorksteal, []string{"-lo", "-1"}, "-lo"},
 		{"worksteal", cmdWorksteal, []string{"-trap", "-1"}, "-trap"},
 	}

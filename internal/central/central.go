@@ -78,18 +78,17 @@ func LPT(id *core.Identical) *core.Assignment {
 // and a radix slot) and 16 bytes per machine (the heaps).
 func CLB2C(a *core.Assignment, m core.Clustered, ms0, ms1, jobs []int) {
 	p0, p1 := core.GatherCosts(m, 0, jobs, nil), core.GatherCosts(m, 1, jobs, nil)
-	clb2c(a, p0, p1, jobs, ms0, ms1)
+	keys, _ := core.OrderJobs(core.ByRatio, p0, p1, jobs, make([]uint64, len(jobs)), make([]uint64, len(jobs)))
+	clb2c(a, p0, p1, jobs, keys, ms0, ms1)
 }
 
 // clb2c is CLB2C on the jobs at positions 0..len(p0)-1, which cost p0[pos]
 // on cluster 0 and p1[pos] on cluster 1; ids[pos] is the job (pos itself
-// when ids is nil). The order is core.OrderJobs' exact ratio order, whose
-// keys double as the schedule: once a key's job is placed, its high half
+// when ids is nil). keys are core.OrderJobs' keys in the exact ratio order
+// and double as the schedule: once a key's job is placed, its high half
 // (the spent ratio image) records the machine, and one pass at the end
 // applies every placement to a.
-func clb2c(a *core.Assignment, p0, p1 []core.Cost, ids, ms0, ms1 []int) {
-	n := len(p0)
-	keys, _ := core.OrderJobs(core.ByRatio, p0, p1, ids, make([]uint64, n), make([]uint64, n))
+func clb2c(a *core.Assignment, p0, p1 []core.Cost, ids []int, keys []uint64, ms0, ms1 []int) {
 	h0, h1 := newMinLoads(a, ms0), newMinLoads(a, ms1)
 	lo, hi := 0, len(keys)-1
 	for lo <= hi {
@@ -117,9 +116,11 @@ func clb2c(a *core.Assignment, p0, p1 []core.Cost, ids, ms0, ms1 []int) {
 
 // RunCLB2C builds a complete schedule of all jobs of a two-cluster model
 // with CLB2C. This is the centralized reference ("cent" in Figure 5 of the
-// paper). On a model with cost vectors (core.TwoCluster) it orders the
-// vectors themselves, so besides the assignment it allocates only the
-// keys, the radix buffer, the heaps and the machine lists.
+// paper). On a core.TwoCluster, which caches its ratio order, it takes the
+// keys from the model (RatioKeys) over the model's own cost vectors: the
+// first call on a model sorts them, and keeps the order the DLB2C engines
+// then share; later calls copy the order and sort nothing. Besides the assignment it allocates only the keys (and on
+// the first call the radix buffer), the heaps and the machine lists.
 func RunCLB2C(m core.Clustered) *core.Assignment {
 	a := core.NewAssignment(m)
 	ms0 := make([]int, 0, m.ClusterSize(0))
@@ -131,8 +132,9 @@ func RunCLB2C(m core.Clustered) *core.Assignment {
 			ms1 = append(ms1, i)
 		}
 	}
-	if v, ok := m.(core.CostVectors); ok {
-		clb2c(a, v.ClusterCosts(0), v.ClusterCosts(1), nil, ms0, ms1)
+	if tc, ok := m.(*core.TwoCluster); ok {
+		keys, _ := tc.RatioKeys(nil, nil)
+		clb2c(a, tc.ClusterCosts(0), tc.ClusterCosts(1), nil, keys, ms0, ms1)
 	} else {
 		CLB2C(a, m, ms0, ms1, allJobs(m))
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"hetlb/internal/core"
@@ -241,28 +242,33 @@ func BenchmarkListScheduling(b *testing.B) {
 	}
 }
 
+// BenchmarkCLB2CPaperScale runs RunCLB2C at paper scale, 64+32 machines
+// and 768 jobs, each iteration on a fresh model over the same costs, so it
+// times the ratio order's build as well as the walk.
 func BenchmarkCLB2CPaperScale(b *testing.B) {
-	gen := rng.New(10)
-	tc := workload.UniformTwoCluster(gen, 64, 32, 768, 1, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunCLB2C(tc)
-	}
+	benchRunCLB2C(b, workload.UniformTwoCluster(rng.New(10), 64, 32, 768, 1, 1000))
 }
 
 // BenchmarkRunCLB2C runs the reference of the Figure 5 threshold workload:
-// 8192+8192 machines, 1,638,400 jobs U[1,1000]. Its two 13 MB cost vectors
-// do not fit in cache.
+// 8192+8192 machines, 1,638,400 jobs U[1,1000], each iteration on a fresh
+// model. Its two 13 MB cost vectors do not fit in cache.
 func BenchmarkRunCLB2C(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1.6M-job instance; -short keeps bench-smoke cheap")
 	}
-	tc := workload.UniformTwoCluster(rng.New(11), 8192, 8192, 1638400, 1, 1000)
+	benchRunCLB2C(b, workload.UniformTwoCluster(rng.New(11), 8192, 8192, 1638400, 1, 1000))
+}
+
+// benchRunCLB2C times RunCLB2C on a fresh model over tc's costs per
+// iteration: a model caches its ratio order, so a reused one would time
+// only the walk.
+func benchRunCLB2C(b *testing.B, tc *core.TwoCluster) {
+	m1, m2 := tc.ClusterSize(0), tc.ClusterSize(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunCLB2C(tc)
+		fresh, _ := core.NewTwoCluster(m1, m2, tc.ClusterCosts(0), tc.ClusterCosts(1))
+		RunCLB2C(fresh)
 	}
 }
 
@@ -514,5 +520,30 @@ func sameMachines(t *testing.T, what string, got, want *core.Assignment) {
 		if got.MachineOf(j) != want.MachineOf(j) {
 			t.Fatalf("%s: job %d on machine %d, reference %d", what, j, got.MachineOf(j), want.MachineOf(j))
 		}
+	}
+}
+
+// TestRunCLB2CConcurrentFirstCall runs RunCLB2C from four goroutines on a
+// fresh model, so they race to build its cached ratio order: every schedule
+// must match the one on a model whose order was built first.
+func TestRunCLB2CConcurrentFirstCall(t *testing.T) {
+	base := workload.UniformTwoCluster(rng.New(14), 8, 5, 3000, 1, 40)
+	want := RunCLB2C(base)
+	fresh, err := core.NewTwoCluster(8, 5, base.ClusterCosts(0), base.ClusterCosts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*core.Assignment, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = RunCLB2C(fresh)
+		}(g)
+	}
+	wg.Wait()
+	for g, a := range got {
+		sameMachines(t, fmt.Sprintf("goroutine %d", g), a, want)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Assignment is a partition of the jobs of a cost model onto its machines.
@@ -11,8 +12,9 @@ import (
 //
 // An Assignment keeps only the job→machine map and the loads: it has no
 // per-machine job index, so Jobs is an O(n) scan. The engines keep sorted
-// per-machine job lists of their own (FillJobLists builds them in one
-// counting pass) and apply each pair step's arrivals through Move.
+// per-machine job lists of their own (FillOrderedLists builds them in one
+// counting pass, in the protocol's list order) and apply each pair step's
+// arrivals through Move.
 //
 // An Assignment is not safe for concurrent mutation; the sharded engine
 // (internal/shardgossip) materializes one only on snapshot.
@@ -52,16 +54,38 @@ func (a *Assignment) Clone() *Assignment {
 	}
 }
 
-// FillJobLists sets lists[i] to the jobs on machine i in increasing job
-// order, for every machine; unassigned jobs are on no list. lists must have
-// one entry per machine, and backing room for every assigned job: the lists
-// are cut from it after a counting pass, so at 10M jobs over 100k machines
-// the build is two linear passes, where machine-by-machine appends would pay
-// millions of grow-and-copy steps on 100k separately reallocated lists.
-// Full-slice expressions pin each list's capacity, so a list that later
-// outgrows its block reallocates privately instead of overwriting its
-// neighbour's.
+// JobOf returns the job of a job-list entry: its low 32 bits. The engines
+// keep each machine's jobs as entries rank<<32 | job, where rank is the
+// job's position in the list order (FillOrderedLists), so a list sorted by
+// entry is sorted by that order, and merges and diffs compare entries as
+// plain ints. In increasing job order the rank is dropped and an entry is
+// the job itself.
+func JobOf(entry int) int { return int(uint32(entry)) }
+
+// FillJobLists is FillOrderedLists in increasing job order: lists[i] holds
+// the jobs on machine i themselves.
 func (a *Assignment) FillJobLists(lists [][]int, backing []int) {
+	a.FillOrderedLists(lists, backing, nil)
+}
+
+// FillOrderedLists sets lists[i] to the job-list entries of machine i in
+// the given order, for every machine; unassigned jobs are on no list. With
+// a nil order each entry is the job and the lists are in increasing job
+// order; otherwise order[k] is the k-th job of a permutation of all jobs
+// and the k-th job's entry is k<<32 | order[k] (see JobOf), which needs a
+// 64-bit int and fewer than 2^31 jobs.
+//
+// lists must have one entry per machine, and backing room for every
+// assigned job: the lists are cut from it after a counting pass, so at 10M
+// jobs over 100k machines the build is two linear passes, where
+// machine-by-machine appends would pay millions of grow-and-copy steps on
+// 100k separately reallocated lists. Full-slice expressions pin each list's
+// capacity, so a list that later outgrows its block reallocates privately
+// instead of overwriting its neighbour's.
+func (a *Assignment) FillOrderedLists(lists [][]int, backing []int, order []uint32) {
+	if order != nil && strconv.IntSize < 64 {
+		panic("core: job-list entries in a list order need a 64-bit int")
+	}
 	counts := make([]int, len(lists))
 	for _, i := range a.machineOf {
 		if i != -1 {
@@ -73,9 +97,18 @@ func (a *Assignment) FillJobLists(lists [][]int, backing []int) {
 		lists[i] = backing[start : start : start+c]
 		start += c
 	}
-	for j, i := range a.machineOf {
-		if i != -1 {
-			lists[i] = append(lists[i], j) // increasing j: sorted by construction
+	// Entries are appended in increasing order: sorted by construction.
+	if order == nil {
+		for j, i := range a.machineOf {
+			if i != -1 {
+				lists[i] = append(lists[i], j)
+			}
+		}
+		return
+	}
+	for k, j := range order {
+		if i := a.machineOf[j]; i != -1 {
+			lists[i] = append(lists[i], int(uint64(k)<<32|uint64(j)))
 		}
 	}
 }

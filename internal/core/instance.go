@@ -247,11 +247,19 @@ func (t *Typed) buildBuckets() {
 type TwoCluster struct {
 	m1, m2 int       // sizes of cluster 0 and cluster 1
 	p      [2][]Cost // p[cluster][job]
+
+	// The exact ratio order, built once by the first RatioOrder or
+	// RatioKeys call; the Once makes the build safe under the concurrent
+	// engines and harness workers, which share one model.
+	orderOnce sync.Once
+	order     []uint32
 }
 
 // NewTwoCluster builds a two-cluster instance with m1 machines in cluster 0
 // and m2 machines in cluster 1. Machines [0, m1) belong to cluster 0 and
-// machines [m1, m1+m2) to cluster 1.
+// machines [m1, m1+m2) to cluster 1. The cost vectors are used directly (not
+// copied) and must not change afterwards: the model caches their ratio
+// order.
 func NewTwoCluster(m1, m2 int, p0, p1 []Cost) (*TwoCluster, error) {
 	if m1 <= 0 || m2 <= 0 {
 		return nil, fmt.Errorf("core: two-cluster instance needs positive cluster sizes, got %d and %d", m1, m2)
@@ -295,6 +303,51 @@ func (tc *TwoCluster) ClusterCost(cluster, job int) Cost { return tc.p[cluster][
 // ClusterCosts returns the cost vector of a cluster, indexed by job, for
 // kernels that read many jobs' costs at once; callers must not modify it.
 func (tc *TwoCluster) ClusterCosts(cluster int) []Cost { return tc.p[cluster] }
+
+// RatioOrder returns the model's exact ratio order: order[k] is the k-th
+// job in increasing p0/p1 ratio, ties by job index (OrderJobs' ByRatio on
+// cluster 0), the order of CLB2C and Greedy Load Balancing. The first call
+// to RatioOrder or RatioKeys computes it with OrderJobs, and the model
+// keeps it at 4 bytes per job; every later call, from any goroutine,
+// returns the same slice, which callers must not modify. DLB2C keeps its
+// job lists in this order.
+func (tc *TwoCluster) RatioOrder() []uint32 {
+	tc.orderOnce.Do(func() { tc.buildOrder(nil, nil) })
+	return tc.order
+}
+
+// RatioKeys returns the jobs in RatioOrder as OrderJobs returns them,
+// int(uint32(sorted[k])) being the k-th job, in keys and buf (reused when
+// long enough; the second result is the spare): the keys CLB2C walks. The
+// first call on a model sorts them there and keeps their order; a later
+// call copies the cached order into keys without sorting.
+func (tc *TwoCluster) RatioKeys(keys, buf []uint64) (sorted, spare []uint64) {
+	built := false
+	tc.orderOnce.Do(func() {
+		sorted, spare = tc.buildOrder(keys, buf)
+		built = true
+	})
+	if built {
+		return sorted, spare
+	}
+	keys = Resize(keys, len(tc.order))
+	for k, j := range tc.order {
+		keys[k] = uint64(j)
+	}
+	return keys, buf
+}
+
+// buildOrder orders the jobs with OrderJobs in keys and buf and keeps the
+// order; orderOnce runs it once.
+func (tc *TwoCluster) buildOrder(keys, buf []uint64) (sorted, spare []uint64) {
+	sorted, spare = OrderJobs(ByRatio, tc.p[0], tc.p[1], nil, keys, buf)
+	order := make([]uint32, len(sorted))
+	for k, key := range sorted {
+		order[k] = uint32(key)
+	}
+	tc.order = order
+	return sorted, spare
+}
 
 // Check implements Checker in O(n): the m×n matrix has only the 2×n stored
 // entries.

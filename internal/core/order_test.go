@@ -77,7 +77,13 @@ func fuzzCosts(data []byte) (own, other []Cost) {
 
 // FuzzJobOrder checks OrderJobs in both orders against the comparator-sort
 // oracle, with the positions as ids or with ids that decrease, reusing one
-// pair of buffers across the two calls.
+// pair of buffers across the calls. Each instance is then fed again in the
+// presorted forms OrderJobs takes without sorting (see presorted), with ids
+// rank<<32 | id: permuted into its oracle ratio order, as the engines'
+// DLB2C job lists pool it; the same sequence with own and other swapped,
+// which a same-cluster pair on cluster 1 receives (ratio descending, ids
+// ascending within ties); and the size order as is and with its groups of
+// equal sizes reversed. Every form must come back in the oracle order.
 func FuzzJobOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reverseIDs bool, data []byte) {
 		if len(data) > 3*512 {
@@ -92,17 +98,51 @@ func FuzzJobOrder(f *testing.F) {
 			}
 		}
 		var keys, buf []uint64
-		for _, o := range []JobOrder{ByRatio, BySize} {
+		check := func(form string, o JobOrder, own, other []Cost, ids []int) {
+			t.Helper()
 			keys, buf = OrderJobs(o, own, other, ids, keys, buf)
 			want := refJobOrder(o, own, other, ids)
 			if len(keys) != len(want) {
-				t.Fatalf("order %d: %d keys for %d jobs", o, len(keys), len(want))
+				t.Fatalf("%s, order %d: %d keys for %d jobs", form, o, len(keys), len(want))
 			}
 			for k, key := range keys {
 				if int(uint32(key)) != want[k] {
-					t.Fatalf("order %d, %d jobs: position %d at %d, oracle has %d", o, len(own), uint32(key), k, want[k])
+					t.Fatalf("%s, order %d, %d jobs: position %d at %d, oracle has %d", form, o, len(own), uint32(key), k, want[k])
 				}
 			}
 		}
+		for _, o := range []JobOrder{ByRatio, BySize} {
+			check("input", o, own, other, ids)
+		}
+		// permute presents the jobs in the given order of positions, with
+		// ids rank<<32 | id, rank being the place in that order.
+		permute := func(order []int) (pOwn, pOther []Cost, pIDs []int) {
+			for k, p := range order {
+				id := p
+				if ids != nil {
+					id = ids[p]
+				}
+				pOwn, pOther, pIDs = append(pOwn, own[p]), append(pOther, other[p]), append(pIDs, int(uint64(k)<<32|uint64(id)))
+			}
+			return pOwn, pOther, pIDs
+		}
+		sOwn, sOther, sIDs := permute(refJobOrder(ByRatio, own, other, ids))
+		check("oracle order", ByRatio, sOwn, sOther, sIDs)
+		check("cluster-1 form", ByRatio, sOther, sOwn, sIDs)
+		// The size order, as is and with its groups of equal sizes reversed.
+		bySize := refJobOrder(BySize, own, other, ids)
+		zOwn, zOther, zIDs := permute(bySize)
+		check("size order", BySize, zOwn, zOther, zIDs)
+		var reversed []int
+		for end := len(bySize); end > 0; {
+			start := end - 1
+			for start > 0 && own[bySize[start-1]] == own[bySize[end-1]] {
+				start--
+			}
+			reversed = append(reversed, bySize[start:end]...)
+			end = start
+		}
+		rOwn, rOther, rIDs := permute(reversed)
+		check("size order, groups reversed", BySize, rOwn, rOther, rIDs)
 	})
 }

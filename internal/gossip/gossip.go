@@ -6,10 +6,11 @@
 // "iterations" (Figures 4 and 5).
 //
 // The engine steps the way a sharded session does. It keeps one sorted job
-// list per machine, built once by New; a step runs the protocol's
-// BalanceSides on the pair's two lists, finds the arrivals on each side
-// (pairwise.AppendDiff) and moves only those in the live assignment, so the
-// assignment, loads and observers see every step as it happens.
+// list per machine, in the protocol's ListOrder, built once by New; a step
+// runs the protocol's BalanceSides on the pair's two lists, finds the
+// arrivals on each side (pairwise.AppendDiff) and moves only those in the
+// live assignment, so the assignment, loads and observers see every step as
+// it happens.
 //
 // The engine is deliberately decoupled from what is measured: observers
 // receive every step and can record makespan trajectories, threshold
@@ -127,8 +128,9 @@ type Engine struct {
 	exchanges []int // per-machine count of balancing participations
 	steps     int
 	moves     int // total job migrations across all steps
-	// jobs[i] is machine i's job list in increasing job order, built by New
-	// and rewritten by every step that moves a job of machine i.
+	// jobs[i] is machine i's job list, sorted entries in the protocol's
+	// ListOrder (see protocol.Protocol), built by New and rewritten by every
+	// step that moves a job of machine i.
 	jobs [][]int
 	// scratch backs the allocation-free step path; buffers grow to their
 	// high-water marks during the first steps and are reused thereafter.
@@ -188,7 +190,7 @@ func New(p protocol.Protocol, a *core.Assignment, cfg Config) *Engine {
 		exchanges: make([]int, a.Model().NumMachines()),
 		jobs:      make([][]int, a.Model().NumMachines()),
 	}
-	a.FillJobLists(e.jobs, make([]int, a.NumAssigned()))
+	a.FillOrderedLists(e.jobs, make([]int, a.NumAssigned()), p.ListOrder())
 	for i := 0; i < a.Model().NumMachines(); i++ {
 		e.sumLoad += int64(a.Load(i))
 	}
@@ -227,18 +229,18 @@ func (e *Engine) Step() bool {
 	i, j := e.selection.Pair(e.gen, m)
 	l1, l2 := e.a.Load(i), e.a.Load(j)
 	sc := &e.scratch
-	// The sides come back in job order (the Protocol contract), so they
+	// The sides come back sorted by entry (the Protocol contract), so they
 	// keep the lists' invariant; the arrivals on each side are the moves.
 	toI, toJ := e.proto.BalanceSides(sc, i, j, e.jobs[i], e.jobs[j])
 	sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], e.jobs[i], toI)
 	sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], e.jobs[j], toJ)
 	moved := len(sc.Diff1) + len(sc.Diff2)
 	if moved > 0 {
-		for _, job := range sc.Diff1 {
-			e.a.Move(job, i)
+		for _, entry := range sc.Diff1 {
+			e.a.Move(core.JobOf(entry), i)
 		}
-		for _, job := range sc.Diff2 {
-			e.a.Move(job, j)
+		for _, entry := range sc.Diff2 {
+			e.a.Move(core.JobOf(entry), j)
 		}
 		e.jobs[i] = append(e.jobs[i][:0], toI...)
 		e.jobs[j] = append(e.jobs[j][:0], toJ...)

@@ -22,7 +22,8 @@ func SplitBasicGreedyLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost
 	}
 	l1, l2 := base1, base2
 	for _, j := range jobs {
-		c1, c2 := m.Cost(m1, j), m.Cost(m2, j)
+		job := core.JobOf(j)
+		c1, c2 := m.Cost(m1, job), m.Cost(m2, job)
 		if l1+c1 <= l2+c2 {
 			to1 = append(to1, j)
 			l1 += c1
@@ -45,10 +46,10 @@ func SplitSameCostLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost, j
 	for _, j := range jobs {
 		if l1 <= l2 {
 			to1 = append(to1, j)
-			l1 += m.Cost(m1, j)
+			l1 += m.Cost(m1, core.JobOf(j))
 		} else {
 			to2 = append(to2, j)
-			l2 += m.Cost(m2, j)
+			l2 += m.Cost(m2, core.JobOf(j))
 		}
 	}
 	return to1, to2
@@ -84,7 +85,7 @@ func splitGreedyLoaded(inOrder func(core.Clustered, int, []int) []int, c core.Cl
 	own := c.ClusterOf(m1)
 	l1, l2 := base1, base2
 	for _, j := range inOrder(c, own, jobs) {
-		cost := c.ClusterCost(own, j)
+		cost := c.ClusterCost(own, core.JobOf(j))
 		if l1 <= l2 {
 			to1 = append(to1, j)
 			l1 += cost
@@ -116,8 +117,8 @@ func SplitCLB2CLoaded(c core.Clustered, mA, mB int, baseA, baseB core.Cost, jobs
 	lo, hi := 0, len(sorted)-1
 	for lo <= hi {
 		jHead, jTail := sorted[lo], sorted[hi]
-		c0 := l0 + c.ClusterCost(0, jHead)
-		c1 := l1 + c.ClusterCost(1, jTail)
+		c0 := l0 + c.ClusterCost(0, core.JobOf(jHead))
+		c1 := l1 + c.ClusterCost(1, core.JobOf(jTail))
 		if c0 <= c1 {
 			to0 = append(to0, jHead)
 			l0 = c0

@@ -5,15 +5,19 @@ import "hetlb/internal/core"
 // The ordering kernels (CLB2C on a pair, Greedy Load Balancing and the
 // largest-first split) need the pooled jobs in a cost order. They read each
 // job's costs once into the scratch, by input position, and order them with
-// core.OrderJobs: packed keys, a radix presort on large unions and an exact
-// insertion pass between neighbours whose keys tie. The kernels then decide
-// a side per input position and Emit writes both sides in input order.
+// core.OrderJobs: no sort at all for a union that arrives in order or in
+// its group-reversed form (DLB2C's ratio-ordered lists), otherwise packed
+// keys, a radix presort on large unions and an exact insertion pass between
+// neighbours whose keys tie. The kernels then decide a side per input
+// position and Emit writes both sides in input order.
 
 // orderBy gathers the pooled jobs' costs into s.own and s.other (by input
 // position) and leaves s.keys holding one key per job in the exact order o,
 // so int(uint32(s.keys[k])) is the input position of the k-th job in that
 // order (a union has fewer than 2^32 jobs). own is the pair's own cluster;
-// core.BySize reads only its costs.
+// core.BySize reads only its costs. The entries break ties: within a group
+// of equal ratios a ratio-ordered list ranks jobs by index, so entries
+// compare as their jobs do.
 //
 //hetlb:noalloc
 func (s *Scratch) orderBy(o core.JobOrder, c core.Clustered, own int, jobs []int) {

@@ -18,13 +18,23 @@
 // merge the two lists (MergeSortedInto), split the union, and diff each new
 // side against the old list (AppendDiff) to find the jobs that moved.
 //
+// The kernels pool job-list entries, not bare jobs: every kernel reads the
+// job from an entry's low 32 bits (core.JobOf), and the engines keep each
+// list sorted by entry, in the protocol's list order (see
+// protocol.Protocol). In increasing job order an entry is the job itself;
+// DLB2C keeps its lists in the model's ratio order, entries rank<<32 | job,
+// so a union merged from two of its lists is already in the order of CLB2C
+// and Greedy Load Balancing (or, for a same-cluster pair on cluster 1, in
+// its group-reversed form) and core.OrderJobs returns it without sorting.
+//
 // Each side a kernel returns is an ordered subsequence of its input, so a
-// union passed in increasing job order comes back as two sides in increasing
-// job order, ready to become the machines' job lists. The ordering kernels (GreedyLoadBalancing, CLB2C, LargestFirst) get there by
-// sorting packed keys of the pooled jobs, deciding a side per input
-// position, and writing both sides in input order with Scratch.Emit. The
-// *Loaded variants are the exception: they return sides in placement order,
-// which the dynamic simulator uses as each machine's queue.
+// union passed sorted by entry comes back as two sides sorted by entry,
+// ready to become the machines' job lists. The ordering kernels
+// (GreedyLoadBalancing, CLB2C, LargestFirst) get there by ordering the
+// pooled jobs with core.OrderJobs, deciding a side per input position, and
+// writing both sides in input order with Scratch.Emit. The *Loaded
+// variants are the exception: they return sides in placement order, which
+// the dynamic simulator uses as each machine's queue.
 //
 // All kernels are deterministic functions of the pooled job set (not of how
 // the pair currently splits it), which makes them idempotent: applying the
@@ -65,7 +75,8 @@ func AppendSplitBasicGreedy(m core.CostModel, m1, m2 int, jobs, to1, to2 []int) 
 	}
 	var l1, l2 core.Cost
 	for _, j := range jobs {
-		c1, c2 := m.Cost(m1, j), m.Cost(m2, j)
+		job := core.JobOf(j)
+		c1, c2 := m.Cost(m1, job), m.Cost(m2, job)
 		if l1+c1 <= l2+c2 {
 			to1 = append(to1, j)
 			l1 += c1
@@ -131,10 +142,10 @@ func AppendSplitSameCost(m core.CostModel, m1, m2 int, jobs, to1, to2 []int) ([]
 	for _, j := range jobs {
 		if l1 <= l2 {
 			to1 = append(to1, j)
-			l1 += m.Cost(m1, j)
+			l1 += m.Cost(m1, core.JobOf(j))
 		} else {
 			to2 = append(to2, j)
-			l2 += m.Cost(m2, j)
+			l2 += m.Cost(m2, core.JobOf(j))
 		}
 	}
 	return to1, to2

@@ -63,8 +63,8 @@ func (s *Scratch) Sides(n int) []bool {
 }
 
 // Emit writes the pooled jobs to To1 and To2 by the marks of the last Sides
-// call, in input order, and returns the two sides. Callers pass the union in
-// increasing job order, so both sides come out in increasing job order too.
+// call, in input order, and returns the two sides. Callers pass the union
+// sorted by entry, so both sides come out sorted by entry too.
 //
 //hetlb:noalloc
 func (s *Scratch) Emit(jobs []int) (to1, to2 []int) {

@@ -56,8 +56,10 @@ type Checker struct {
 	changed  []bool
 	frontier int
 
-	// lists and backing hold the job lists CheckAssignment builds, reused
-	// from one check to the next.
+	// order is the list order CheckAssignment builds its lists in, nil for
+	// increasing job order; UnstablePair sets it to its protocol's. lists
+	// and backing hold those lists, reused from one check to the next.
+	order   []uint32
 	lists   [][]int
 	backing []int
 }
@@ -110,14 +112,15 @@ scan:
 }
 
 // CheckAssignment is Check on the placement of a with every machine up. The
-// sorted job lists come from one counting pass over the assignment, O(n+m)
-// (core.Assignment.FillJobLists), into buffers the checker keeps;
-// unassigned jobs are on no list.
+// job lists come from one counting pass over the assignment, O(n+m)
+// (core.Assignment.FillOrderedLists), into buffers the checker keeps, in
+// the list order of the protocol UnstablePair checks, and in increasing job
+// order on a checker from NewChecker; unassigned jobs are on no list.
 func (c *Checker) CheckAssignment(a *core.Assignment) (int, int) {
 	if c.lists == nil {
 		c.lists = make([][]int, len(c.changed))
 		c.backing = make([]int, a.Model().NumJobs())
 	}
-	a.FillJobLists(c.lists, c.backing)
+	a.FillOrderedLists(c.lists, c.backing, c.order)
 	return c.Check(c.lists, nil)
 }

@@ -25,6 +25,10 @@ type DLBKC struct {
 // Name implements Protocol.
 func (DLBKC) Name() string { return "DLBKC" }
 
+// ListOrder implements Protocol: increasing job index (each pair of
+// clusters has its own ratio order).
+func (DLBKC) ListOrder() []uint32 { return nil }
+
 // SplitScratch implements Protocol: the largest-first split within a
 // cluster, CLB2C across clusters on the views cached by the model at
 // construction, so both branches are allocation-free.

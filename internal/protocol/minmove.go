@@ -106,6 +106,9 @@ type SameCostMinMove struct {
 // Name implements Protocol.
 func (SameCostMinMove) Name() string { return "SameCostMinMove" }
 
+// ListOrder implements Protocol: increasing job index.
+func (SameCostMinMove) ListOrder() []uint32 { return nil }
+
 // SplitScratch implements Protocol (placement unknown: fall back to the
 // rebuild kernel).
 func (p SameCostMinMove) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
@@ -115,7 +118,7 @@ func (p SameCostMinMove) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int)
 
 // BalanceSides implements Protocol: the placed transfer.
 func (p SameCostMinMove) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	cost := func(job int) core.Cost { return p.Model.Cost(i, job) }
+	cost := func(job int) core.Cost { return p.Model.Cost(i, core.JobOf(job)) }
 	return splitPlaced(s, cost, onI, onJ)
 }
 
@@ -130,6 +133,10 @@ type DLB2CMinMove struct {
 // Name implements Protocol.
 func (DLB2CMinMove) Name() string { return "DLB2CMinMove" }
 
+// ListOrder implements Protocol: increasing job index, which the placed
+// transfer's tie break is defined on.
+func (DLB2CMinMove) ListOrder() []uint32 { return nil }
+
 // SplitScratch implements Protocol.
 func (p DLB2CMinMove) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	return DLB2C{Model: p.Model}.SplitScratch(s, i, j, jobs)
@@ -143,7 +150,7 @@ func (p DLB2CMinMove) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int
 		return pairwise.SplitCLB2CScratch(s, p.Model, i, j, s.Union)
 	}
 	cluster := p.Model.ClusterOf(i)
-	cost := func(job int) core.Cost { return p.Model.ClusterCost(cluster, job) }
+	cost := func(job int) core.Cost { return p.Model.ClusterCost(cluster, core.JobOf(job)) }
 	return splitPlaced(s, cost, onI, onJ)
 }
 

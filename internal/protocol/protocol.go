@@ -17,12 +17,17 @@
 // machines; BalanceSides steps from the pair's two current job lists. Every
 // engine steps on sorted per-machine job lists: the sequential engine runs
 // BalanceSides, the sharded and message-passing engines merge the two lists
-// and run SplitScratch. Balance applies one BalanceSides step to a
-// core.Assignment for the exhaustive state-space exploration of
-// Proposition 8.
+// and run SplitScratch. ListOrder names the order the engines keep the
+// lists in: DLB2C's is its model's ratio order, so its kernels never sort.
+// Balance applies one BalanceSides step to a core.Assignment for the
+// exhaustive state-space exploration of Proposition 8. EquationThree and
+// ClusterImbalance check the two certificates Theorem 7 reads off a stable
+// DLB2C schedule, in O(n).
 package protocol
 
 import (
+	"strconv"
+
 	"hetlb/internal/core"
 	"hetlb/internal/pairwise"
 )
@@ -44,37 +49,50 @@ import (
 // engines run them hundreds of thousands of times per replication, and a
 // reused scratch must give the bit-identical result of a fresh one.
 //
-// Given inputs in increasing job order, both return each side in increasing
-// job order (a split's sides are ordered subsequences of the pooled jobs),
-// which is every engine's job-list invariant, so no caller sorts a step's
-// result. (The LoadedSplitter forms are the exception; see there.)
+// Job lists hold entries, not bare jobs: an entry's low 32 bits are the job
+// (core.JobOf), and a list is sorted by entry, which is the protocol's
+// ListOrder. In increasing job order an entry is the job itself; in a
+// ListOrder permutation it is rank<<32 | job. Given inputs sorted by entry,
+// both methods return each side sorted by entry (a split's sides are
+// ordered subsequences of the pooled entries), which is every engine's
+// job-list invariant, so no caller sorts a step's result, and both must
+// give the same partition of jobs on either kind of list. (The
+// LoadedSplitter forms are the exception; see there.)
 type Protocol interface {
 	// Name identifies the protocol in traces and benchmark output.
 	Name() string
-	// SplitScratch partitions the pooled jobs between machines i and j
+	// ListOrder is the order the engines keep this protocol's job lists
+	// in: nil for increasing job index, or a permutation of the model's
+	// jobs whose k-th element is the job of rank k. DLB2C returns its
+	// model's ratio order, so the unions its kernels pool arrive in the
+	// order of CLB2C and Greedy Load Balancing and no step sorts. It is a
+	// method so that a value embedding a Protocol keeps the order.
+	ListOrder() []uint32
+	// SplitScratch partitions the pooled entries between machines i and j
 	// and returns the two sides, each an ordered subsequence of jobs. jobs
-	// is given in increasing index order and is not mutated; it may alias
-	// s.Union (implementations write the other buffers only). The returned
-	// slices alias s and stay valid only until s is next used; the caller
-	// owns them and may reorder them in place.
+	// is sorted by entry and is not mutated; it may alias s.Union
+	// (implementations write the other buffers only). The returned slices
+	// alias s and stay valid only until s is next used; the caller owns
+	// them and may reorder them in place.
 	SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) (toI, toJ []int)
 	// BalanceSides is one pairwise balancing step of machines i and j:
-	// onI and onJ are the jobs on i and j in increasing job order and are
-	// not mutated; of s's buffers they may alias only Side1 and Side2. It
-	// returns the jobs the step leaves on i and on j, each in increasing
-	// job order, aliasing s. The rebuild protocols merge the sides and
-	// split the union with SplitScratch; the MinMove protocols transfer
-	// jobs between the sides. The sequential engine steps with it and its
-	// stability check replays it, so a value that embeds a Protocol steps
-	// and checks the step it inherits.
+	// onI and onJ are the entries on i and j, each sorted, and are not
+	// mutated; of s's buffers they may alias only Side1 and Side2. It
+	// returns the entries the step leaves on i and on j, each sorted,
+	// aliasing s. The rebuild protocols merge the sides and split the
+	// union with SplitScratch; the MinMove protocols transfer jobs between
+	// the sides. The sequential engine steps with it and its stability
+	// check replays it, so a value that embeds a Protocol steps and checks
+	// the step it inherits.
 	BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int)
 }
 
 // Balance performs one step of p on machines i and j of the assignment: it
-// lists the two machines' jobs by an O(n) scan, runs p.BalanceSides on a
-// fresh scratch, and moves the jobs whose machine changed. It is the
-// sequential engine's step without the engine's job lists, which is what
-// the state-space exploration's short-lived clones want (see Explore).
+// lists the two machines' jobs in increasing job order by an O(n) scan,
+// runs p.BalanceSides on a fresh scratch, and moves the jobs whose machine
+// changed. It is the sequential engine's step without the engine's job
+// lists, which is what the state-space exploration's short-lived clones
+// want (see Explore).
 func Balance(p Protocol, a *core.Assignment, i, j int) {
 	var s pairwise.Scratch
 	toI, toJ := p.BalanceSides(&s, i, j, a.Jobs(i), a.Jobs(j))
@@ -114,6 +132,9 @@ type OJTB struct {
 // Name implements Protocol.
 func (OJTB) Name() string { return "OJTB" }
 
+// ListOrder implements Protocol: increasing job index.
+func (OJTB) ListOrder() []uint32 { return nil }
+
 // SplitScratch implements Protocol.
 func (p OJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	s.To1, s.To2 = pairwise.AppendSplitBasicGreedy(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
@@ -137,13 +158,16 @@ type MJTB struct {
 // Name implements Protocol.
 func (MJTB) Name() string { return "MJTB" }
 
+// ListOrder implements Protocol: increasing job index.
+func (MJTB) ListOrder() []uint32 { return nil }
+
 // SplitScratch implements Protocol. It buckets the input positions by type,
 // keeping input order within a type, runs BasicGreedy on each type with
 // loads starting from zero, and emits both sides in input order.
 func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	byType := s.Buckets(p.Model.NumTypes())
 	for pos, job := range jobs {
-		t := p.Model.TypeOf(job)
+		t := p.Model.TypeOf(core.JobOf(job))
 		byType[t] = append(byType[t], pos)
 	}
 	// Canonical orientation, as in pairwise.AppendSplitBasicGreedy: ties go
@@ -153,7 +177,8 @@ func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []
 	for _, positions := range byType {
 		var lLo, lHi core.Cost
 		for _, pos := range positions {
-			cLo, cHi := p.Model.Cost(lo, jobs[pos]), p.Model.Cost(hi, jobs[pos])
+			job := core.JobOf(jobs[pos])
+			cLo, cHi := p.Model.Cost(lo, job), p.Model.Cost(hi, job)
 			if lLo+cLo <= lHi+cHi {
 				lLo += cLo
 			} else {
@@ -185,6 +210,19 @@ type DLB2C struct {
 // Name implements Protocol.
 func (DLB2C) Name() string { return "DLB2C" }
 
+// ListOrder implements Protocol: on a core.TwoCluster, the model's cached
+// ratio order, so a cross-cluster pair and a same-cluster pair on cluster 0
+// pool their jobs already in kernel order, and one on cluster 1 in its
+// group-reversed form, which core.OrderJobs takes without sorting. Ranked
+// entries need a 64-bit int: where int is 32 bits, and on other models,
+// DLB2C keeps increasing job order.
+func (p DLB2C) ListOrder() []uint32 {
+	if tc, ok := p.Model.(*core.TwoCluster); ok && strconv.IntSize == 64 {
+		return tc.RatioOrder()
+	}
+	return nil
+}
+
 // SplitScratch implements Protocol.
 func (p DLB2C) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	if p.Model.ClusterOf(i) == p.Model.ClusterOf(j) {
@@ -211,6 +249,9 @@ type SameCost struct {
 // Name implements Protocol.
 func (SameCost) Name() string { return "SameCost" }
 
+// ListOrder implements Protocol: increasing job index.
+func (SameCost) ListOrder() []uint32 { return nil }
+
 // SplitScratch implements Protocol.
 func (p SameCost) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	s.To1, s.To2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
@@ -235,7 +276,10 @@ func Stable(p Protocol, a *core.Assignment) bool {
 // UnstablePair returns the first pair of machines, in the order (0,1),
 // (0,2), …, (1,2), …, whose balancing step would change the assignment, or
 // (-1, -1) if the assignment is stable. It runs a fresh Checker on
-// p.BalanceSides, so the scan starts at (0,1).
+// p.BalanceSides, so the scan starts at (0,1), over job lists in
+// p.ListOrder(), as the engines keep them.
 func UnstablePair(p Protocol, a *core.Assignment) (int, int) {
-	return NewChecker(a.Model().NumMachines(), p.BalanceSides).CheckAssignment(a)
+	c := NewChecker(a.Model().NumMachines(), p.BalanceSides)
+	c.order = p.ListOrder()
+	return c.CheckAssignment(a)
 }

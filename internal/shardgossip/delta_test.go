@@ -46,8 +46,8 @@ func TestDeltaLoadsMatchRecompute(t *testing.T) {
 				var sum int64
 				for i := 0; i < m; i++ {
 					var want core.Cost
-					for _, j := range e.jobs[i] {
-						want += c.model.Cost(i, j)
+					for _, entry := range e.jobs[i] {
+						want += c.model.Cost(i, core.JobOf(entry))
 					}
 					if e.load[i] != want {
 						t.Fatalf("epoch %d machine %d: delta-updated load %d != recomputed %d", epoch, i, e.load[i], want)

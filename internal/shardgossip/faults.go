@@ -38,7 +38,9 @@
 package shardgossip
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hetlb/internal/core"
@@ -160,9 +162,13 @@ func (e *Engine) crashMachine(ev faultEvent) {
 	fs.crashes++
 	affected := len(e.jobs[x])
 	if ev.lose {
-		for _, j := range e.jobs[x] {
-			fs.lost = append(fs.lost, LostJob{Job: j, Machine: x, Epoch: e.epoch})
+		// The ledger lists a crash's jobs in increasing job order, whatever
+		// order the engine keeps the machine's list in.
+		first := len(fs.lost)
+		for _, entry := range e.jobs[x] {
+			fs.lost = append(fs.lost, LostJob{Job: core.JobOf(entry), Machine: x, Epoch: e.epoch})
 		}
+		slices.SortFunc(fs.lost[first:], func(a, b LostJob) int { return cmp.Compare(a.Job, b.Job) })
 		fs.jobsLost += affected
 		old := e.load[x]
 		e.jobs[x] = e.jobs[x][:0]
@@ -275,9 +281,10 @@ func (e *Engine) ValidateConservation() error {
 	seen := make([]int8, n)
 	for i := 0; i < m; i++ {
 		var sum core.Cost
-		for _, j := range e.jobs[i] {
-			if j < 0 || j >= n {
-				return fmt.Errorf("shardgossip: machine %d lists invalid job %d", i, j)
+		for _, entry := range e.jobs[i] {
+			j := core.JobOf(entry)
+			if entry < 0 || j >= n {
+				return fmt.Errorf("shardgossip: machine %d lists invalid job entry %d", i, entry)
 			}
 			if seen[j] != unseen {
 				return fmt.Errorf("shardgossip: job %d placed on more than one machine", j)

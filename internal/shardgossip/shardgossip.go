@@ -265,7 +265,7 @@ type Engine struct {
 	// one worker (the one that claimed the machine's session — the schedule
 	// is a matching), and the epoch barrier publishes all writes back to the
 	// coordinator.
-	jobs      [][]int // jobs[i] is machine i's job list, sorted ascending
+	jobs      [][]int // jobs[i] is machine i's job list, entries sorted in the protocol's ListOrder
 	load      []core.Cost
 	exchanges []int
 
@@ -383,7 +383,7 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 	}
 
 	e.jobs = make([][]int, m)
-	initial.FillJobLists(e.jobs, make([]int, n))
+	initial.FillOrderedLists(e.jobs, make([]int, n), p.ListOrder())
 	var max core.Cost
 	for i := 0; i < m; i++ {
 		l := initial.Load(i)
@@ -664,7 +664,7 @@ func (e *Engine) updatePartials(machine int, old, new core.Cost) {
 
 // session executes pair t of the current epoch on worker s: merge the
 // pair's sorted job lists into the worker's scratch, split with the
-// protocol's kernel (whose sides come back in job order), and apply the
+// protocol's kernel (whose sides come back sorted by entry), and apply the
 // result as O(moved) deltas — AppendDiff yields each side's arrivals (the
 // other side's departures, since the union is conserved), whose costs adjust
 // the pair's loads exactly. A session that moved nothing writes nothing. In
@@ -718,7 +718,7 @@ func (e *Engine) session(s, t int) {
 	sc.Union = pairwise.MergeSortedInto(sc.Union[:0], e.jobs[i], e.jobs[j])
 	l1, l2 := e.load[i], e.load[j]
 	// The sides are ordered subsequences of the merged union (the Protocol
-	// contract), so they keep the job lists' increasing-index invariant.
+	// contract), so they keep the job lists' sorted-entry invariant.
 	toI, toJ := e.proto.SplitScratch(sc, i, j, sc.Union)
 	sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], e.jobs[i], toI)
 	sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], e.jobs[j], toJ)
@@ -729,11 +729,13 @@ func (e *Engine) session(s, t int) {
 		// by exactly the terms that differ from the previous sums. Integer
 		// costs make the result bit-identical to a full recomputation.
 		var d1, d2 core.Cost
-		for _, job := range sc.Diff1 {
+		for _, entry := range sc.Diff1 {
+			job := core.JobOf(entry)
 			d1 += e.model.Cost(i, job)
 			d2 -= e.model.Cost(j, job)
 		}
-		for _, job := range sc.Diff2 {
+		for _, entry := range sc.Diff2 {
+			job := core.JobOf(entry)
 			d2 += e.model.Cost(j, job)
 			d1 -= e.model.Cost(i, job)
 		}
@@ -854,8 +856,8 @@ func (e *Engine) Snapshot() *core.Assignment {
 		machineOf[j] = -1
 	}
 	for i := range e.jobs {
-		for _, j := range e.jobs[i] {
-			machineOf[j] = i
+		for _, entry := range e.jobs[i] {
+			machineOf[core.JobOf(entry)] = i
 		}
 	}
 	a, err := core.FromMachineOf(e.model, machineOf)
