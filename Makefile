@@ -51,7 +51,7 @@ race:
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/... \
 		./internal/core/... ./internal/central/...
 
-# Fuzzes five targets for 30s each. FuzzStabilityCheck: random small
+# Fuzzes six targets for 30s each. FuzzStabilityCheck: random small
 # instances, epoch counts and crash plans, on both engines, where every
 # check must answer as a full scan from pair (0,1) does. FuzzShardedFaultPlan:
 # arbitrary crash plans (machines out of range, overlapping intervals,
@@ -65,17 +65,23 @@ race:
 # is capped at 5s so it leaves the fuzzer time to run. Then FuzzReadSpans
 # and FuzzReadTimeline: arbitrary bytes to the `hetlb explain` readers,
 # which must return an error or data that Analyze and the text report
-# handle without panicking. go test -fuzz takes one target in one package
-# per run. The committed seed corpora (internal/shardgossip/testdata/fuzz,
-# internal/core/testdata/fuzz, internal/explain/testdata/fuzz) also run as
-# plain tests in `make test`; a failing input found here is written next to
-# them.
+# handle without panicking. Then FuzzStep: protocol.Step, the pair step of
+# every engine, for all seven protocols and an embedding wrapper on small
+# instances with free jobs and ties, against a multiset oracle (sides
+# strictly increasing and pooling to the old union, arrivals a naive set
+# difference, a dirty scratch equal to a fresh one, a second step moving
+# nothing). go test -fuzz takes one target in one package per run. The
+# committed seed corpora (internal/shardgossip/testdata/fuzz,
+# internal/core/testdata/fuzz, internal/explain/testdata/fuzz,
+# internal/protocol/testdata/fuzz) also run as plain tests in `make test`;
+# a failing input found here is written next to them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzStabilityCheck$$' -fuzztime=30s ./internal/shardgossip/
 	$(GO) test -run='^$$' -fuzz='^FuzzShardedFaultPlan$$' -fuzztime=30s ./internal/shardgossip/
 	$(GO) test -run='^$$' -fuzz='^FuzzJobOrder$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSpans$$' -fuzztime=30s ./internal/explain/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimeline$$' -fuzztime=30s ./internal/explain/
+	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=30s ./internal/protocol/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

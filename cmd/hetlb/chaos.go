@@ -59,6 +59,9 @@ func cmdChaos(args []string) error {
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel = %d; want a worker count of at least 1, or 0 for GOMAXPROCS", *parallel)
 	}
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout = %v; want a wall-time limit above 0, or 0 for no limit", *timeout)
+	}
 	if *shards < -1 {
 		return fmt.Errorf("-shards = %d; want -1 (auto), 0 (message-passing runtime) or a shard count", *shards)
 	}

@@ -33,6 +33,12 @@ func cmdFigures(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *parallel < 0:
+		return fmt.Errorf("-parallel = %d; want a worker count of at least 1, or 0 for GOMAXPROCS", *parallel)
+	case *timeout < 0:
+		return fmt.Errorf("-timeout = %v; want a wall-time limit above 0, or 0 for no limit", *timeout)
+	}
 	sinks, err := obs.setup()
 	if err != nil {
 		return err

@@ -29,6 +29,10 @@ func cmdMarkov(args []string) error {
 		return fmt.Errorf("-pmax = %d; want a job size of at least 1", *pmax)
 	case *total < 0:
 		return fmt.Errorf("-total = %d; want a non-negative load", *total)
+	case !(*tol > 0): // NaN fails every comparison
+		return fmt.Errorf("-tol = %v; want a positive tolerance", *tol)
+	case *mc < 0:
+		return fmt.Errorf("-mc = %d; want a sample count of at least 1, or 0 for exact enumeration", *mc)
 	}
 	w := *total
 	if w == 0 {

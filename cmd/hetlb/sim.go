@@ -48,6 +48,8 @@ func cmdSim(args []string) error {
 		return fmt.Errorf("-hi = %d is below -lo = %d", *hi, *lo)
 	case *hi >= core.Infinite:
 		return fmt.Errorf("-hi = %d; want a cost below %d, which marks a job that cannot run", *hi, core.Infinite)
+	case *steps < 0:
+		return fmt.Errorf("-steps = %d; want an exchange budget of at least 1, or 0 for 5 per machine", *steps)
 	}
 	gen := rng.New(*seed)
 	sinks, err := ob.setup()

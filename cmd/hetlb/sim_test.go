@@ -75,6 +75,14 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"chaos", cmdChaos, []string{"-shards", "1", "-parallel", "-1"}, "-parallel"},
 		{"worksteal", cmdWorksteal, []string{"-lo", "-1"}, "-lo"},
 		{"worksteal", cmdWorksteal, []string{"-trap", "-1"}, "-trap"},
+		{"sim", cmdSim, []string{"-m1", "4", "-m2", "2", "-jobs", "16", "-steps", "-5"}, "-steps"},
+		{"figures", cmdFigures, []string{"-out", "", "-exp", "tableI", "-parallel", "-2"}, "-parallel"},
+		{"figures", cmdFigures, []string{"-out", "", "-exp", "tableI", "-timeout", "-1s"}, "-timeout"},
+		{"chaos", cmdChaos, []string{"-timeout", "-1s", "-runs", "2", "-m1", "4", "-m2", "4", "-jobs", "32"}, "-timeout"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-timeout", "-1s", "-runs", "1", "-m", "8", "-jobs", "32"}, "-timeout"},
+		{"markov", cmdMarkov, []string{"-m", "3", "-pmax", "2", "-tol", "-1"}, "-tol"},
+		{"markov", cmdMarkov, []string{"-m", "3", "-pmax", "2", "-tol", "NaN"}, "-tol"},
+		{"markov", cmdMarkov, []string{"-m", "3", "-pmax", "2", "-mc", "-5"}, "-mc"},
 	}
 	for _, c := range cases {
 		t.Run(c.cmd+" "+strings.Join(c.args, " "), func(t *testing.T) {

@@ -62,12 +62,6 @@ func (a *Assignment) Clone() *Assignment {
 // the job itself.
 func JobOf(entry int) int { return int(uint32(entry)) }
 
-// FillJobLists is FillOrderedLists in increasing job order: lists[i] holds
-// the jobs on machine i themselves.
-func (a *Assignment) FillJobLists(lists [][]int, backing []int) {
-	a.FillOrderedLists(lists, backing, nil)
-}
-
 // FillOrderedLists sets lists[i] to the job-list entries of machine i in
 // the given order, for every machine; unassigned jobs are on no list. With
 // a nil order each entry is the job and the lists are in increasing job

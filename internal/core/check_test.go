@@ -84,10 +84,10 @@ func TestJobsOfTypeBuckets(t *testing.T) {
 }
 
 // TestEnsureIndexPresized pins the build of the engines' per-machine job
-// lists (FillJobLists) at its counted shape: one allocation, the counts,
-// regardless of m and n (the lists are cut from the caller's backing array),
-// and every list equal to the O(n) Jobs scan, in increasing job order, with
-// unassigned jobs on no list.
+// lists (FillOrderedLists in increasing job order) at its counted shape: one
+// allocation, the counts, regardless of m and n (the lists are cut from the
+// caller's backing array), and every list equal to the O(n) Jobs scan, in
+// increasing job order, with unassigned jobs on no list.
 func TestEnsureIndexPresized(t *testing.T) {
 	model, _ := NewIdentical(257, make([]Cost, 10_000))
 	machineOf := make([]int, model.NumJobs())
@@ -100,9 +100,9 @@ func TestEnsureIndexPresized(t *testing.T) {
 	for _, a := range []*Assignment{RoundRobin(model), mustFromMachineOf(t, model, machineOf)} {
 		lists := make([][]int, model.NumMachines())
 		backing := make([]int, a.NumAssigned())
-		allocs := testing.AllocsPerRun(8, func() { a.FillJobLists(lists, backing) })
+		allocs := testing.AllocsPerRun(8, func() { a.FillOrderedLists(lists, backing, nil) })
 		if allocs > 1 {
-			t.Errorf("FillJobLists: %v allocations per build, want <= 1 (counts)", allocs)
+			t.Errorf("FillOrderedLists: %v allocations per build, want <= 1 (counts)", allocs)
 		}
 		total := 0
 		for i, list := range lists {

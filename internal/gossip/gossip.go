@@ -7,17 +7,16 @@
 //
 // The engine steps the way a sharded session does. It keeps one sorted job
 // list per machine, in the protocol's ListOrder, built once by New; a step
-// runs the protocol's BalanceSides on the pair's two lists, finds the
-// arrivals on each side (pairwise.AppendDiff) and moves only those in the
-// live assignment, so the assignment, loads and observers see every step as
-// it happens.
+// runs protocol.Step on the pair's two lists and moves only the arrivals it
+// reports in the live assignment, so the assignment, loads and observers see
+// every step as it happens.
 //
 // The engine is deliberately decoupled from what is measured: observers
 // receive every step and can record makespan trajectories, threshold
 // crossings or exchange counts (the Figure 4 and Figure 5 probes in
-// internal/experiments). internal/shardgossip runs the same kernels in
-// parallel on a per-epoch matching schedule, and internal/netsim runs them
-// as a message-passing handshake.
+// internal/experiments). internal/shardgossip runs the same step in
+// parallel on a per-epoch matching schedule, and internal/netsim runs it as
+// a message-passing handshake.
 package gossip
 
 import (
@@ -138,8 +137,8 @@ type Engine struct {
 	// noChange counts consecutive steps whose pair loads were unchanged;
 	// it gates the stability check.
 	noChange int
-	// check is the incremental stability checker on the protocol's
-	// BalanceSides step, built by the first UnstablePair call; from then on
+	// check is the incremental stability checker on the engine's step,
+	// protocol.Step, built by the first UnstablePair call; from then on
 	// Step marks the pair of every step that moved a job. The first check
 	// scans every pair, so the steps before it need no marks, and a run that
 	// never checks never builds it.
@@ -219,7 +218,8 @@ func (e *Engine) Steps() int { return e.steps }
 // k different steps counts k times (it would cross the network each time).
 func (e *Engine) Moves() int { return e.moves }
 
-// Step performs one pairwise balancing and reports whether the pair's loads
+// Step performs one pairwise balancing, protocol.Step on the pair's two job
+// lists, moves the arrivals it reports, and reports whether the pair's loads
 // changed (a cheap proxy for "the schedule changed" used to pace stability
 // checks; the check itself is UnstablePair).
 //
@@ -231,9 +231,7 @@ func (e *Engine) Step() bool {
 	sc := &e.scratch
 	// The sides come back sorted by entry (the Protocol contract), so they
 	// keep the lists' invariant; the arrivals on each side are the moves.
-	toI, toJ := e.proto.BalanceSides(sc, i, j, e.jobs[i], e.jobs[j])
-	sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], e.jobs[i], toI)
-	sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], e.jobs[j], toJ)
+	toI, toJ := protocol.Step(e.proto, sc, i, j, e.jobs[i], e.jobs[j])
 	moved := len(sc.Diff1) + len(sc.Diff2)
 	if moved > 0 {
 		for _, entry := range sc.Diff1 {
@@ -350,12 +348,12 @@ type Result struct {
 // protocol.UnstablePair, whose balancing step would change the assignment,
 // or (-1, -1) if the assignment is stable. The answer is always that of a
 // full scan, but the engine's checker reads the engine's own job lists and
-// only splits the pairs that an earlier call has not verified since Step
+// only steps the pairs that an earlier call has not verified since Step
 // last moved a job of theirs. Like the Makespan cache it assumes that only
 // Step mutates the assignment.
 func (e *Engine) UnstablePair() (int, int) {
 	if e.check == nil {
-		e.check = protocol.NewChecker(len(e.jobs), e.proto.BalanceSides)
+		e.check = protocol.NewChecker(len(e.jobs), e.proto)
 	}
 	return e.check.Check(e.jobs, nil)
 }

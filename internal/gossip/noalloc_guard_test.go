@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"hetlb/internal/core"
+	"hetlb/internal/protocol"
+	"hetlb/internal/rng"
+	"hetlb/internal/workload"
 )
 
 // TestEngineStepNoalloc is the dynamic half of the //hetlb:noalloc contract
@@ -13,7 +16,13 @@ import (
 // allocate, for every protocol, at the paper's evaluation scale.
 func TestEngineStepNoalloc(t *testing.T) {
 	const m, n = 96, 768
-	for _, pc := range stepBenchProtocols(m, n) {
+	gen := rng.New(7)
+	id := workload.UniformIdentical(gen, m, n, 1, 1000)
+	tc := workload.UniformTwoCluster(gen, 2*m/3, m/3, n, 1, 1000)
+	cases := append(stepBenchProtocols(m, n),
+		stepBenchCase{"SameCostMinMove", id, protocol.SameCostMinMove{Model: id}},
+		stepBenchCase{"DLB2CMinMove", tc, protocol.DLB2CMinMove{Model: tc}})
+	for _, pc := range cases {
 		t.Run(pc.name, func(t *testing.T) {
 			a := core.RoundRobin(pc.model)
 			e := New(pc.proto, a, Config{Seed: 7})

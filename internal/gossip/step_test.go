@@ -68,7 +68,7 @@ func TestStepMatchesBalance(t *testing.T) {
 // TestUnionMatchesScan checks the engine's list-based pooling: after every
 // engine step, for random instances, protocols and step counts, the union of
 // a random pair merged from the engine's job lists (MergeSortedInto, how
-// the rebuild protocols' BalanceSides pool a pair) must equal
+// protocol.Step pools a pair for a split) must equal
 // pairwise.Union, a brute-force O(n) scan of the job→machine map.
 func TestUnionMatchesScan(t *testing.T) {
 	var union []int
@@ -116,7 +116,8 @@ func listJobs(list []int) (jobs []int, ok bool) {
 
 // embedded is a protocol value that embeds another, as the benchmark's
 // counting wrapper does: the engine steps, and Balance balances, with the
-// BalanceSides it inherits.
+// Transfer and SplitScratch it inherits, so an embedded MinMove protocol
+// still transfers.
 type embedded struct{ protocol.Protocol }
 
 type stepCase struct {

@@ -12,9 +12,9 @@
 //	   | --- COMMIT -------> |   (carries the jobs now owned by target)
 //	   | <----- REJECT ----- |   (instead of OFFER when target is busy)
 //
-// The initiator locks itself while a session is in flight, computes the
-// protocol's pure split kernel between OFFER and COMMIT, and both sides
-// unlock on completion. Concurrent sessions on disjoint pairs proceed in
+// The initiator locks itself while a session is in flight, runs the
+// protocol's pair step (protocol.Step) between OFFER and COMMIT, and both
+// sides unlock on completion. Concurrent sessions on disjoint pairs proceed in
 // parallel in virtual time; a busy target rejects, and the initiator backs
 // off and retries with a fresh random peer. This demonstrates that
 // DLB2C/OJTB/MJTB need nothing beyond pairwise messages — and lets the
@@ -330,7 +330,7 @@ type Simulator struct {
 	tl            *timeline.Recorder
 	runSpan       span.ID
 	stats         Stats
-	// scratch backs the kernel calls; a session's two sides are copied out
+	// scratch backs the pair steps; a session's two sides are copied out
 	// of it before they become job lists.
 	scratch pairwise.Scratch
 }
@@ -846,7 +846,7 @@ func (s *Simulator) onReject(initiator, target int, seq uint64) {
 	m.initSpan = 0
 }
 
-// onOffer runs the kernel at the initiator and commits. This is the
+// onOffer runs the pair step at the initiator and commits. This is the
 // session's single ownership-transfer point: the initiator takes the whole
 // pool, keeps its half, and records the target's half in the done outbox
 // before the COMMIT goes on the (lossy) wire.
@@ -854,15 +854,12 @@ func (s *Simulator) onOffer(initiator, target int, seq uint64, targetJobs []int,
 	m := &s.ms[initiator]
 	if m.initSeq == seq && m.initPeer == target {
 		// A reclaim pending against a previous session with this target
-		// must merge back before the split, so the kernel sees those jobs.
+		// must merge back before the step, so the step sees those jobs.
 		s.sweepOutbox(initiator)
 		sc := &s.scratch
-		sc.Union = pairwise.MergeSortedInto(sc.Union[:0], m.jobs, targetJobs)
-		toI, toT := s.proto.SplitScratch(sc, initiator, target, sc.Union)
+		toI, toT := protocol.Step(s.proto, sc, initiator, target, m.jobs, targetJobs)
 		// Jobs that switched machines: arrived at the initiator (absent from
-		// its pre-split list) or at the target (absent from the offer).
-		sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], m.jobs, toI)
-		sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], targetJobs, toT)
+		// its pre-step list) or at the target (absent from the offer).
 		moved := len(sc.Diff1) + len(sc.Diff2)
 		s.stats.JobsMoved += moved
 		toI, toT = slices.Clone(toI), slices.Clone(toT)

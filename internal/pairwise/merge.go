@@ -1,5 +1,7 @@
 package pairwise
 
+import "slices"
+
 // MergeSortedInto appends the sorted merge of a and b (each sorted
 // ascending) to dst and returns the extended slice. It is the pooling step
 // of every engine's pair step: each machine keeps its job list sorted, so
@@ -24,16 +26,21 @@ func MergeSortedInto(dst, a, b []int) []int {
 
 // AppendDiff appends to dst the elements of new that are absent from old
 // (both sorted ascending) and returns the extended slice — the jobs that
-// arrived on this side of a split. Summed over both sides of a session, the
+// arrived on this side of a pair step, which protocol.Step writes to
+// Scratch.Diff1 and Diff2. Summed over both sides of a session, the
 // appended counts are the session's move count: the union is conserved, so
 // every change of the partition shows up as an arrival. The sequential
 // engine moves exactly the arrivals in its assignment; the sharded engine
 // feeds the arrivals of both sides of a session through the cost model to
 // update loads by O(moved) deltas instead of resumming the whole union. A
-// converged step appends nothing and costs one linear scan.
+// converged step appends nothing and costs one comparison of the two lists,
+// which is most of what a stability check pays per verified pair.
 //
 //hetlb:noalloc
 func AppendDiff(dst, old, new []int) []int {
+	if slices.Equal(old, new) {
+		return dst
+	}
 	x := 0
 	for _, v := range new {
 		for x < len(old) && old[x] < v {

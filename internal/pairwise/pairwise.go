@@ -14,9 +14,11 @@
 // The kernels are pure: given the pooled job set they return the partition
 // (jobs for the first machine, jobs for the second) without touching any
 // shared state, appending into caller-owned buffers or a Scratch. Every
-// engine runs a pair step the same way on sorted per-machine job lists:
-// merge the two lists (MergeSortedInto), split the union, and diff each new
-// side against the old list (AppendDiff) to find the jobs that moved.
+// engine runs a pair step through protocol.Step on sorted per-machine job
+// lists: merge the two lists (MergeSortedInto), split the union, and diff
+// each new side against the old list (AppendDiff) to find the jobs that
+// moved. The MinMove protocols transfer jobs between the lists in place of
+// the merge and split; the diff is the same.
 //
 // The kernels pool job-list entries, not bare jobs: every kernel reads the
 // job from an entry's low 32 bits (core.JobOf), and the engines keep each

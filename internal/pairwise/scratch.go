@@ -2,14 +2,14 @@ package pairwise
 
 import "hetlb/internal/core"
 
-// Scratch holds the reusable buffers behind the allocation-free kernel and
-// balancing variants. One Scratch serves one call chain at a time: the
-// slices returned by the *Scratch kernels and by Protocol.SplitScratch alias
-// these buffers and stay valid only until the scratch is used again. The
-// sequential engine owns one Scratch per engine; the sharded engine owns one
-// per shard worker; each stability checker (protocol.Checker) and each
-// message-passing or dynamic simulator owns one (a Scratch is not safe for
-// concurrent use).
+// Scratch holds the reusable buffers behind the allocation-free kernels and
+// the pair step, protocol.Step. One Scratch serves one call chain at a time:
+// the slices returned by the *Scratch kernels, by Protocol.SplitScratch and
+// Transfer and by protocol.Step alias these buffers and stay valid only
+// until the scratch is used again. The sequential engine owns one Scratch
+// per engine; the sharded engine owns one per shard worker; each stability
+// checker (protocol.Checker) and each message-passing or dynamic simulator
+// owns one (a Scratch is not safe for concurrent use).
 //
 // Ownership rules:
 //   - the caller owns the Scratch and may mutate (e.g. sort) the returned
@@ -18,6 +18,9 @@ import "hetlb/internal/core"
 //     jobs input — SplitScratch implementations write To1/To2, the ordering
 //     state and the buckets but never Union, so
 //     `p.SplitScratch(s, i, j, s.Union)` is safe;
+//   - a step's two input lists alias none of the buffers: protocol.Step
+//     writes Union (when it splits), the kernels' buffers and Diff1/Diff2,
+//     and a Transfer writes To1/To2, while both read the inputs;
 //   - buffers only grow, so a scratch reaches its high-water capacity after
 //     a warm-up and performs no further allocations.
 type Scratch struct {
@@ -28,13 +31,10 @@ type Scratch struct {
 	// subsequence of the split's input (the ordering kernels and MJTB write
 	// them through Emit).
 	To1, To2 []int
-	// Side1 and Side2 hold the pair's current sides for placement-aware
-	// (min-move) balancing, as the input of Protocol.BalanceSides, which
-	// writes neither.
-	Side1, Side2 []int
-	// Diff1 and Diff2 receive the arrived-job sets of a step's two sides
-	// (AppendDiff output): the moves the sequential engine applies and the
-	// O(moved) load deltas of a sharded session.
+	// Diff1 and Diff2 receive the arrivals on a step's two sides, which
+	// protocol.Step writes with AppendDiff: the moves the sequential engine
+	// applies, the O(moved) load deltas of a sharded session and the
+	// stability checker's verdict (a pair is stable when both are empty).
 	Diff1, Diff2 []int
 
 	// keys holds the ordering kernels' packed sort keys, one per pooled

@@ -1,36 +1,14 @@
 package protocol
 
 import (
-	"slices"
-
 	"hetlb/internal/core"
 	"hetlb/internal/pairwise"
 )
 
-// PairStep is an engine's pairwise step as the stability checker replays it:
-// given machines i < j and their job lists onI and onJ, each sorted ascending
-// and not to be mutated, it returns the lists the step would leave on i and
-// j, each sorted ascending. s is the checker's scratch; the result may alias
-// it. The sequential engine's step is its protocol's BalanceSides; the
-// sharded engine's is SplitStep.
-type PairStep func(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int)
-
-// SplitStep is the pair step of a sharded-engine session for every protocol:
-// merge the two lists and split the union with p.SplitScratch. For the
-// MinMove protocols this is the rebuild kernel, not their BalanceSides
-// transfer, which is why each engine checks its own step. The split goes
-// through p itself, so a wrapper that counts SplitScratch calls also counts
-// the pairs a check splits.
-func SplitStep(p Protocol) PairStep {
-	return func(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-		return splitSides(p, s, i, j, onI, onJ)
-	}
-}
-
-// Checker proves or refutes that a placement is stable under a pair step: no
-// pair of up machines whose step would change their job lists. It scans the
-// pairs in the order (0,1), (0,2), …, (0,m−1), (1,2), … and returns the first
-// that fails, so its answer is always that of a scan restarting at (0,1).
+// Checker proves or refutes that a placement is stable under a protocol: no
+// pair of up machines whose Step would move a job. It scans the pairs in the
+// order (0,1), (0,2), …, (0,m−1), (1,2), … and returns the first that
+// fails, so its answer is always that of a scan restarting at (0,1).
 //
 // It does not restart, though. A step reads only (i, j, the two job lists)
 // (the Protocol contract), so a pair that one check verified stays verified
@@ -38,7 +16,7 @@ func SplitStep(p Protocol) PairStep {
 // since the last check" bit per machine, set through Mark, and a frontier:
 // the scan index of the last check's first failing pair, or the pair count
 // after a check that succeeded. A check skips every pair before the frontier
-// whose two machines are both unchanged, splits the others until one fails,
+// whose two machines are both unchanged, steps the others until one fails,
 // then stores the new frontier and clears the bits. Pairs with a down
 // machine are skipped too; they were never verified, which is why a machine
 // that goes down or comes back must be marked.
@@ -51,23 +29,21 @@ func SplitStep(p Protocol) PairStep {
 // mutate the placement. A Checker is not safe for concurrent use, except
 // that Mark may run concurrently for distinct machines between two checks.
 type Checker struct {
-	step     PairStep
+	proto    Protocol
 	scratch  pairwise.Scratch
 	changed  []bool
 	frontier int
 
-	// order is the list order CheckAssignment builds its lists in, nil for
-	// increasing job order; UnstablePair sets it to its protocol's. lists
-	// and backing hold those lists, reused from one check to the next.
-	order   []uint32
+	// lists and backing hold the job lists CheckAssignment builds, reused
+	// from one check to the next.
 	lists   [][]int
 	backing []int
 }
 
-// NewChecker returns a checker for m machines that verifies the pair step
-// step. Its first check scans every pair.
-func NewChecker(m int, step PairStep) *Checker {
-	return &Checker{step: step, changed: make([]bool, m)}
+// NewChecker returns a checker for m machines that verifies p's pair step,
+// Step, the step every engine runs. Its first check scans every pair.
+func NewChecker(m int, p Protocol) *Checker {
+	return &Checker{proto: p, changed: make([]bool, m)}
 }
 
 // Mark records that machine i changed since the last check: its job list, or
@@ -77,8 +53,8 @@ func NewChecker(m int, step PairStep) *Checker {
 func (c *Checker) Mark(i int) { c.changed[i] = true }
 
 // Check returns the first pair (i, j), i < j, in scan order whose step would
-// change the placement, or (-1, -1) if the placement is stable. jobs[i] is
-// machine i's job list, sorted ascending. Pairs with a machine marked in
+// move a job, or (-1, -1) if the placement is stable. jobs[i] is machine i's
+// job list, sorted by entry as Step takes it. Pairs with a machine marked in
 // down are skipped; down may be nil.
 //
 //hetlb:noalloc
@@ -99,8 +75,8 @@ scan:
 			if k < c.frontier && !c.changed[i] && !c.changed[j] {
 				continue
 			}
-			toI, toJ := c.step(&c.scratch, i, j, jobs[i], jobs[j])
-			if !slices.Equal(toI, jobs[i]) || !slices.Equal(toJ, jobs[j]) {
+			Step(c.proto, &c.scratch, i, j, jobs[i], jobs[j])
+			if len(c.scratch.Diff1)+len(c.scratch.Diff2) != 0 {
 				fi, fj = i, j
 				break scan
 			}
@@ -114,13 +90,12 @@ scan:
 // CheckAssignment is Check on the placement of a with every machine up. The
 // job lists come from one counting pass over the assignment, O(n+m)
 // (core.Assignment.FillOrderedLists), into buffers the checker keeps, in
-// the list order of the protocol UnstablePair checks, and in increasing job
-// order on a checker from NewChecker; unassigned jobs are on no list.
+// the protocol's ListOrder; unassigned jobs are on no list.
 func (c *Checker) CheckAssignment(a *core.Assignment) (int, int) {
 	if c.lists == nil {
 		c.lists = make([][]int, len(c.changed))
 		c.backing = make([]int, a.Model().NumJobs())
 	}
-	a.FillOrderedLists(c.lists, c.backing, c.order)
+	a.FillOrderedLists(c.lists, c.backing, c.proto.ListOrder())
 	return c.Check(c.lists, nil)
 }

@@ -39,8 +39,8 @@ func randomPlacement(gen *rng.RNG, model core.CostModel, skip int) *core.Assignm
 }
 
 // embedded wraps a protocol the way instrumentation does, inheriting every
-// method. Its BalanceSides is the inner protocol's, so its stability check
-// must be the inner protocol's too.
+// method. Its Transfer and SplitScratch are the inner protocol's, so its
+// stability check must be the inner protocol's too.
 type embedded struct{ Protocol }
 
 // TestUnstablePairMatchesCloneOracle checks, for all 7 protocols, bare and
@@ -90,20 +90,20 @@ func TestUnstablePairMatchesCloneOracle(t *testing.T) {
 	}
 }
 
-// TestCheckerSkipsOnlyVerifiedPairs drives one Checker on BalanceSides
+// TestCheckerSkipsOnlyVerifiedPairs drives one Checker on each protocol
 // through a balancing trajectory, marking the pair of every step that moved
-// a job, and checks
-// at random points that its incremental answer is the full scan's, that an
-// immediate re-check splits exactly the one failing pair (or none when
-// stable), and that a check splits no more pairs than a full scan.
+// a job, and checks at random points that its incremental answer is the
+// full scan's, that an immediate re-check splits exactly the one failing
+// pair (or none when stable), and that a check splits no more pairs than a
+// full scan.
 func TestCheckerSkipsOnlyVerifiedPairs(t *testing.T) {
-	var s stepCounter
+	var steps int
 	for seed := uint64(1); seed <= 10; seed++ {
 		for _, c := range scratchCases(seed) {
 			gen := rng.New(seed*7727 + 5)
 			m := c.model.NumMachines()
 			a := randomPlacement(gen, c.model, 0)
-			ch := NewChecker(m, s.count(c.proto.BalanceSides))
+			ch := NewChecker(m, stepCounter{c.proto, &steps})
 			for round := 0; round < 40; round++ {
 				for k := gen.Intn(2 * m); k > 0; k-- {
 					i := gen.Intn(m)
@@ -116,15 +116,15 @@ func TestCheckerSkipsOnlyVerifiedPairs(t *testing.T) {
 					}
 				}
 				wi, wj := cloneUnstablePair(c.proto, a)
-				s.n = 0
+				steps = 0
 				gi, gj := ch.CheckAssignment(a)
 				if gi != wi || gj != wj {
 					t.Fatalf("%s seed=%d round=%d: incremental check (%d,%d), full scan (%d,%d)", c.name, seed, round, gi, gj, wi, wj)
 				}
-				if full := fullScanPairs(m, wi, wj); s.n > full {
-					t.Fatalf("%s seed=%d round=%d: check split %d pairs, a full scan splits %d", c.name, seed, round, s.n, full)
+				if full := fullScanPairs(m, wi, wj); steps > full {
+					t.Fatalf("%s seed=%d round=%d: check split %d pairs, a full scan splits %d", c.name, seed, round, steps, full)
 				}
-				s.n = 0
+				steps = 0
 				if ri, rj := ch.CheckAssignment(a); ri != wi || rj != wj {
 					t.Fatalf("%s seed=%d round=%d: re-check (%d,%d), want (%d,%d)", c.name, seed, round, ri, rj, wi, wj)
 				}
@@ -132,8 +132,8 @@ func TestCheckerSkipsOnlyVerifiedPairs(t *testing.T) {
 				if wi == -1 {
 					want = 0
 				}
-				if s.n != want {
-					t.Fatalf("%s seed=%d round=%d: immediate re-check split %d pairs, want %d", c.name, seed, round, s.n, want)
+				if steps != want {
+					t.Fatalf("%s seed=%d round=%d: immediate re-check split %d pairs, want %d", c.name, seed, round, steps, want)
 				}
 			}
 		}
@@ -149,12 +149,14 @@ func fullScanPairs(m, i, j int) int {
 	return i*m - i*(i+1)/2 + j - i
 }
 
-// stepCounter counts the pair steps a checker makes.
-type stepCounter struct{ n int }
+// stepCounter wraps a protocol and counts the pair steps a checker makes in
+// *n: Step calls Transfer once per step.
+type stepCounter struct {
+	Protocol
+	n *int
+}
 
-func (s *stepCounter) count(step PairStep) PairStep {
-	return func(sc *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-		s.n++
-		return step(sc, i, j, onI, onJ)
-	}
+func (s stepCounter) Transfer(sc *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int, bool) {
+	*s.n++
+	return s.Protocol.Transfer(sc, i, j, onI, onJ)
 }

@@ -42,7 +42,7 @@ func (p DLBKC) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, [
 	return pairwise.SplitCLB2CScratch(s, view, i, j, jobs)
 }
 
-// BalanceSides implements Protocol.
-func (p DLBKC) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	return splitSides(p, s, i, j, onI, onJ)
+// Transfer implements Protocol: DLBKC rebuilds the pair's partition.
+func (DLBKC) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, bool) {
+	return nil, nil, false
 }

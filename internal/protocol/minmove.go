@@ -74,11 +74,11 @@ func transfer(cost func(job int) core.Cost, heavy, light []int) ([]int, []int) {
 	return heavy, light
 }
 
-// splitPlaced is the placed step of the MinMove protocols on one cluster:
+// transferPlaced is the Transfer of the MinMove protocols on one cluster:
 // it copies the sides into the To buffers, transfers from the heavier to the
 // lighter side in place, and leaves the (possibly grown) buffers on the
-// scratch.
-func splitPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ []int) (toI, toJ []int) {
+// scratch. It always transfers, so ok is true.
+func transferPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ []int) (toI, toJ []int, ok bool) {
 	s.To1 = append(s.To1[:0], onI...)
 	s.To2 = append(s.To2[:0], onJ...)
 	var lI, lJ core.Cost
@@ -94,7 +94,7 @@ func splitPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ []i
 		toJ, toI = transfer(cost, s.To2, s.To1)
 	}
 	s.To1, s.To2 = toI, toJ
-	return toI, toJ
+	return toI, toJ, true
 }
 
 // SameCostMinMove is the movement-minimizing variant of SameCost.
@@ -109,17 +109,17 @@ func (SameCostMinMove) Name() string { return "SameCostMinMove" }
 // ListOrder implements Protocol: increasing job index.
 func (SameCostMinMove) ListOrder() []uint32 { return nil }
 
-// SplitScratch implements Protocol (placement unknown: fall back to the
-// rebuild kernel).
+// SplitScratch implements Protocol: the rebuild kernel, for callers that
+// pool jobs without a placement (Step transfers instead).
 func (p SameCostMinMove) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	s.To1, s.To2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
 }
 
-// BalanceSides implements Protocol: the placed transfer.
-func (p SameCostMinMove) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
+// Transfer implements Protocol: the placed transfer.
+func (p SameCostMinMove) Transfer(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int, bool) {
 	cost := func(job int) core.Cost { return p.Model.Cost(i, core.JobOf(job)) }
-	return splitPlaced(s, cost, onI, onJ)
+	return transferPlaced(s, cost, onI, onJ)
 }
 
 // DLB2CMinMove is DLB2C with movement-minimizing same-cluster balancing;
@@ -137,21 +137,21 @@ func (DLB2CMinMove) Name() string { return "DLB2CMinMove" }
 // transfer's tie break is defined on.
 func (DLB2CMinMove) ListOrder() []uint32 { return nil }
 
-// SplitScratch implements Protocol.
+// SplitScratch implements Protocol: DLB2C's kernels, which Step runs on a
+// cross-cluster pair.
 func (p DLB2CMinMove) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	return DLB2C{Model: p.Model}.SplitScratch(s, i, j, jobs)
 }
 
-// BalanceSides implements Protocol: CLB2C across clusters, the placed
-// transfer within one.
-func (p DLB2CMinMove) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	if p.Model.ClusterOf(i) != p.Model.ClusterOf(j) {
-		s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
-		return pairwise.SplitCLB2CScratch(s, p.Model, i, j, s.Union)
-	}
+// Transfer implements Protocol: the placed transfer within a cluster. A
+// cross-cluster pair declines, so Step runs CLB2C on the pair's union.
+func (p DLB2CMinMove) Transfer(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int, bool) {
 	cluster := p.Model.ClusterOf(i)
+	if p.Model.ClusterOf(j) != cluster {
+		return nil, nil, false
+	}
 	cost := func(job int) core.Cost { return p.Model.ClusterCost(cluster, core.JobOf(job)) }
-	return splitPlaced(s, cost, onI, onJ)
+	return transferPlaced(s, cost, onI, onJ)
 }
 
 var (

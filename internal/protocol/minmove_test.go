@@ -179,9 +179,9 @@ func TestTransferHandlesEmptySides(t *testing.T) {
 	}
 }
 
-// placed is p's BalanceSides step on a fresh scratch, copied out of it.
+// placed is p's Step on a fresh scratch, copied out of it.
 func placed(p Protocol, i, j int, onI, onJ []int) ([]int, []int) {
 	var s pairwise.Scratch
-	toI, toJ := p.BalanceSides(&s, i, j, onI, onJ)
+	toI, toJ := Step(p, &s, i, j, onI, onJ)
 	return slices.Clone(toI), slices.Clone(toJ)
 }

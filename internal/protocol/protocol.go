@@ -12,17 +12,19 @@
 //     clusters; any stable schedule is a 2-approximation (Theorem 7), but
 //     the protocol may never stabilize (Proposition 8).
 //
-// A protocol is its pair step in two forms that share the kernels in
-// internal/pairwise. SplitScratch partitions a pooled job set between two
-// machines; BalanceSides steps from the pair's two current job lists. Every
-// engine steps on sorted per-machine job lists: the sequential engine runs
-// BalanceSides, the sharded and message-passing engines merge the two lists
-// and run SplitScratch. ListOrder names the order the engines keep the
-// lists in: DLB2C's is its model's ratio order, so its kernels never sort.
-// Balance applies one BalanceSides step to a core.Assignment for the
-// exhaustive state-space exploration of Proposition 8. EquationThree and
-// ClusterImbalance check the two certificates Theorem 7 reads off a stable
-// DLB2C schedule, in O(n).
+// A protocol is one pairwise rule, and Step is its pair step on sorted
+// per-machine job lists: the sequential, sharded and message-passing
+// engines, the stability Checker and Balance all step a pair through it.
+// Step offers the pair to the protocol's Transfer, which only the MinMove
+// protocols accept (they move jobs between the two sides); otherwise it
+// merges the two lists and splits the union with the protocol's
+// SplitScratch, the kernels in internal/pairwise. Either way it diffs each
+// new side against its old list to find the arrivals. ListOrder names the
+// order the engines keep the lists in: DLB2C's is its model's ratio order,
+// so its kernels never sort. Balance applies one step to a core.Assignment
+// for the exhaustive state-space exploration of Proposition 8.
+// EquationThree and ClusterImbalance check the two certificates Theorem 7
+// reads off a stable DLB2C schedule, in O(n).
 package protocol
 
 import (
@@ -32,20 +34,19 @@ import (
 	"hetlb/internal/pairwise"
 )
 
-// Protocol is a decentralized balancing rule. SplitScratch must be a
-// deterministic function of (i, j, jobs) so that stability is well defined
-// and so that the sequential, sharded and message-passing engines behave
-// identically.
+// Protocol is a decentralized balancing rule. Its pair step (Step) must be a
+// deterministic function of (i, j, the pair's two job lists) so that
+// stability is well defined and so that the sequential, sharded and
+// message-passing engines behave identically.
 //
-// Locality contract: a split reads nothing but i, j and the pooled jobs (and
+// Locality contract: a step reads nothing but i, j and the pair's jobs (and
 // the immutable cost model), never the placement of other machines or any
-// state left by earlier calls. BalanceSides likewise reads only i, j and the
-// pair's two sides. So whether a pair's step would change the placement
-// depends on the pair and its two job lists alone, and a pair verified
-// stable stays stable until one of its two machines changes — the premise of
-// the incremental Checker.
+// state left by earlier calls. So whether a pair's step would change the
+// placement depends on the pair and its two job lists alone, and a pair
+// verified stable stays stable until one of its two machines changes — the
+// premise of the incremental Checker.
 //
-// Both methods reuse caller-owned buffers (see pairwise.Scratch): the
+// Both step methods reuse caller-owned buffers (see pairwise.Scratch): the
 // engines run them hundreds of thousands of times per replication, and a
 // reused scratch must give the bit-identical result of a fresh one.
 //
@@ -53,9 +54,9 @@ import (
 // (core.JobOf), and a list is sorted by entry, which is the protocol's
 // ListOrder. In increasing job order an entry is the job itself; in a
 // ListOrder permutation it is rank<<32 | job. Given inputs sorted by entry,
-// both methods return each side sorted by entry (a split's sides are
+// both step methods return each side sorted by entry (a split's sides are
 // ordered subsequences of the pooled entries), which is every engine's
-// job-list invariant, so no caller sorts a step's result, and both must
+// job-list invariant, so no caller sorts a step's result, and a step must
 // give the same partition of jobs on either kind of list. (The
 // LoadedSplitter forms are the exception; see there.)
 type Protocol interface {
@@ -73,50 +74,63 @@ type Protocol interface {
 	// is sorted by entry and is not mutated; it may alias s.Union
 	// (implementations write the other buffers only). The returned slices
 	// alias s and stay valid only until s is next used; the caller owns
-	// them and may reorder them in place.
+	// them and may reorder them in place. Step calls it on the Protocol
+	// value it was given, so a value that embeds a Protocol and overrides
+	// SplitScratch splits every pair its engine steps or checks.
 	SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) (toI, toJ []int)
-	// BalanceSides is one pairwise balancing step of machines i and j:
-	// onI and onJ are the entries on i and j, each sorted, and are not
-	// mutated; of s's buffers they may alias only Side1 and Side2. It
+	// Transfer is the step of a protocol that moves jobs between the two
+	// sides instead of rebuilding the pair's partition: onI and onJ are
+	// the entries on i and j, each sorted, and are not mutated. With ok it
 	// returns the entries the step leaves on i and on j, each sorted,
-	// aliasing s. The rebuild protocols merge the sides and split the
-	// union with SplitScratch; the MinMove protocols transfer jobs between
-	// the sides. The sequential engine steps with it and its stability
-	// check replays it, so a value that embeds a Protocol steps and checks
-	// the step it inherits.
-	BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int)
+	// aliasing s. The rebuild protocols always return ok = false, and so
+	// does DLB2CMinMove on a cross-cluster pair; Step then merges the sides
+	// and splits the union with SplitScratch. Step calls Transfer once per
+	// pair step. It is a method, not a type switch in Step, so that a value
+	// which embeds a MinMove protocol keeps its transfer.
+	Transfer(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int, ok bool)
+}
+
+// Step is the pair step of every engine: one step of p on machines i and j,
+// whose entries onI and onJ are each sorted, in p.ListOrder() or in
+// increasing job order, and are not mutated; they may alias none of s's
+// buffers. Where p.Transfer declines, Step merges the two lists into
+// s.Union and splits the union with p.SplitScratch. It returns the entries
+// the step leaves on i and on j, each sorted and aliasing s, and writes
+// each side's arrivals to s.Diff1 and s.Diff2 (pairwise.AppendDiff). The
+// union is conserved, so one side's arrivals are the other side's
+// departures, and the step changed the pair exactly when an arrival list is
+// not empty: the engines move the arrivals and the Checker calls a pair
+// stable when there are none.
+//
+//hetlb:noalloc
+func Step(p Protocol, s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int) {
+	toI, toJ, ok := p.Transfer(s, i, j, onI, onJ)
+	if !ok {
+		s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
+		toI, toJ = p.SplitScratch(s, i, j, s.Union)
+	}
+	s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], onI, toI)
+	s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], onJ, toJ)
+	return toI, toJ
 }
 
 // Balance performs one step of p on machines i and j of the assignment: it
-// lists the two machines' jobs in increasing job order by an O(n) scan,
-// runs p.BalanceSides on a fresh scratch, and moves the jobs whose machine
-// changed. It is the sequential engine's step without the engine's job
-// lists, which is what the state-space exploration's short-lived clones
-// want (see Explore).
+// builds the job lists in p.ListOrder() by one counting pass over the
+// assignment (core.Assignment.FillOrderedLists), runs Step on a fresh
+// scratch and moves the job of each arrival. It is an engine's step without
+// the engine's job lists, which is what the state-space exploration's
+// short-lived clones want (see Explore).
 func Balance(p Protocol, a *core.Assignment, i, j int) {
+	lists := make([][]int, a.Model().NumMachines())
+	a.FillOrderedLists(lists, make([]int, a.NumAssigned()), p.ListOrder())
 	var s pairwise.Scratch
-	toI, toJ := p.BalanceSides(&s, i, j, a.Jobs(i), a.Jobs(j))
-	for _, job := range toI {
-		if a.MachineOf(job) != i {
-			a.Move(job, i)
-		}
+	Step(p, &s, i, j, lists[i], lists[j])
+	for _, entry := range s.Diff1 {
+		a.Move(core.JobOf(entry), i)
 	}
-	for _, job := range toJ {
-		if a.MachineOf(job) != j {
-			a.Move(job, j)
-		}
+	for _, entry := range s.Diff2 {
+		a.Move(core.JobOf(entry), j)
 	}
-}
-
-// splitSides merges the pair's sides into s.Union and splits the union with
-// p's scratch kernel: BalanceSides for the rebuild protocols, and the
-// sharded session's step (SplitStep) for all. It is generic so that
-// protocol values whose fields are interfaces (SameCost, OJTB, DLB2C) are
-// not re-boxed into the Protocol interface on every step, which would be a
-// per-step heap allocation.
-func splitSides[P Protocol](p P, s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
-	return p.SplitScratch(s, i, j, s.Union)
 }
 
 // OJTB is Algorithm 3. It assumes (but does not verify) that all jobs have
@@ -141,9 +155,9 @@ func (p OJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []
 	return s.To1, s.To2
 }
 
-// BalanceSides implements Protocol.
-func (p OJTB) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	return splitSides(p, s, i, j, onI, onJ)
+// Transfer implements Protocol: OJTB rebuilds the pair's partition.
+func (OJTB) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, bool) {
+	return nil, nil, false
 }
 
 // MJTB is Algorithm 4: the typed generalization of OJTB. Each pairwise step
@@ -194,9 +208,9 @@ func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []
 	return toLo, toHi
 }
 
-// BalanceSides implements Protocol.
-func (p MJTB) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	return splitSides(p, s, i, j, onI, onJ)
+// Transfer implements Protocol: MJTB rebuilds the pair's partition.
+func (MJTB) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, bool) {
+	return nil, nil, false
 }
 
 // DLB2C is Algorithm 7 for a two-cluster model: same-cluster pairs use
@@ -231,9 +245,9 @@ func (p DLB2C) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, [
 	return pairwise.SplitCLB2CScratch(s, p.Model, i, j, jobs)
 }
 
-// BalanceSides implements Protocol.
-func (p DLB2C) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	return splitSides(p, s, i, j, onI, onJ)
+// Transfer implements Protocol: DLB2C rebuilds the pair's partition.
+func (DLB2C) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, bool) {
+	return nil, nil, false
 }
 
 // SameCost is the single-cluster protocol used for the homogeneous
@@ -258,9 +272,9 @@ func (p SameCost) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int
 	return s.To1, s.To2
 }
 
-// BalanceSides implements Protocol.
-func (p SameCost) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	return splitSides(p, s, i, j, onI, onJ)
+// Transfer implements Protocol: SameCost rebuilds the pair's partition.
+func (SameCost) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, bool) {
+	return nil, nil, false
 }
 
 // Stable reports whether the assignment is a fixed point of the protocol:
@@ -275,11 +289,9 @@ func Stable(p Protocol, a *core.Assignment) bool {
 
 // UnstablePair returns the first pair of machines, in the order (0,1),
 // (0,2), …, (1,2), …, whose balancing step would change the assignment, or
-// (-1, -1) if the assignment is stable. It runs a fresh Checker on
-// p.BalanceSides, so the scan starts at (0,1), over job lists in
-// p.ListOrder(), as the engines keep them.
+// (-1, -1) if the assignment is stable. It runs a fresh Checker on p, so the
+// scan starts at (0,1), over job lists in p.ListOrder(), as the engines keep
+// them.
 func UnstablePair(p Protocol, a *core.Assignment) (int, int) {
-	c := NewChecker(a.Model().NumMachines(), p.BalanceSides)
-	c.order = p.ListOrder()
-	return c.CheckAssignment(a)
+	return NewChecker(a.Model().NumMachines(), p).CheckAssignment(a)
 }

@@ -141,8 +141,8 @@ func increasing(side []int) bool {
 }
 
 // TestBalanceScratchMatchesBalance drives two copies of the same start
-// through the same pair sequence — one with Balance (an O(n) scan of each
-// machine and a fresh scratch per step), one with BalanceSides on sorted
+// through the same pair sequence — one with Balance (lists rebuilt from the
+// assignment and a fresh scratch per step), one with Step on sorted
 // per-machine job lists kept by the caller and one scratch shared by every
 // case, as the sequential engine steps — and checks that the assignments
 // stay identical, that each side comes back in job order, and that the
@@ -168,7 +168,7 @@ func TestBalanceScratchMatchesBalance(t *testing.T) {
 				j := gen.Pick(m, i)
 				before := snapshot(lst, i, j)
 				Balance(c.proto, ref, i, j)
-				toI, toJ := c.proto.BalanceSides(&s, i, j, lists[i], lists[j])
+				toI, toJ := Step(c.proto, &s, i, j, lists[i], lists[j])
 				if !increasing(toI) || !increasing(toJ) {
 					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): sides (%v, %v) not in job order",
 						c.name, seed, step, i, j, toI, toJ)
@@ -184,15 +184,15 @@ func TestBalanceScratchMatchesBalance(t *testing.T) {
 				lists[i] = append(lists[i][:0], toI...)
 				lists[j] = append(lists[j][:0], toJ...)
 				if !lst.Equal(ref) {
-					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): BalanceSides step diverged from Balance",
+					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): Step on kept lists diverged from Balance",
 						c.name, seed, step, i, j)
 				}
 				if moved, want := len(s.Diff1)+len(s.Diff2), diffs(lst, before); moved != want {
-					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): BalanceSides step counted %d moves, observed %d",
+					t.Fatalf("%s seed=%d step=%d pair=(%d,%d): Step counted %d moves, observed %d",
 						c.name, seed, step, i, j, moved, want)
 				}
 				if err := lst.Validate(); err != nil {
-					t.Fatalf("%s seed=%d step=%d: invalid after BalanceSides step: %v", c.name, seed, step, err)
+					t.Fatalf("%s seed=%d step=%d: invalid after Step: %v", c.name, seed, step, err)
 				}
 			}
 		}
@@ -200,8 +200,8 @@ func TestBalanceScratchMatchesBalance(t *testing.T) {
 }
 
 // TestBalanceScratchStableNoMoves checks the scratch step at a fixed point:
-// once Balance has balanced a pair, BalanceSides on the pair's sides must
-// leave both sides as they are, so a repeated step moves nothing.
+// once Balance has balanced a pair, Step on the pair's sides must leave both
+// sides as they are, so a repeated step moves nothing.
 func TestBalanceScratchStableNoMoves(t *testing.T) {
 	var s pairwise.Scratch
 	for _, c := range scratchCases(3) {
@@ -212,7 +212,7 @@ func TestBalanceScratchStableNoMoves(t *testing.T) {
 		j := gen.Pick(m, i)
 		Balance(c.proto, a, i, j)
 		onI, onJ := a.Jobs(i), a.Jobs(j)
-		if toI, toJ := c.proto.BalanceSides(&s, i, j, onI, onJ); !slices.Equal(toI, onI) || !slices.Equal(toJ, onJ) {
+		if toI, toJ := Step(c.proto, &s, i, j, onI, onJ); !slices.Equal(toI, onI) || !slices.Equal(toJ, onJ) {
 			t.Errorf("%s: repeated step on pair (%d,%d) moved jobs: (%v, %v) -> (%v, %v)", c.name, i, j, onI, onJ, toI, toJ)
 		}
 	}

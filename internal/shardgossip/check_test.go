@@ -14,23 +14,17 @@ import (
 	"hetlb/internal/workload"
 )
 
-// countingProtocol counts the pair steps the stability checks replay:
-// SplitScratch for the sharded engine's, BalanceSides for the sequential
-// engine's. Sharded sessions split through it too, so the calls a check
-// makes are the difference across a check with no session in between.
+// countingProtocol counts pair steps: protocol.Step calls Transfer once per
+// step, on both engines' sessions and stability checks alike, so the steps a
+// check makes are the difference across a check with no session in between.
 type countingProtocol struct {
 	protocol.Protocol
 	calls atomic.Int64
 }
 
-func (p *countingProtocol) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
+func (p *countingProtocol) Transfer(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int, bool) {
 	p.calls.Add(1)
-	return p.Protocol.SplitScratch(s, i, j, jobs)
-}
-
-func (p *countingProtocol) BalanceSides(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int) {
-	p.calls.Add(1)
-	return p.Protocol.BalanceSides(s, i, j, onI, onJ)
+	return p.Protocol.Transfer(s, i, j, onI, onJ)
 }
 
 // checkCase is one protocol on a random instance of its model family.
@@ -41,9 +35,8 @@ type checkCase struct {
 }
 
 // checkCases draws DLB2C, MJTB and DLBKC instances with m machines and n
-// jobs (m >= 4), plus DLB2CMinMove on the DLB2C instance: its sequential
-// step (BalanceSides, the placed transfer) differs from its sharded one (the
-// DLB2C kernels), so each engine must check its own.
+// jobs (m >= 4), plus DLB2CMinMove on the DLB2C instance, whose
+// same-cluster steps transfer jobs instead of splitting the pair's union.
 func checkCases(gen *rng.RNG, m, n int) []checkCase {
 	tc := workload.UniformTwoCluster(gen, m/2, m-m/2, n, 1, 40)
 	ty := workload.UniformTyped(gen, m, n, 1+gen.Intn(3), 1, 40)
@@ -68,8 +61,8 @@ func checkCases(gen *rng.RNG, m, n int) []checkCase {
 }
 
 // fullScan is the sharded sessions' stability scan restarting at (0,1):
-// merge and split every pair of up machines and return the first whose
-// split changes its lists, or (-1, -1).
+// step every pair of up machines and return the first whose step changes
+// its lists, or (-1, -1).
 func fullScan(p protocol.Protocol, jobs [][]int, down []bool) (int, int) {
 	var s pairwise.Scratch
 	for i := range jobs {
@@ -80,8 +73,7 @@ func fullScan(p protocol.Protocol, jobs [][]int, down []bool) (int, int) {
 			if down != nil && down[j] {
 				continue
 			}
-			s.Union = pairwise.MergeSortedInto(s.Union[:0], jobs[i], jobs[j])
-			toI, toJ := p.SplitScratch(&s, i, j, s.Union)
+			toI, toJ := protocol.Step(p, &s, i, j, jobs[i], jobs[j])
 			if !slices.Equal(toI, jobs[i]) || !slices.Equal(toJ, jobs[j]) {
 				return i, j
 			}
@@ -116,7 +108,7 @@ type checkStats struct {
 // answer with (wi, wj), the full scan's. An immediate second check must give
 // the same answer while splitting only the failing pair, or nothing when the
 // placement is stable: every other pair was just verified, and no machine
-// has changed since. calls counts the splits.
+// has changed since. calls counts the pair steps.
 func compareCheck(t testing.TB, what string, wi, wj int, calls *atomic.Int64, down []bool, check func() (int, int), st *checkStats) bool {
 	t.Helper()
 	if gi, gj := check(); gi != wi || gj != wj {

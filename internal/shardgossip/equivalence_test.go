@@ -27,6 +27,7 @@ func TestS1MatchesSequentialEngine(t *testing.T) {
 	}{
 		{"typed-mjtb", ty, protocol.MJTB{Model: ty}},
 		{"twocluster-dlb2c", tc, protocol.DLB2C{Model: tc}},
+		{"twocluster-dlb2cminmove", tc, protocol.DLB2CMinMove{Model: tc}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -28,6 +28,7 @@ func TestStepEpochNoalloc(t *testing.T) {
 	}{
 		{"typed-mjtb", ty, protocol.MJTB{Model: ty}},
 		{"twocluster-dlb2c", tc, protocol.DLB2C{Model: tc}},
+		{"twocluster-dlb2cminmove", tc, protocol.DLB2CMinMove{Model: tc}},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 4} {

@@ -20,7 +20,7 @@
 // leaves the rest of the epoch to the others instead of holding the barrier.
 // Workers execute their sessions without long-lived locks: the matching
 // guarantees the sessions of one epoch touch pairwise-disjoint machine
-// state, so the session body (merge, kernel, write-back) is lock-free; only
+// state, so the session body (pair step, write-back) is lock-free; only
 // the few-instruction update of a block's partial max/sum accumulators takes
 // that block's mutex (see "Per-shard reductions"). A barrier closes the
 // epoch: the coordinator reduces the S workers' tallies and the S blocks'
@@ -53,28 +53,28 @@
 // # O(moved) sessions
 //
 // A session computes its pair's new loads from cost deltas of the jobs that
-// actually moved (pairwise.AppendDiff of each side's arrivals; the union is
-// conserved, so one side's arrivals are the other side's departures) instead
-// of resumming the whole union — integer arithmetic, so the result is
-// bit-identical to a full recomputation. A session that moved nothing skips
-// the write-back and the partial updates entirely. On top of that, once a
-// Run's stability check has *proved* the placement pairwise-stable, the
-// engine latches a verified-stable fast path: every later session is known
-// to be a kernel no-op and only performs the bookkeeping (exchange counters,
-// spans), making converged epochs O(1) per session regardless of the mean
-// jobs-per-machine.
+// actually moved (the arrivals protocol.Step reports for each side; the
+// union is conserved, so one side's arrivals are the other side's
+// departures) instead of resumming the whole union — integer arithmetic, so
+// the result is bit-identical to a full recomputation. A session that moved
+// nothing skips the write-back and the partial updates entirely. On top of
+// that, once a Run's stability check has *proved* the placement
+// pairwise-stable, the engine latches a verified-stable fast path: every
+// later session is known to be a step that moves nothing and only performs
+// the bookkeeping (exchange counters, spans), making converged epochs O(1)
+// per session regardless of the mean jobs-per-machine.
 //
 // # Incremental stability check
 //
 // The check that proves stability is protocol.Checker on the sessions' own
-// step (merge, then SplitScratch). It answers as a scan of every pair from
-// (0,1) would, but splits only the pairs it has not verified since their
-// machines last changed: a session that moved jobs marks its two machines,
-// and every crash or recovery marks its machine, whose pairs were skipped
-// while it was down. The engine builds the checker at its first check, a
-// full scan, so a run that never checks neither builds it nor marks. Run
-// still checks after every 2m quiet sessions, so the trajectory is that of
-// a full rescan; only the check's cost falls.
+// step, protocol.Step, which the sequential engine runs too. It answers as a
+// scan of every pair from (0,1) would, but steps only the pairs it has not
+// verified since their machines last changed: a session that moved jobs
+// marks its two machines, and every crash or recovery marks its machine,
+// whose pairs were skipped while it was down. The engine builds the checker
+// at its first check, a full scan, so a run that never checks neither
+// builds it nor marks. Run still checks after every 2m quiet sessions, so
+// the trajectory is that of a full rescan; only the check's cost falls.
 //
 // # Determinism argument
 //
@@ -296,7 +296,7 @@ type Engine struct {
 	// stability check, mirroring gossip.Engine.
 	noChange int
 	// check is the incremental stability checker on the sessions' own step
-	// (protocol.SplitStep), built by the first check; a run that never
+	// (protocol.Step), built by the first check; a run that never
 	// checks never builds it. From then on a session that moved jobs marks
 	// its pair (each machine is in one session per epoch, so the marks never
 	// collide) and every fault transition marks its machine. The first check
@@ -662,15 +662,15 @@ func (e *Engine) updatePartials(machine int, old, new core.Cost) {
 	sh.mu.Unlock()
 }
 
-// session executes pair t of the current epoch on worker s: merge the
-// pair's sorted job lists into the worker's scratch, split with the
-// protocol's kernel (whose sides come back sorted by entry), and apply the
-// result as O(moved) deltas — AppendDiff yields each side's arrivals (the
-// other side's departures, since the union is conserved), whose costs adjust
-// the pair's loads exactly. A session that moved nothing writes nothing. In
-// steady state the only memory touched is the worker's scratch, the pair's
-// job lists and, when spans are on, slot t; once the engine is verified
-// stable, the kernel is skipped entirely (see package doc).
+// session executes pair t of the current epoch on worker s: step the pair's
+// sorted job lists on the worker's scratch (protocol.Step, whose sides come
+// back sorted by entry), and apply the result as O(moved) deltas — Step
+// reports each side's arrivals (the other side's departures, since the union
+// is conserved), whose costs adjust the pair's loads exactly. A session that
+// moved nothing writes nothing. In steady state the only memory touched is
+// the worker's scratch, the pair's job lists and, when spans are on, slot t;
+// once the engine is verified stable, the step is skipped entirely (see
+// package doc).
 //
 //hetlb:noalloc
 func (e *Engine) session(s, t int) {
@@ -715,13 +715,10 @@ func (e *Engine) session(s, t int) {
 	}
 
 	sc := &sh.scratch
-	sc.Union = pairwise.MergeSortedInto(sc.Union[:0], e.jobs[i], e.jobs[j])
 	l1, l2 := e.load[i], e.load[j]
-	// The sides are ordered subsequences of the merged union (the Protocol
-	// contract), so they keep the job lists' sorted-entry invariant.
-	toI, toJ := e.proto.SplitScratch(sc, i, j, sc.Union)
-	sc.Diff1 = pairwise.AppendDiff(sc.Diff1[:0], e.jobs[i], toI)
-	sc.Diff2 = pairwise.AppendDiff(sc.Diff2[:0], e.jobs[j], toJ)
+	// The sides come back sorted by entry (the Protocol contract), so they
+	// keep the job lists' invariant.
+	toI, toJ := protocol.Step(e.proto, sc, i, j, e.jobs[i], e.jobs[j])
 	moved := len(sc.Diff1) + len(sc.Diff2)
 	changed := false
 	if moved > 0 {
@@ -895,7 +892,7 @@ func (e *Engine) checkStable() bool {
 // machine and re-opens the latch (see applyFaults).
 func (e *Engine) unstablePair() (int, int) {
 	if e.check == nil {
-		e.check = protocol.NewChecker(e.part.NumMachines(), protocol.SplitStep(e.proto))
+		e.check = protocol.NewChecker(e.part.NumMachines(), e.proto)
 	}
 	var down []bool
 	if e.faults != nil {
