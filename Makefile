@@ -45,7 +45,8 @@ test:
 # plain map, so racing the tests documents that each test process loads
 # sequentially. core and central race the first calls of a two-cluster
 # model's cached ratio order, which engines, harness workers and CLB2C
-# share.
+# share, and core those of a typed model's cached type order, which the
+# engines' MJTB job lists share.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gossip/... ./internal/shardgossip/... \
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/... \
@@ -67,10 +68,13 @@ race:
 # which must return an error or data that Analyze and the text report
 # handle without panicking. Then FuzzStep: protocol.Step, the pair step of
 # every engine, for all seven protocols and an embedding wrapper on small
-# instances with free jobs and ties, against a multiset oracle (sides
-# strictly increasing and pooling to the old union, arrivals a naive set
-# difference, a dirty scratch equal to a fresh one, a second step moving
-# nothing). go test -fuzz takes one target in one package per run. The
+# instances with free jobs and ties, on lists in the protocol's list order
+# or in job order, against a multiset oracle (sides strictly increasing and
+# pooling to the old union, arrivals a naive set difference, loads each
+# side's costs summed afresh, the step equal to a merge and a split on a
+# fresh scratch unless a MinMove protocol transfers, MJTB's walk equal to
+# BasicGreedy per type, a dirty scratch equal to a fresh one, a second step
+# moving nothing). go test -fuzz takes one target in one package per run. The
 # committed seed corpora (internal/shardgossip/testdata/fuzz,
 # internal/core/testdata/fuzz, internal/explain/testdata/fuzz,
 # internal/protocol/testdata/fuzz) also run as plain tests in `make test`;

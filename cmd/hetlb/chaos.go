@@ -65,9 +65,21 @@ func cmdChaos(args []string) error {
 	if *shards < -1 {
 		return fmt.Errorf("-shards = %d; want -1 (auto), 0 (message-passing runtime) or a shard count", *shards)
 	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs = %d; want at least 1 replication per cell", *runs)
+	}
 	if *shards != 0 {
-		if *lose < 0 || *lose > 1 {
+		switch {
+		case *lose < 0 || *lose > 1:
 			return fmt.Errorf("-lose = %v; want a probability in [0, 1]", *lose)
+		case *machines < 2:
+			return fmt.Errorf("-m = %d; want at least 2 machines", *machines)
+		case *jobs < 1:
+			return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
+		case *types < 1:
+			return fmt.Errorf("-types = %d; want at least 1 job type", *types)
+		case *epochs < 1:
+			return fmt.Errorf("-epochs = %d; want an epoch budget of at least 1", *epochs)
 		}
 		scfg := sdef
 		scfg.Machines, scfg.Types = *machines, *types
@@ -90,6 +102,8 @@ func cmdChaos(args []string) error {
 		return fmt.Errorf("-m2 = %d; want at least 1 machine", *m2)
 	case *jobs < 1:
 		return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
+	case *horizon < 1:
+		return fmt.Errorf("-horizon = %d; want a virtual-time budget of at least 1", *horizon)
 	}
 	cfg := def
 	cfg.M1, cfg.M2, cfg.Jobs = *m1, *m2, *jobs

@@ -50,6 +50,8 @@ func cmdSim(args []string) error {
 		return fmt.Errorf("-hi = %d; want a cost below %d, which marks a job that cannot run", *hi, core.Infinite)
 	case *steps < 0:
 		return fmt.Errorf("-steps = %d; want an exchange budget of at least 1, or 0 for 5 per machine", *steps)
+	case *shards < -1:
+		return fmt.Errorf("-shards = %d; want a shard count, -1 for one shard per core, or 0 for the sequential engine", *shards)
 	}
 	gen := rng.New(*seed)
 	sinks, err := ob.setup()

@@ -83,6 +83,14 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"markov", cmdMarkov, []string{"-m", "3", "-pmax", "2", "-tol", "-1"}, "-tol"},
 		{"markov", cmdMarkov, []string{"-m", "3", "-pmax", "2", "-tol", "NaN"}, "-tol"},
 		{"markov", cmdMarkov, []string{"-m", "3", "-pmax", "2", "-mc", "-5"}, "-mc"},
+		{"chaos", cmdChaos, []string{"-runs", "0"}, "-runs"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-runs", "0"}, "-runs"},
+		{"chaos", cmdChaos, []string{"-horizon", "-5"}, "-horizon"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-epochs", "-1"}, "-epochs"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-types", "0"}, "-types"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-m", "1"}, "-m"},
+		{"chaos", cmdChaos, []string{"-shards", "1", "-jobs", "0"}, "-jobs"},
+		{"sim", cmdSim, []string{"-m1", "4", "-m2", "2", "-jobs", "16", "-shards", "-5"}, "-shards"},
 	}
 	for _, c := range cases {
 		t.Run(c.cmd+" "+strings.Join(c.args, " "), func(t *testing.T) {

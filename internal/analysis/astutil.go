@@ -55,7 +55,7 @@ func RootIdent(expr ast.Expr) *ast.Ident {
 		case *ast.UnaryExpr:
 			expr = e.X
 		case *ast.CallExpr:
-			expr = e.Fun // s.Buckets(k) is rooted at s
+			expr = e.Fun // s.Sides(n) is rooted at s
 		default:
 			return nil
 		}

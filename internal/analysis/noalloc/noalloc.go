@@ -169,7 +169,7 @@ func isUntypedNil(t types.Type) bool {
 // scratchRoots computes the set of local objects that alias caller-owned or
 // scratch memory: the receiver, every parameter, and (in declaration order)
 // locals defined from an expression rooted at one of those — e.g.
-// `to1 := s.To1[:0]` or `buckets := s.Buckets(k)`.
+// `to1 := s.To1[:0]` or `second := s.Sides(n)`.
 func scratchRoots(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
 	roots := make(map[types.Object]bool)
 	addField := func(fl *ast.FieldList) {

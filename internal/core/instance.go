@@ -142,14 +142,20 @@ func (r *Related) Check() error {
 
 // Typed is an instance where jobs are grouped into k types (Section V of the
 // paper): two jobs of the same type have identical cost on every machine, so
-// the matrix collapses to m×k.
+// the matrix collapses to m×k. The model caches its type order (TypeOrder),
+// the order MJTB keeps its job lists in, so its type map and costs must not
+// change after construction.
 type Typed struct {
 	typeOf []int    // typeOf[job] in [0, k)
 	p      [][]Cost // p[machine][type]
 
-	// Lazily built type→jobs buckets serving JobsOfType. All buckets are
-	// carved out of one shared backing array; the Once makes the build safe
-	// under the concurrent engines, which share one model across workers.
+	// The type order and its rank bounds, built once by the first
+	// TypeOrder call, and the JobsOfType buckets, built once from it; the
+	// Onces make both builds safe under the concurrent engines and harness
+	// workers, which share one model.
+	orderOnce  sync.Once
+	order      []uint32
+	bounds     []int
 	bucketOnce sync.Once
 	byType     [][]int
 }
@@ -189,6 +195,10 @@ func (t *Typed) NumTypes() int { return len(t.p[0]) }
 // TypeOf returns the type of a job.
 func (t *Typed) TypeOf(job int) int { return t.typeOf[job] }
 
+// TypeCosts returns machine's cost of each job type, indexed by type, for
+// kernels that price a whole type at once; callers must not modify it.
+func (t *Typed) TypeCosts(machine int) []Cost { return t.p[machine] }
+
 // Check implements Checker in O(m·k+n): the matrix has only m·k distinct
 // entries, and the type map is range-checked per job.
 func (t *Typed) Check() error {
@@ -209,36 +219,62 @@ func (t *Typed) Check() error {
 }
 
 // JobsOfType returns the indices of all jobs with the given type, in
-// increasing order. The buckets are built once, lazily, on the first call —
-// a counting pass plus one shared backing array — so each call serves a
-// subslice in O(1) instead of scanning and reallocating O(n) per query.
-// The returned slice is shared; callers must not mutate it.
+// increasing order: the type's run of TypeOrder. The buckets are built once,
+// lazily, on the first call, as one shared backing array, so each call
+// serves a subslice in O(1) instead of scanning and reallocating O(n) per
+// query. The returned slice is shared; callers must not mutate it.
 func (t *Typed) JobsOfType(typ int) []int {
 	t.bucketOnce.Do(t.buildBuckets)
 	return t.byType[typ]
 }
 
-// buildBuckets fills byType: counts per type, then per-type subslices of a
-// single n-sized backing array, appended in increasing job order.
+// buildBuckets fills byType with the runs of the type order, widened to int.
 func (t *Typed) buildBuckets() {
-	k := t.NumTypes()
-	counts := make([]int, k)
-	for _, tt := range t.typeOf {
-		counts[tt]++
+	order, bounds := t.TypeOrder()
+	backing := make([]int, len(order))
+	for k, j := range order {
+		backing[k] = int(j)
 	}
-	backing := make([]int, 0, len(t.typeOf))
-	t.byType = make([][]int, k)
-	start := 0
-	for typ, c := range counts {
+	t.byType = make([][]int, t.NumTypes())
+	for typ := range t.byType {
 		// Full-slice expressions pin each bucket's capacity so an (illegal)
 		// append through a returned bucket cannot silently overwrite its
 		// neighbour.
-		t.byType[typ] = backing[start : start : start+c]
-		start += c
+		t.byType[typ] = backing[bounds[typ]:bounds[typ+1]:bounds[typ+1]]
 	}
+}
+
+// TypeOrder returns the model's type order: order[k] is the k-th job by
+// type, then by index, so the order is the JobsOfType buckets laid end to
+// end, and the jobs of type t hold the ranks bounds[t] to bounds[t+1]-1
+// (bounds has k+1 entries; bounds[k] is n, and an empty type's two bounds
+// are equal). The first call builds both in one counting pass, and the
+// model keeps the order at 4 bytes per job; every later call, from any
+// goroutine, returns the same slices, which callers must not modify. MJTB
+// keeps its job lists in this order, so a job's rank gives its type.
+func (t *Typed) TypeOrder() (order []uint32, bounds []int) {
+	t.orderOnce.Do(t.buildOrder)
+	return t.order, t.bounds
+}
+
+// buildOrder counts the jobs of each type into bounds, then places every
+// job at the next free rank of its type, in increasing job order.
+func (t *Typed) buildOrder() {
+	k := t.NumTypes()
+	bounds := make([]int, k+1)
+	for _, tt := range t.typeOf {
+		bounds[tt+1]++
+	}
+	for typ := 0; typ < k; typ++ {
+		bounds[typ+1] += bounds[typ]
+	}
+	next := append([]int(nil), bounds[:k]...)
+	order := make([]uint32, len(t.typeOf))
 	for j, tt := range t.typeOf {
-		t.byType[tt] = append(t.byType[tt], j)
+		order[next[tt]] = uint32(j)
+		next[tt]++
 	}
+	t.order, t.bounds = order, bounds
 }
 
 // TwoCluster is the Section VI instance: machines are partitioned into two

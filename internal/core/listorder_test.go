@@ -41,6 +41,54 @@ func TestRatioOrderIsOrderJobs(t *testing.T) {
 	}
 }
 
+// TestTypeOrderIsJobsOfType checks the cached type order, type 1 empty,
+// with four goroutines making the first call at once, two through
+// TypeOrder and two through JobsOfType, which builds its buckets from it:
+// every call returns the one cached order and bounds. The order must sort
+// the jobs by type and then by index, each type's run must be its
+// JobsOfType bucket, and the bounds must delimit the runs.
+func TestTypeOrderIsJobsOfType(t *testing.T) {
+	typeOf := []int{2, 0, 2, 3, 0, 2, 3, 3, 0, 2}
+	ty, err := NewTyped([][]Cost{{1, 2, 3, 4}, {5, 6, 7, 8}}, typeOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := make([][]uint32, 4)
+	bounds := make([][]int, 4)
+	var wg sync.WaitGroup
+	for g := range orders {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 1 {
+				_ = ty.JobsOfType(2)
+			}
+			orders[g], bounds[g] = ty.TypeOrder()
+		}(g)
+	}
+	wg.Wait()
+	wantOrder := []uint32{1, 4, 8, 0, 2, 5, 9, 3, 6, 7}
+	wantBounds := []int{0, 3, 3, 7, 10}
+	order, bound := ty.TypeOrder()
+	for g := range orders {
+		if &orders[g][0] != &order[0] || &bounds[g][0] != &bound[0] {
+			t.Fatalf("goroutine %d: got an order other than the cached one", g)
+		}
+	}
+	if !slices.Equal(order, wantOrder) || !slices.Equal(bound, wantBounds) {
+		t.Fatalf("TypeOrder = %v, bounds %v; want %v, bounds %v", order, bound, wantOrder, wantBounds)
+	}
+	for typ := 0; typ < ty.NumTypes(); typ++ {
+		var run []int
+		for _, j := range order[bound[typ]:bound[typ+1]] {
+			run = append(run, int(j))
+		}
+		if got := ty.JobsOfType(typ); !slices.Equal(got, run) && len(got)+len(run) > 0 {
+			t.Fatalf("JobsOfType(%d) = %v, the order's run is %v", typ, got, run)
+		}
+	}
+}
+
 // TestFillOrderedLists checks the ranked list build: with a permutation
 // order, each machine's entries are strictly increasing, entry k<<32 | job
 // for the job of rank k, and decode to the Jobs scan; unassigned jobs are

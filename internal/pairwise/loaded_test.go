@@ -31,12 +31,12 @@ func TestLoadedZeroBaseMatchesUnloaded(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		d := workload.UniformDense(gen, 2, 10, 1, 30)
 		jobs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		u1, u2 := AppendSplitBasicGreedy(d, 0, 1, jobs, nil, nil)
+		u1, u2, _, _ := AppendSplitBasicGreedy(d, 0, 1, jobs, nil, nil)
 		l1, l2 := SplitBasicGreedyLoaded(d, 0, 1, 0, 0, jobs)
 		if !equalSplits(u1, u2, l1, l2) {
 			t.Fatal("BasicGreedyLoaded(0,0) != BasicGreedy")
 		}
-		s1, s2 := AppendSplitSameCost(d, 0, 1, jobs, nil, nil)
+		s1, s2, _, _ := AppendSplitSameCost(d, 0, 1, jobs, nil, nil)
 		sl1, sl2 := SplitSameCostLoaded(d, 0, 1, 0, 0, jobs)
 		if !equalSplits(s1, s2, sl1, sl2) {
 			t.Fatal("SameCostLoaded(0,0) != SameCost")

@@ -4,9 +4,9 @@ import "slices"
 
 // MergeSortedInto appends the sorted merge of a and b (each sorted
 // ascending) to dst and returns the extended slice. It is the pooling step
-// of every engine's pair step: each machine keeps its job list sorted, so
-// the union of a pair is a linear merge into the step's scratch, not a
-// concatenate-and-sort.
+// of protocol.Step's merge-and-split path: each machine keeps its job list
+// sorted, so the union of a pair is a linear merge into the step's scratch,
+// not a concatenate-and-sort.
 //
 //hetlb:noalloc
 func MergeSortedInto(dst, a, b []int) []int {
@@ -26,15 +26,14 @@ func MergeSortedInto(dst, a, b []int) []int {
 
 // AppendDiff appends to dst the elements of new that are absent from old
 // (both sorted ascending) and returns the extended slice — the jobs that
-// arrived on this side of a pair step, which protocol.Step writes to
-// Scratch.Diff1 and Diff2. Summed over both sides of a session, the
-// appended counts are the session's move count: the union is conserved, so
-// every change of the partition shows up as an arrival. The sequential
-// engine moves exactly the arrivals in its assignment; the sharded engine
-// feeds the arrivals of both sides of a session through the cost model to
-// update loads by O(moved) deltas instead of resumming the whole union. A
-// converged step appends nothing and costs one comparison of the two lists,
-// which is most of what a stability check pays per verified pair.
+// arrived on this side of a pair step, which protocol.Step's
+// merge-and-split path and the MinMove transfers write to Scratch.Diff1
+// and Diff2. Summed over both sides of a session, the appended counts are
+// the session's move count: the union is conserved, so every change of the
+// partition shows up as an arrival. The sequential engine moves exactly the
+// arrivals in its assignment. A converged step appends nothing and costs
+// one comparison of the two lists, which is most of what a stability check
+// pays per verified pair.
 //
 //hetlb:noalloc
 func AppendDiff(dst, old, new []int) []int {

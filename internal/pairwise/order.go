@@ -31,7 +31,8 @@ func (s *Scratch) orderBy(o core.JobOrder, c core.Clustered, own int, jobs []int
 // splitGreedy is Greedy Load Balancing (core.ByRatio) and the largest-first
 // split (core.BySize) of two machines of one cluster: each job, in order o,
 // goes to the machine with the smaller accumulated cost, ties to the
-// lower-indexed machine so the split is symmetric in its arguments.
+// lower-indexed machine so the split is symmetric in its arguments. The
+// accumulated costs are the loads it leaves in s.Load1 and s.Load2.
 //
 //hetlb:noalloc
 func (s *Scratch) splitGreedy(o core.JobOrder, c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) {
@@ -49,8 +50,10 @@ func (s *Scratch) splitGreedy(o core.JobOrder, c core.Clustered, m1, m2 int, job
 	}
 	tLo, tHi := s.Emit(jobs)
 	if m1 > m2 {
+		s.Load1, s.Load2 = lHi, lLo
 		return tHi, tLo
 	}
+	s.Load1, s.Load2 = lLo, lHi
 	return tLo, tHi
 }
 

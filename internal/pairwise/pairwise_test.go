@@ -27,13 +27,15 @@ func apply(a *core.Assignment, m1, m2 int, split func(jobs []int) (to1, to2 []in
 
 func basicGreedy(a *core.Assignment, m1, m2 int) {
 	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
-		return AppendSplitBasicGreedy(a.Model(), m1, m2, jobs, nil, nil)
+		to1, to2, _, _ := AppendSplitBasicGreedy(a.Model(), m1, m2, jobs, nil, nil)
+		return to1, to2
 	})
 }
 
 func greedySameCost(a *core.Assignment, m1, m2 int) {
 	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
-		return AppendSplitSameCost(a.Model(), m1, m2, jobs, nil, nil)
+		to1, to2, _, _ := AppendSplitSameCost(a.Model(), m1, m2, jobs, nil, nil)
+		return to1, to2
 	})
 }
 

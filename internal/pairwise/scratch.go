@@ -16,11 +16,12 @@ import "hetlb/internal/core"
 //     slices, since they are its own memory;
 //   - kernels may clobber every buffer except the one passed to them as the
 //     jobs input — SplitScratch implementations write To1/To2, the ordering
-//     state and the buckets but never Union, so
+//     state, the loads and (MJTB's) Diff1/Diff2 but never Union, so
 //     `p.SplitScratch(s, i, j, s.Union)` is safe;
 //   - a step's two input lists alias none of the buffers: protocol.Step
-//     writes Union (when it splits), the kernels' buffers and Diff1/Diff2,
-//     and a Transfer writes To1/To2, while both read the inputs;
+//     writes Union (when it splits), the kernels' buffers, Diff1/Diff2 and
+//     the loads, and a Transfer writes To1/To2, Diff1/Diff2 and the loads,
+//     while both read the inputs;
 //   - buffers only grow, so a scratch reaches its high-water capacity after
 //     a warm-up and performs no further allocations.
 type Scratch struct {
@@ -28,27 +29,32 @@ type Scratch struct {
 	// to SplitScratch as input.
 	Union []int
 	// To1 and To2 receive the two sides of a split, each an ordered
-	// subsequence of the split's input (the ordering kernels and MJTB write
-	// them through Emit).
+	// subsequence of the split's input (the ordering kernels write them
+	// through Emit, MergeSplitByType as it walks).
 	To1, To2 []int
 	// Diff1 and Diff2 receive the arrivals on a step's two sides, which
-	// protocol.Step writes with AppendDiff: the moves the sequential engine
-	// applies, the O(moved) load deltas of a sharded session and the
-	// stability checker's verdict (a pair is stable when both are empty).
+	// MergeSplitByType and the MinMove transfers record as they move jobs
+	// and protocol.Step otherwise writes with AppendDiff: the moves the
+	// sequential engine applies and the stability checker's verdict (a
+	// pair is stable when both are empty).
 	Diff1, Diff2 []int
+	// Load1 and Load2 receive the new loads of a split's or a step's two
+	// machines, in argument order: every kernel sums them as it places the
+	// jobs, so the sharded session writes a pair's loads without reading a
+	// cost.
+	Load1, Load2 core.Cost
 
 	// keys holds the ordering kernels' packed sort keys, one per pooled
 	// job, in kernel order once sorted (see orderBy); radix is the second
 	// buffer of core.OrderJobs' radix presort.
 	keys, radix []uint64
 	// own and other hold each pooled job's costs on the pair's own cluster
-	// and on the other one, read once, by input position.
+	// and on the other one, read once, by input position; MergeSplitByType
+	// keeps its per-type loads of the two machines there instead.
 	own, other []core.Cost
 	// second marks, by input position, the jobs a kernel sends to its
 	// second side (see Sides and Emit).
 	second []bool
-	// buckets are MJTB's per-type buckets of input positions.
-	buckets [][]int
 }
 
 // Sides returns the side marks for n pooled jobs, all cleared (every job on
@@ -78,23 +84,4 @@ func (s *Scratch) Emit(jobs []int) (to1, to2 []int) {
 	}
 	s.To1, s.To2 = first, second
 	return first, second
-}
-
-// Buckets returns k empty per-type buckets, reusing prior capacity. The
-// returned slice shares its backing array with the scratch, so growth of an
-// individual bucket (buckets[t] = append(buckets[t], ...)) is retained for
-// the next call.
-//
-//hetlb:noalloc
-func (s *Scratch) Buckets(k int) [][]int {
-	if cap(s.buckets) < k {
-		next := make([][]int, k) //hetlb:alloc-ok amortized warm-up growth: the bucket table reaches its high-water k and never reallocates
-		copy(next, s.buckets[:cap(s.buckets)])
-		s.buckets = next
-	}
-	s.buckets = s.buckets[:k]
-	for i := range s.buckets {
-		s.buckets[i] = s.buckets[i][:0]
-	}
-	return s.buckets
 }

@@ -7,10 +7,57 @@ import (
 )
 
 // The proof of Theorem 7 reads two certificates off a stable DLB2C
-// schedule; both are necessary conditions of stability, so a schedule that
-// fails one is unstable without a pair being split. They are O(n) here, so
-// they can be checked at the scale the engines run, not only on the small
-// instances the exact solver handles.
+// schedule, and that of Theorem 5 one off a stable MJTB schedule; each is a
+// necessary condition of stability, so a schedule that fails one is
+// unstable without a pair being split. They are O(n) (O(m·k + n) for
+// Theorem 5) here, so they can be checked at the scale the engines run, not
+// only on the small instances the exact solver handles.
+
+// TypeOptimal checks the certificate of a stable MJTB schedule on a
+// placement of a typed model: every job type is placed optimally on its
+// own. Let the jobs of a type cost c_i on machine i, and let n_i of them be
+// on machine i. If max_i n_i·c_i ≤ min_j (n_j+1)·c_j, no placement of the
+// type's jobs has a smaller makespan: one that had would put more than n_j
+// of them on some machine j, which then costs at least (n_j+1)·c_j. A
+// stable MJTB schedule meets the condition for every type, since each
+// pair's split of a type is BasicGreedy's optimal two-machine split
+// (Lemma 3); summed over the k types it gives Theorem 5's k·OPT. A machine
+// that cannot run a type (priced core.Infinite) is skipped as j, since one
+// more job there costs more than any placement on the others; a job of the
+// type placed on it counts as core.Infinite, so the check fails unless no
+// machine can run the type. Unassigned jobs are ignored. It runs in
+// O(m·k + n) and returns nil, or an error naming the type and the two
+// machines.
+func TypeOptimal(ty *core.Typed, a *core.Assignment) error {
+	m, k := ty.NumMachines(), ty.NumTypes()
+	count := make([]core.Cost, m*k)
+	for j := 0; j < ty.NumJobs(); j++ {
+		if i := a.MachineOf(j); i != -1 {
+			count[i*k+ty.TypeOf(j)]++
+		}
+	}
+	for t := 0; t < k; t++ {
+		top, bottom := -1, -1
+		var most, least core.Cost
+		for i := 0; i < m; i++ {
+			n, c := count[i*k+t], ty.TypeCosts(i)[t]
+			load := n * c
+			if c >= core.Infinite {
+				load = min(n, 1) * core.Infinite
+			} else if bottom == -1 || (n+1)*c < least {
+				bottom, least = i, (n+1)*c
+			}
+			if top == -1 || load > most {
+				top, most = i, load
+			}
+		}
+		if bottom != -1 && most > least {
+			return fmt.Errorf("protocol: type %d is not placed optimally: machine %d holds %d of its jobs at cost %d, and machine %d would hold one more at cost %d",
+				t, top, count[top*k+t], most, bottom, least)
+		}
+	}
+	return nil
+}
 
 // EquationThree checks Equation (3) of the paper on a placement of a
 // two-cluster model: no job on cluster 0 has a larger p0/p1 ratio than any

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hetlb/internal/core"
+	"hetlb/internal/exact"
 	"hetlb/internal/rng"
 	"hetlb/internal/workload"
 )
@@ -142,4 +143,107 @@ func TestCertificatesRejectViolations(t *testing.T) {
 	if err := ClusterImbalance(tc, split); err != nil {
 		t.Fatalf("ClusterImbalance on loads 1 and 4, largest jobs 1 and 4: %v", err)
 	}
+}
+
+// TestTypeOptimalRejectsViolations pins the Theorem 5 certificate on a
+// hand-built violation, on a job placed where it cannot run, on a type no
+// machine can run, and on placements with unassigned jobs.
+func TestTypeOptimalRejectsViolations(t *testing.T) {
+	// Type 0 costs 1 on machines 0 and 1; type 1 costs 2 on machine 0 and
+	// cannot run on machine 1; type 2 can run nowhere.
+	ty, err := core.NewTyped([][]core.Cost{{1, 2, core.Infinite}, {1, core.Infinite, core.Infinite}}, []int{0, 0, 0, 1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three jobs of type 0 on machine 0 cost 3 there, and machine 1 would
+	// hold one more at cost 1.
+	bad, _ := core.FromMachineOf(ty, []int{0, 0, 0, 0, 0, 1})
+	if err := TypeOptimal(ty, bad); err == nil {
+		t.Fatal("TypeOptimal accepted three unit jobs of one type on machine 0 beside an empty machine 1")
+	}
+	good, _ := core.FromMachineOf(ty, []int{0, 1, 0, 0, 0, 1})
+	if err := TypeOptimal(ty, good); err != nil {
+		t.Fatalf("TypeOptimal on type 0 split 2 and 1, type 1 where it can run and type 2 anywhere: %v", err)
+	}
+	partial, _ := core.FromMachineOf(ty, []int{0, -1, -1, 0, -1, -1})
+	if err := TypeOptimal(ty, partial); err != nil {
+		t.Fatalf("TypeOptimal on one job of each type on machine 0, the rest unassigned: %v", err)
+	}
+	stranded, _ := core.FromMachineOf(ty, []int{0, 1, 0, 0, 1, 0})
+	if err := TypeOptimal(ty, stranded); err == nil {
+		t.Fatal("TypeOptimal accepted a job of type 1 on machine 1, which cannot run it, while machine 0 can")
+	}
+}
+
+// TestTypeOptimalAgainstExact holds the Theorem 5 certificate to the exact
+// solver, one type at a time, on small typed instances: at random
+// placements and at the stable MJTB schedules a random drive reaches.
+// Wherever it accepts a type's placement, that placement's makespan must be
+// the optimum of the type's jobs alone; at every stable schedule it must
+// accept every type. Both verdicts must occur.
+func TestTypeOptimalAgainstExact(t *testing.T) {
+	gen := rng.New(55)
+	var accepted, rejected, stable int
+	for iter := 0; iter < 120; iter++ {
+		m := 2 + gen.Intn(3)
+		ty := workload.UniformTyped(gen, m, 4+gen.Intn(9), 1+gen.Intn(3), 1, 9)
+		a := randomPlacement(gen, ty, 0)
+		atStable := iter%2 == 1
+		if atStable {
+			if !drive(MJTB{Model: ty}, a, gen, 2000) {
+				continue
+			}
+			stable++
+		}
+		for typ := 0; typ < ty.NumTypes(); typ++ {
+			sub, placed := typeAlone(ty, a, typ)
+			if sub == nil {
+				continue
+			}
+			err := TypeOptimal(sub, placed)
+			if atStable && err != nil {
+				t.Fatalf("iter %d type %d: stable MJTB schedule: %v", iter, typ, err)
+			}
+			if err != nil {
+				rejected++
+				continue
+			}
+			accepted++
+			if opt := exact.Solve(sub); !opt.Proven || placed.Makespan() != opt.Opt {
+				t.Fatalf("iter %d type %d: certificate accepted makespan %d, exact optimum %d (proven %v)",
+					iter, typ, placed.Makespan(), opt.Opt, opt.Proven)
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 || stable < 20 {
+		t.Fatalf("accepted %d, rejected %d, %d stable schedules: the check was not exercised both ways", accepted, rejected, stable)
+	}
+	t.Logf("accepted %d, rejected %d type placements; %d stable schedules", accepted, rejected, stable)
+}
+
+// typeAlone returns the one-type instance of the jobs of type typ and their
+// placement in a, or nil when the type has no job.
+func typeAlone(ty *core.Typed, a *core.Assignment, typ int) (*core.Typed, *core.Assignment) {
+	var machineOf []int
+	for j := 0; j < ty.NumJobs(); j++ {
+		if ty.TypeOf(j) == typ {
+			machineOf = append(machineOf, a.MachineOf(j))
+		}
+	}
+	if len(machineOf) == 0 {
+		return nil, nil
+	}
+	p := make([][]core.Cost, ty.NumMachines())
+	for i := range p {
+		p[i] = []core.Cost{ty.TypeCosts(i)[typ]}
+	}
+	sub, err := core.NewTyped(p, make([]int, len(machineOf)))
+	if err != nil {
+		panic(err)
+	}
+	placed, err := core.FromMachineOf(sub, machineOf)
+	if err != nil {
+		panic(err)
+	}
+	return sub, placed
 }

@@ -25,17 +25,11 @@ import (
 // at each step the movable job that best halves the imbalance — until no
 // single move reduces it. Both machines must price jobs identically (same
 // cluster / identical machines). The final imbalance is at most the largest
-// job on the heavier side, the same class as the rebuild kernels. It
-// mutates (and may grow) its arguments and returns them, possibly with
-// their roles swapped, each sorted ascending.
-func transfer(cost func(job int) core.Cost, heavy, light []int) ([]int, []int) {
-	var lh, ll core.Cost
-	for _, j := range heavy {
-		lh += cost(j)
-	}
-	for _, j := range light {
-		ll += cost(j)
-	}
+// job on the heavier side, the same class as the rebuild kernels. lh and
+// ll are the loads of heavy and light. It mutates (and may grow) its
+// arguments and returns them, possibly with their roles swapped, each
+// sorted ascending, with their loads.
+func transfer(cost func(job int) core.Cost, heavy, light []int, lh, ll core.Cost) (_, _ []int, _, _ core.Cost) {
 	for {
 		if lh < ll {
 			heavy, light = light, heavy
@@ -71,13 +65,15 @@ func transfer(cost func(job int) core.Cost, heavy, light []int) ([]int, []int) {
 	}
 	slices.Sort(heavy)
 	slices.Sort(light)
-	return heavy, light
+	return heavy, light, lh, ll
 }
 
 // transferPlaced is the Transfer of the MinMove protocols on one cluster:
 // it copies the sides into the To buffers, transfers from the heavier to the
-// lighter side in place, and leaves the (possibly grown) buffers on the
-// scratch. It always transfers, so ok is true.
+// lighter side in place, leaves the (possibly grown) buffers and the
+// transfer's loads on the scratch, and writes each side's arrivals with
+// pairwise.AppendDiff. Both machines price a job at cost, so the loads are
+// the machines' loads. It always transfers, so ok is true.
 func transferPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ []int) (toI, toJ []int, ok bool) {
 	s.To1 = append(s.To1[:0], onI...)
 	s.To2 = append(s.To2[:0], onJ...)
@@ -89,11 +85,13 @@ func transferPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ 
 		lJ += cost(job)
 	}
 	if lI >= lJ {
-		toI, toJ = transfer(cost, s.To1, s.To2)
+		toI, toJ, lI, lJ = transfer(cost, s.To1, s.To2, lI, lJ)
 	} else {
-		toJ, toI = transfer(cost, s.To2, s.To1)
+		toJ, toI, lJ, lI = transfer(cost, s.To2, s.To1, lJ, lI)
 	}
-	s.To1, s.To2 = toI, toJ
+	s.To1, s.To2, s.Load1, s.Load2 = toI, toJ, lI, lJ
+	s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], onI, toI)
+	s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], onJ, toJ)
 	return toI, toJ, true
 }
 
@@ -112,8 +110,7 @@ func (SameCostMinMove) ListOrder() []uint32 { return nil }
 // SplitScratch implements Protocol: the rebuild kernel, for callers that
 // pool jobs without a placement (Step transfers instead).
 func (p SameCostMinMove) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
-	s.To1, s.To2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
-	return s.To1, s.To2
+	return SameCost{Model: p.Model}.SplitScratch(s, i, j, jobs)
 }
 
 // Transfer implements Protocol: the placed transfer.

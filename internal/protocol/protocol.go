@@ -15,16 +15,20 @@
 // A protocol is one pairwise rule, and Step is its pair step on sorted
 // per-machine job lists: the sequential, sharded and message-passing
 // engines, the stability Checker and Balance all step a pair through it.
-// Step offers the pair to the protocol's Transfer, which only the MinMove
-// protocols accept (they move jobs between the two sides); otherwise it
-// merges the two lists and splits the union with the protocol's
-// SplitScratch, the kernels in internal/pairwise. Either way it diffs each
-// new side against its old list to find the arrivals. ListOrder names the
-// order the engines keep the lists in: DLB2C's is its model's ratio order,
-// so its kernels never sort. Balance applies one step to a core.Assignment
-// for the exhaustive state-space exploration of Proposition 8.
-// EquationThree and ClusterImbalance check the two certificates Theorem 7
-// reads off a stable DLB2C schedule, in O(n).
+// Step offers the pair to the protocol's Transfer, which MJTB and the
+// MinMove protocols accept: MJTB walks its two lists once, merging,
+// splitting and recording the arrivals as it goes, and the MinMove
+// protocols move jobs between the two sides. Otherwise Step merges the two
+// lists, splits the union with the protocol's SplitScratch, the kernels in
+// internal/pairwise, and diffs each new side against its old list to find
+// the arrivals. Every path leaves the pair's new loads on the scratch.
+// ListOrder names the order the engines keep the lists in: DLB2C's is its
+// model's ratio order, so its kernels never sort, and MJTB's is its model's
+// type order, so its walk reads no job's type. Balance applies one step to
+// a core.Assignment for the exhaustive state-space exploration of
+// Proposition 8. EquationThree and ClusterImbalance check the two
+// certificates Theorem 7 reads off a stable DLB2C schedule, in O(n), and
+// TypeOptimal the one Theorem 5 reads off a stable MJTB schedule.
 package protocol
 
 import (
@@ -48,7 +52,10 @@ import (
 //
 // Both step methods reuse caller-owned buffers (see pairwise.Scratch): the
 // engines run them hundreds of thousands of times per replication, and a
-// reused scratch must give the bit-identical result of a fresh one.
+// reused scratch must give the bit-identical result of a fresh one. Both
+// also leave the new loads of i's side and j's side in s.Load1 and s.Load2,
+// summed as they place the jobs, which the sharded engine writes back as
+// the pair's loads.
 //
 // Job lists hold entries, not bare jobs: an entry's low 32 bits are the job
 // (core.JobOf), and a list is sorted by entry, which is the protocol's
@@ -70,45 +77,53 @@ type Protocol interface {
 	// method so that a value embedding a Protocol keeps the order.
 	ListOrder() []uint32
 	// SplitScratch partitions the pooled entries between machines i and j
-	// and returns the two sides, each an ordered subsequence of jobs. jobs
-	// is sorted by entry and is not mutated; it may alias s.Union
-	// (implementations write the other buffers only). The returned slices
-	// alias s and stay valid only until s is next used; the caller owns
-	// them and may reorder them in place. Step calls it on the Protocol
-	// value it was given, so a value that embeds a Protocol and overrides
-	// SplitScratch splits every pair its engine steps or checks.
+	// and returns the two sides, each an ordered subsequence of jobs, and
+	// leaves their loads in s.Load1 and s.Load2. jobs is sorted by entry
+	// and is not mutated; it may alias s.Union (implementations write the
+	// other buffers only). The returned slices alias s and stay valid only
+	// until s is next used; the caller owns them and may reorder them in
+	// place. Step calls it on the Protocol value it was given wherever
+	// Transfer declines, so a value that embeds a protocol whose Transfer
+	// declines and overrides SplitScratch splits every pair its engine
+	// steps or checks.
 	SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) (toI, toJ []int)
-	// Transfer is the step of a protocol that moves jobs between the two
-	// sides instead of rebuilding the pair's partition: onI and onJ are
-	// the entries on i and j, each sorted, and are not mutated. With ok it
-	// returns the entries the step leaves on i and on j, each sorted,
-	// aliasing s. The rebuild protocols always return ok = false, and so
-	// does DLB2CMinMove on a cross-cluster pair; Step then merges the sides
-	// and splits the union with SplitScratch. Step calls Transfer once per
-	// pair step. It is a method, not a type switch in Step, so that a value
-	// which embeds a MinMove protocol keeps its transfer.
+	// Transfer is the step of a protocol that steps the pair's two lists
+	// itself instead of splitting their union: onI and onJ are the entries
+	// on i and j, each sorted, and are not mutated. With ok it returns the
+	// entries the step leaves on i and on j, each sorted, aliasing s, and
+	// writes their arrivals to s.Diff1 and s.Diff2 and their loads to
+	// s.Load1 and s.Load2, as Step's merge-and-split path would. MJTB
+	// always accepts (its walk, see MJTB), the MinMove protocols accept
+	// within a cluster, and the other rebuild protocols always return
+	// ok = false, as does DLB2CMinMove on a cross-cluster pair; Step then
+	// merges the sides and splits the union with SplitScratch. Step calls
+	// Transfer once per pair step. It is a method, not a type switch in
+	// Step, so that a value which embeds MJTB or a MinMove protocol keeps
+	// its step.
 	Transfer(s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int, ok bool)
 }
 
 // Step is the pair step of every engine: one step of p on machines i and j,
 // whose entries onI and onJ are each sorted, in p.ListOrder() or in
 // increasing job order, and are not mutated; they may alias none of s's
-// buffers. Where p.Transfer declines, Step merges the two lists into
-// s.Union and splits the union with p.SplitScratch. It returns the entries
-// the step leaves on i and on j, each sorted and aliasing s, and writes
-// each side's arrivals to s.Diff1 and s.Diff2 (pairwise.AppendDiff). The
+// buffers. Where p.Transfer accepts, its result is the step's. Otherwise
+// Step merges the two lists into s.Union, splits the union with
+// p.SplitScratch and diffs each side against its old list
+// (pairwise.AppendDiff). Either way it returns the entries the step leaves
+// on i and on j, each sorted and aliasing s, leaves each side's arrivals in
+// s.Diff1 and s.Diff2 and their new loads in s.Load1 and s.Load2. The
 // union is conserved, so one side's arrivals are the other side's
 // departures, and the step changed the pair exactly when an arrival list is
-// not empty: the engines move the arrivals and the Checker calls a pair
-// stable when there are none.
+// not empty: the engines move the arrivals, the sharded engine writes the
+// loads, and the Checker calls a pair stable when there are no arrivals.
 //
 //hetlb:noalloc
 func Step(p Protocol, s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int) {
-	toI, toJ, ok := p.Transfer(s, i, j, onI, onJ)
-	if !ok {
-		s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
-		toI, toJ = p.SplitScratch(s, i, j, s.Union)
+	if toI, toJ, ok := p.Transfer(s, i, j, onI, onJ); ok {
+		return toI, toJ
 	}
+	s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
+	toI, toJ = p.SplitScratch(s, i, j, s.Union)
 	s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], onI, toI)
 	s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], onJ, toJ)
 	return toI, toJ
@@ -151,7 +166,7 @@ func (OJTB) ListOrder() []uint32 { return nil }
 
 // SplitScratch implements Protocol.
 func (p OJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
-	s.To1, s.To2 = pairwise.AppendSplitBasicGreedy(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
+	s.To1, s.To2, s.Load1, s.Load2 = pairwise.AppendSplitBasicGreedy(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
 }
 
@@ -163,7 +178,8 @@ func (OJTB) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, b
 // MJTB is Algorithm 4: the typed generalization of OJTB. Each pairwise step
 // rebalances every job type independently with BasicGreedy, so each type's
 // sub-schedule converges to its own optimum and the total makespan is at
-// most k·OPT (Theorem 5).
+// most k·OPT (Theorem 5). Its pair step is one walk over the two job lists,
+// pairwise.MergeSplitByType, which Transfer and SplitScratch both run.
 type MJTB struct {
 	// Model is the typed instance; it must be the assignment's model.
 	Model *core.Typed
@@ -172,45 +188,33 @@ type MJTB struct {
 // Name implements Protocol.
 func (MJTB) Name() string { return "MJTB" }
 
-// ListOrder implements Protocol: increasing job index.
-func (MJTB) ListOrder() []uint32 { return nil }
-
-// SplitScratch implements Protocol. It buckets the input positions by type,
-// keeping input order within a type, runs BasicGreedy on each type with
-// loads starting from zero, and emits both sides in input order.
-func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
-	byType := s.Buckets(p.Model.NumTypes())
-	for pos, job := range jobs {
-		t := p.Model.TypeOf(core.JobOf(job))
-		byType[t] = append(byType[t], pos)
+// ListOrder implements Protocol: the model's type order
+// (core.Typed.TypeOrder), jobs by type and then by index, so an entry's
+// rank gives its type and the step reads no type per job. Within a type
+// that is increasing job order, the order BasicGreedy balances a type in,
+// so a step splits as it does on lists in job order. Ranked entries need a
+// 64-bit int: where int is 32 bits, MJTB keeps increasing job order.
+func (p MJTB) ListOrder() []uint32 {
+	if strconv.IntSize == 64 {
+		order, _ := p.Model.TypeOrder()
+		return order
 	}
-	// Canonical orientation, as in pairwise.AppendSplitBasicGreedy: ties go
-	// to the lower-indexed machine.
-	lo, hi := min(i, j), max(i, j)
-	second := s.Sides(len(jobs))
-	for _, positions := range byType {
-		var lLo, lHi core.Cost
-		for _, pos := range positions {
-			job := core.JobOf(jobs[pos])
-			cLo, cHi := p.Model.Cost(lo, job), p.Model.Cost(hi, job)
-			if lLo+cLo <= lHi+cHi {
-				lLo += cLo
-			} else {
-				second[pos] = true
-				lHi += cHi
-			}
-		}
-	}
-	toLo, toHi := s.Emit(jobs)
-	if i > j {
-		return toHi, toLo
-	}
-	return toLo, toHi
+	return nil
 }
 
-// Transfer implements Protocol: MJTB rebuilds the pair's partition.
-func (MJTB) Transfer(*pairwise.Scratch, int, int, []int, []int) ([]int, []int, bool) {
-	return nil, nil, false
+// SplitScratch implements Protocol: the pair step's walk with every pooled
+// job on i, so its arrivals, which it writes to s.Diff1 and s.Diff2, are
+// relative to that placement.
+func (p MJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
+	return pairwise.MergeSplitByType(s, p.Model, i, j, jobs, nil)
+}
+
+// Transfer implements Protocol: MJTB's step is one walk that merges and
+// splits the two lists and records the arrivals and loads as it goes, so it
+// always accepts.
+func (p MJTB) Transfer(s *pairwise.Scratch, i, j int, onI, onJ []int) ([]int, []int, bool) {
+	toI, toJ := pairwise.MergeSplitByType(s, p.Model, i, j, onI, onJ)
+	return toI, toJ, true
 }
 
 // DLB2C is Algorithm 7 for a two-cluster model: same-cluster pairs use
@@ -268,7 +272,7 @@ func (SameCost) ListOrder() []uint32 { return nil }
 
 // SplitScratch implements Protocol.
 func (p SameCost) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
-	s.To1, s.To2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
+	s.To1, s.To2, s.Load1, s.Load2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
 }
 

@@ -117,7 +117,7 @@ func TestMJTBMatchesPerTypeConcatenation(t *testing.T) {
 						ofType = append(ofType, job)
 					}
 				}
-				a, b := pairwise.AppendSplitBasicGreedy(ty, i, j, ofType, nil, nil)
+				a, b, _, _ := pairwise.AppendSplitBasicGreedy(ty, i, j, ofType, nil, nil)
 				wantI, wantJ = append(wantI, a...), append(wantJ, b...)
 			}
 			slices.Sort(wantI)

@@ -109,27 +109,34 @@ func fuzzCase(gen *rng.RNG, k, m, n int, hi core.Cost) (Protocol, core.CostModel
 
 // FuzzStep holds protocol.Step to a multiset oracle on small instances with
 // free jobs and ties, a random placement (some jobs unassigned) and a random
-// pair, whose lists are built in the protocol's ListOrder. Both new sides
-// must be strictly increasing and pool to the old union; Diff1 and Diff2
-// must be each side's arrivals, as a naive set difference finds them; where
-// Transfer declines, the step must be a merge and a SplitScratch on a fresh
-// scratch; a dirty scratch must give the fresh scratch's result; the inputs
-// must come back unmutated; and a second step on the result must move
-// nothing.
+// pair, whose lists are built in the protocol's ListOrder, or in increasing
+// job order when proto's high bit is set. Both new sides must be strictly
+// increasing and pool to the old union; Diff1 and Diff2 must be each side's
+// arrivals, as a naive set difference finds them; Load1 and Load2 must be
+// each side's costs summed afresh; except where a MinMove protocol
+// transfers, the step must be a merge and a SplitScratch on a fresh
+// scratch, and MJTB's must be BasicGreedy on each type's jobs in index
+// order (the per-type reference); a dirty scratch must give the fresh
+// scratch's result; the inputs must come back unmutated; and a second step
+// on the result must move nothing.
 func FuzzStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, proto, machines, jobs, hi byte, seed uint64) {
 		m := 3 + int(machines%7)
 		n := int(jobs % 41)
 		gen := rng.New(seed)
-		p, model := fuzzCase(gen, int(proto), m, n, core.Cost(hi%8))
+		p, model := fuzzCase(gen, int(proto&0x7f), m, n, core.Cost(hi%8))
 		a := core.NewAssignment(model)
 		for job := 0; job < n; job++ {
 			if gen.Intn(5) > 0 {
 				a.Assign(job, gen.Intn(m))
 			}
 		}
+		order := p.ListOrder()
+		if proto&0x80 != 0 {
+			order = nil
+		}
 		lists := make([][]int, m)
-		a.FillOrderedLists(lists, make([]int, a.NumAssigned()), p.ListOrder())
+		a.FillOrderedLists(lists, make([]int, a.NumAssigned()), order)
 		i := gen.Intn(m)
 		j := gen.Pick(m, i)
 		onI, onJ := lists[i], lists[j]
@@ -153,12 +160,23 @@ func FuzzStep(f *testing.F) {
 		if want := setMinus(toJ, onJ); !slices.Equal(s.Diff2, want) {
 			t.Fatalf("%s (%d,%d): Diff2 %v, arrivals on j %v", p.Name(), i, j, s.Diff2, want)
 		}
+		if lI, lJ := sideLoad(model, i, toI), sideLoad(model, j, toJ); s.Load1 != lI || s.Load2 != lJ {
+			t.Fatalf("%s (%d,%d): loads %d and %d, sides cost %d and %d", p.Name(), i, j, s.Load1, s.Load2, lI, lJ)
+		}
 		var probe pairwise.Scratch
-		if _, _, ok := p.Transfer(&probe, i, j, onI, onJ); !ok {
+		if _, _, ok := p.Transfer(&probe, i, j, onI, onJ); !ok || !minMove(p) {
 			var fresh pairwise.Scratch
 			wantI, wantJ := p.SplitScratch(&fresh, i, j, union)
 			if !slices.Equal(toI, wantI) || !slices.Equal(toJ, wantJ) {
 				t.Fatalf("%s (%d,%d): Step (%v, %v), merge and split (%v, %v)", p.Name(), i, j, toI, toJ, wantI, wantJ)
+			}
+		}
+		if ty, ok := model.(*core.Typed); ok {
+			if _, mjtb := unwrap(p).(MJTB); mjtb {
+				wantI, wantJ := perTypeBasicGreedy(ty, i, j, union)
+				if !slices.Equal(toI, wantI) || !slices.Equal(toJ, wantJ) {
+					t.Fatalf("%s (%d,%d): Step (%v, %v), per-type BasicGreedy (%v, %v)", p.Name(), i, j, toI, toJ, wantI, wantJ)
+				}
 			}
 		}
 
@@ -170,9 +188,10 @@ func FuzzStep(f *testing.F) {
 		Step(p, &dirty, j, i, onJ, onI)
 		gotI, gotJ := Step(p, &dirty, i, j, onI, onJ)
 		if !slices.Equal(gotI, toI) || !slices.Equal(gotJ, toJ) ||
-			!slices.Equal(dirty.Diff1, s.Diff1) || !slices.Equal(dirty.Diff2, s.Diff2) {
-			t.Fatalf("%s (%d,%d): dirty scratch (%v, %v; %v, %v), fresh (%v, %v; %v, %v)", p.Name(), i, j,
-				gotI, gotJ, dirty.Diff1, dirty.Diff2, toI, toJ, s.Diff1, s.Diff2)
+			!slices.Equal(dirty.Diff1, s.Diff1) || !slices.Equal(dirty.Diff2, s.Diff2) ||
+			dirty.Load1 != s.Load1 || dirty.Load2 != s.Load2 {
+			t.Fatalf("%s (%d,%d): dirty scratch (%v, %v; %v, %v; %d, %d), fresh (%v, %v; %v, %v; %d, %d)", p.Name(), i, j,
+				gotI, gotJ, dirty.Diff1, dirty.Diff2, dirty.Load1, dirty.Load2, toI, toJ, s.Diff1, s.Diff2, s.Load1, s.Load2)
 		}
 
 		var again pairwise.Scratch
@@ -181,6 +200,54 @@ func FuzzStep(f *testing.F) {
 			t.Fatalf("%s (%d,%d): a second step on (%v, %v) moved %v and %v", p.Name(), i, j, toI, toJ, again.Diff1, again.Diff2)
 		}
 	})
+}
+
+// unwrap returns the protocol behind the embedding wrapper, or p.
+func unwrap(p Protocol) Protocol {
+	if e, ok := p.(embedded); ok {
+		return e.Protocol
+	}
+	return p
+}
+
+// minMove reports whether p is one of the two MinMove protocols, whose
+// Transfer moves jobs between the sides instead of splitting their union.
+func minMove(p Protocol) bool {
+	switch unwrap(p).(type) {
+	case SameCostMinMove, DLB2CMinMove:
+		return true
+	}
+	return false
+}
+
+// sideLoad sums the costs of a side's jobs on machine i: the oracle of the
+// loads a step leaves on the scratch.
+func sideLoad(model core.CostModel, i int, side []int) core.Cost {
+	var l core.Cost
+	for _, entry := range side {
+		l += model.Cost(i, core.JobOf(entry))
+	}
+	return l
+}
+
+// perTypeBasicGreedy is MJTB's reference split of a union sorted by entry:
+// AppendSplitBasicGreedy on each type's entries in increasing job index,
+// the per-type sides merged back into entry order.
+func perTypeBasicGreedy(ty *core.Typed, i, j int, union []int) (toI, toJ []int) {
+	for typ := 0; typ < ty.NumTypes(); typ++ {
+		var ofType []int
+		for _, entry := range union {
+			if ty.TypeOf(core.JobOf(entry)) == typ {
+				ofType = append(ofType, entry)
+			}
+		}
+		slices.SortFunc(ofType, func(a, b int) int { return core.JobOf(a) - core.JobOf(b) })
+		a, b, _, _ := pairwise.AppendSplitBasicGreedy(ty, i, j, ofType, nil, nil)
+		toI, toJ = append(toI, a...), append(toJ, b...)
+	}
+	slices.Sort(toI)
+	slices.Sort(toJ)
+	return toI, toJ
 }
 
 // setMinus returns the entries of side absent from old, in side's order:

@@ -11,16 +11,31 @@ import (
 	"hetlb/internal/workload"
 )
 
-// TestDeltaLoadsMatchRecompute pins the O(moved) session updates and the
-// per-shard partial reductions against ground truth: after EVERY epoch of a
-// 64-epoch run, each machine's cached load must exactly equal the sum of its
-// job costs recomputed from scratch, and the barrier's reduced makespan /
-// total load must equal a full O(m) fold over those recomputed loads.
-// core.Cost is integral, so equality is exact — no tolerance.
+// TestDeltaLoadsMatchRecompute pins the session's load writes, which take
+// the loads every kernel sums as it places the jobs, and the per-shard
+// partial reductions against ground truth: after EVERY epoch of a 64-epoch
+// run, each machine's cached load must exactly equal the sum of its job
+// costs recomputed from scratch, and the barrier's reduced makespan / total
+// load must equal a full O(m) fold over those recomputed loads. Every
+// protocol runs, so every kernel's loads are checked. core.Cost is
+// integral, so equality is exact — no tolerance.
 func TestDeltaLoadsMatchRecompute(t *testing.T) {
 	gen := rng.New(200)
 	ty := workload.UniformTyped(gen, 11, 150, 3, 1, 50)
 	tc := workload.UniformTwoCluster(gen, 6, 5, 130, 1, 40)
+	rel := workload.UniformRelated(gen, 9, 120, 4, 1, 60)
+	id := workload.UniformIdentical(gen, 10, 140, 1, 50)
+	kcCosts := make([][]core.Cost, 3)
+	for c := range kcCosts {
+		kcCosts[c] = make([]core.Cost, 140)
+		for j := range kcCosts[c] {
+			kcCosts[c][j] = gen.IntRange(1, 40)
+		}
+	}
+	kc, err := core.NewKCluster([]int{4, 3, 3}, kcCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		model  core.CostModel
@@ -31,6 +46,11 @@ func TestDeltaLoadsMatchRecompute(t *testing.T) {
 		{"typed-mjtb/s=3", ty, protocol.MJTB{Model: ty}, 3},
 		{"twocluster-dlb2c/s=1", tc, protocol.DLB2C{Model: tc}, 1},
 		{"twocluster-dlb2c/s=4", tc, protocol.DLB2C{Model: tc}, 4},
+		{"related-ojtb/s=2", rel, protocol.OJTB{Model: rel}, 2},
+		{"identical-samecost/s=2", id, protocol.SameCost{Model: id}, 2},
+		{"kcluster-dlbkc/s=3", kc, protocol.DLBKC{Model: kc}, 3},
+		{"identical-samecostminmove/s=2", id, protocol.SameCostMinMove{Model: id}, 2},
+		{"twocluster-dlb2cminmove/s=3", tc, protocol.DLB2CMinMove{Model: tc}, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -64,10 +64,10 @@ func jsonl(t *testing.T, rec *span.Recorder) []byte {
 // runSequentialChecked steps the sequential engine in rounds, recording its
 // engine's and protocol.UnstablePair's answer after each, then runs it to a
 // verified-stable schedule or its step budget.
-func runSequentialChecked(t *testing.T, p protocol.Protocol, tc *core.TwoCluster, seed uint64) (engineRun, [][4]int) {
+func runSequentialChecked(t *testing.T, p protocol.Protocol, model core.CostModel, seed uint64) (engineRun, [][4]int) {
 	t.Helper()
 	rec := span.NewRecorder(1 << 14)
-	e := gossip.New(p, core.RoundRobin(tc), gossip.Config{Seed: seed, Spans: rec})
+	e := gossip.New(p, core.RoundRobin(model), gossip.Config{Seed: seed, Spans: rec})
 	var checks [][4]int
 	for round := 0; round < 6; round++ {
 		for s := 0; s < 15*(round+1); s++ {
@@ -84,10 +84,10 @@ func runSequentialChecked(t *testing.T, p protocol.Protocol, tc *core.TwoCluster
 
 // runShardedChecked does the same on the sharded engine, in epochs, under
 // an optional crash plan, and validates conservation after every round.
-func runShardedChecked(t *testing.T, p protocol.Protocol, tc *core.TwoCluster, seed uint64, shards int, plan *faults.Config) (engineRun, [][2]int) {
+func runShardedChecked(t *testing.T, p protocol.Protocol, model core.CostModel, seed uint64, shards int, plan *faults.Config) (engineRun, [][2]int) {
 	t.Helper()
 	rec := span.NewRecorder(1 << 14)
-	e, err := New(p, core.RoundRobin(tc), Config{Seed: seed, Shards: shards, Faults: plan, Spans: rec})
+	e, err := New(p, core.RoundRobin(model), Config{Seed: seed, Shards: shards, Faults: plan, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +108,10 @@ func runShardedChecked(t *testing.T, p protocol.Protocol, tc *core.TwoCluster, s
 }
 
 // TestRatioOrderedListsMatchJobOrder is the equivalence of the two kinds of
-// job list: DLB2C keeps its lists in the model's ratio order, and the same
-// protocol behind a wrapper whose ListOrder is nil keeps them in job order
-// and sorts every union. On the sequential engine and on the sharded one at
+// job list: DLB2C keeps its lists in the model's ratio order and MJTB in its
+// type order, and the same protocol behind a wrapper whose ListOrder is nil
+// keeps them in job order (DLB2C then sorts every union, and MJTB's walk
+// reads each job's type). On the sequential engine and on the sharded one at
 // S = 1, 2, 3, without and with a crash plan that loses jobs, both must give
 // identical placements, loads, moves, exchanges, span traces and lost
 // ledgers, and every stability check along the way (each engine's own and
@@ -120,40 +121,47 @@ func TestRatioOrderedListsMatchJobOrder(t *testing.T) {
 		gen := rng.New(seed * 7919)
 		m1, m2 := 2+gen.Intn(5), 2+gen.Intn(5)
 		m := m1 + m2
-		// Costs in [1, 12] tie often, so ties in ratio are common.
+		// Costs in [1, 12] tie often, so ties in ratio and per-type loads
+		// are common.
 		tc := workload.UniformTwoCluster(gen, m1, m2, 3*m+gen.Intn(10*m), 1, 12)
-		ordered := protocol.DLB2C{Model: tc}
-		plain := jobIndexOrder{ordered}
-		if ordered.ListOrder() == nil && strconv.IntSize == 64 {
-			t.Fatal("DLB2C on a two-cluster model keeps no ratio order")
-		}
+		ty := workload.UniformTyped(gen, m, 3*m+gen.Intn(10*m), 1+gen.Intn(4), 1, 12)
+		for _, c := range []struct {
+			model   core.CostModel
+			ordered protocol.Protocol
+		}{{tc, protocol.DLB2C{Model: tc}}, {ty, protocol.MJTB{Model: ty}}} {
+			model, ordered := c.model, c.ordered
+			plain := jobIndexOrder{ordered}
+			if ordered.ListOrder() == nil && strconv.IntSize == 64 {
+				t.Fatalf("%s keeps no list order", ordered.Name())
+			}
 
-		got, gotChecks := runSequentialChecked(t, ordered, tc, seed)
-		want, wantChecks := runSequentialChecked(t, plain, tc, seed)
-		if d := got.diff(want); d != "" {
-			t.Fatalf("seed %d sequential: %s differ between ratio-ordered and job-ordered lists", seed, d)
-		}
-		if !slices.Equal(gotChecks, wantChecks) {
-			t.Fatalf("seed %d sequential: stability checks %v, job order %v", seed, gotChecks, wantChecks)
-		}
+			got, gotChecks := runSequentialChecked(t, ordered, model, seed)
+			want, wantChecks := runSequentialChecked(t, plain, model, seed)
+			if d := got.diff(want); d != "" {
+				t.Fatalf("%s seed %d sequential: %s differ between ranked and job-ordered lists", ordered.Name(), seed, d)
+			}
+			if !slices.Equal(gotChecks, wantChecks) {
+				t.Fatalf("%s seed %d sequential: stability checks %v, job order %v", ordered.Name(), seed, gotChecks, wantChecks)
+			}
 
-		plan := &faults.Config{Crashes: []faults.Crash{
-			{Machine: 0, At: 2, LoseJobs: true},
-			{Machine: m - 1, At: 3, RecoverAt: 7, LoseJobs: true},
-			{Machine: m1, At: 5, RecoverAt: 9},
-		}}
-		for _, pl := range []*faults.Config{nil, plan} {
-			for shards := 1; shards <= 3; shards++ {
-				got, gotChecks := runShardedChecked(t, ordered, tc, seed, shards, pl)
-				want, wantChecks := runShardedChecked(t, plain, tc, seed, shards, pl)
-				if d := got.diff(want); d != "" {
-					t.Fatalf("seed %d S=%d plan=%v: %s differ between ratio-ordered and job-ordered lists", seed, shards, pl != nil, d)
-				}
-				if !slices.Equal(gotChecks, wantChecks) {
-					t.Fatalf("seed %d S=%d plan=%v: stability checks %v, job order %v", seed, shards, pl != nil, gotChecks, wantChecks)
-				}
-				if pl != nil && len(got.lost) == 0 {
-					t.Fatalf("seed %d S=%d: the crash plan lost no job", seed, shards)
+			plan := &faults.Config{Crashes: []faults.Crash{
+				{Machine: 0, At: 2, LoseJobs: true},
+				{Machine: m - 1, At: 3, RecoverAt: 7, LoseJobs: true},
+				{Machine: m1, At: 5, RecoverAt: 9},
+			}}
+			for _, pl := range []*faults.Config{nil, plan} {
+				for shards := 1; shards <= 3; shards++ {
+					got, gotChecks := runShardedChecked(t, ordered, model, seed, shards, pl)
+					want, wantChecks := runShardedChecked(t, plain, model, seed, shards, pl)
+					if d := got.diff(want); d != "" {
+						t.Fatalf("%s seed %d S=%d plan=%v: %s differ between ranked and job-ordered lists", ordered.Name(), seed, shards, pl != nil, d)
+					}
+					if !slices.Equal(gotChecks, wantChecks) {
+						t.Fatalf("%s seed %d S=%d plan=%v: stability checks %v, job order %v", ordered.Name(), seed, shards, pl != nil, gotChecks, wantChecks)
+					}
+					if pl != nil && len(got.lost) == 0 {
+						t.Fatalf("%s seed %d S=%d: the crash plan lost no job", ordered.Name(), seed, shards)
+					}
 				}
 			}
 		}
@@ -269,4 +277,39 @@ func TestRatioOrderFirstTouchRace(t *testing.T) {
 	case !got.ref.Equal(ref.ref):
 		t.Fatal("CLB2C reference differs from the one on a prebuilt order")
 	}
+}
+
+// TestStableMJTBRunsSatisfyTypeOptimal checks the Theorem 5 certificate,
+// protocol.TypeOptimal, on every verified-stable MJTB run of both engines at
+// a size the exact solver cannot reach: 32 machines, 4096 jobs of 4 types,
+// costs U[1,100], round-robin start, 8 seeds, the sharded engine at two
+// shards.
+func TestStableMJTBRunsSatisfyTypeOptimal(t *testing.T) {
+	verified := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		ty := workload.UniformTyped(rng.New(seed), 32, 4096, 4, 1, 100)
+		seq := gossip.New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), gossip.Config{Seed: seed})
+		if res := seq.Run(400*32, true); res.Converged {
+			verified++
+			if err := protocol.TypeOptimal(ty, seq.Assignment()); err != nil {
+				t.Fatalf("seed %d: sequential stable schedule: %v", seed, err)
+			}
+		}
+		e, err := New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), Config{Seed: seed, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := e.Run(400*32, true)
+		e.Close()
+		if res.Converged {
+			verified++
+			if err := protocol.TypeOptimal(ty, res.Assignment); err != nil {
+				t.Fatalf("seed %d: sharded stable schedule: %v", seed, err)
+			}
+		}
+	}
+	if verified < 12 {
+		t.Fatalf("only %d of 16 runs reached a verified-stable schedule", verified)
+	}
+	t.Logf("%d of 16 runs verified stable", verified)
 }

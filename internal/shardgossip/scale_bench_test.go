@@ -122,8 +122,8 @@ func BenchmarkShardedStepFaults(b *testing.B) {
 // verified-stable fast path a session is O(1) bookkeeping, so ns/op must be
 // flat in jobs-per-machine; before this optimization each session resummed
 // its O(union) pooled jobs even when nothing moved. The unlatched variant
-// (stable detection off) shows the O(moved) delta path alone: the kernel
-// still scans the union, but no cost sums and no write-backs happen.
+// (stable detection off) shows the no-change session alone: the kernel
+// still splits the union, but nothing is written back.
 func BenchmarkNoChangeTail(b *testing.B) {
 	const m = 64
 	for _, mode := range []string{"latched", "delta-only"} {

@@ -50,14 +50,14 @@
 // previous buffer to the scheduler for epoch k+1, and only then starts the
 // workers.
 //
-// # O(moved) sessions
+// # Sessions without cost reads
 //
-// A session computes its pair's new loads from cost deltas of the jobs that
-// actually moved (the arrivals protocol.Step reports for each side; the
-// union is conserved, so one side's arrivals are the other side's
-// departures) instead of resumming the whole union — integer arithmetic, so
-// the result is bit-identical to a full recomputation. A session that moved
-// nothing skips the write-back and the partial updates entirely. On top of
+// A session reads no job's cost: protocol.Step leaves the pair's new loads
+// on the worker's scratch, summed by the kernel as it placed the jobs
+// (integer arithmetic, so the result is bit-identical to a recomputation
+// from the job lists), and the arrivals it reports for each side say
+// whether anything moved. A session that moved nothing skips the
+// write-back and the partial updates entirely. On top of
 // that, once a Run's stability check has *proved* the placement
 // pairwise-stable, the engine latches a verified-stable fast path: every
 // later session is known to be a step that moves nothing and only performs
@@ -664,9 +664,8 @@ func (e *Engine) updatePartials(machine int, old, new core.Cost) {
 
 // session executes pair t of the current epoch on worker s: step the pair's
 // sorted job lists on the worker's scratch (protocol.Step, whose sides come
-// back sorted by entry), and apply the result as O(moved) deltas — Step
-// reports each side's arrivals (the other side's departures, since the union
-// is conserved), whose costs adjust the pair's loads exactly. A session that
+// back sorted by entry), and when the step reports arrivals, write back both
+// sides and the two loads the step left on the scratch. A session that
 // moved nothing writes nothing. In steady state the only memory touched is
 // the worker's scratch, the pair's job lists and, when spans are on, slot t;
 // once the engine is verified stable, the step is skipped entirely (see
@@ -722,21 +721,8 @@ func (e *Engine) session(s, t int) {
 	moved := len(sc.Diff1) + len(sc.Diff2)
 	changed := false
 	if moved > 0 {
-		// Arrivals at i departed from j and vice versa: adjust both loads
-		// by exactly the terms that differ from the previous sums. Integer
-		// costs make the result bit-identical to a full recomputation.
-		var d1, d2 core.Cost
-		for _, entry := range sc.Diff1 {
-			job := core.JobOf(entry)
-			d1 += e.model.Cost(i, job)
-			d2 -= e.model.Cost(j, job)
-		}
-		for _, entry := range sc.Diff2 {
-			job := core.JobOf(entry)
-			d2 += e.model.Cost(j, job)
-			d1 -= e.model.Cost(i, job)
-		}
-		n1, n2 := l1+d1, l2+d2
+		// The step summed both machines' new loads as it placed the jobs.
+		n1, n2 := sc.Load1, sc.Load2
 		e.jobs[i] = append(e.jobs[i][:0], toI...)
 		e.jobs[j] = append(e.jobs[j][:0], toJ...)
 		e.load[i], e.load[j] = n1, n2
