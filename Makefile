@@ -136,8 +136,8 @@ bench-scale:
 
 # The sharded engine's worker/scheduler handoff under the race detector at
 # pinned low parallelism: GOMAXPROCS 1 and 2 force different interleavings
-# of the pipelined draw, the session fan-out and the dirty-block rescans
-# than the native run in `race`. CI runs this as a matrix leg.
+# of the pipelined draw, the session fan-out and the barrier than the
+# native run in `race`. CI runs this as a matrix leg.
 race-shard:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/shardgossip/...
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/shardgossip/...

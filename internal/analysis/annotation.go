@@ -37,7 +37,7 @@ import (
 //	    Suppresses concurrency-class diagnostics (lockshape, phasefreeze)
 //	    reported on the annotated line — the escape hatch for writes whose
 //	    safety argument lives outside the analyzable lock/phase shape
-//	    (e.g. the phase-B lockless rescan between barriers).
+//	    (e.g. a lockless write ordered by a barrier between two fan-outs).
 //
 // A suppression or field-marker comment may trail the governed line or stand
 // alone on the line directly above it. Unknown verbs, missing reasons and

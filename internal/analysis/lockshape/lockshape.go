@@ -1,12 +1,13 @@
 // Package lockshape proves the sharded engine's locking invariant
 // mechanically: no path through a shardgossip session holds two shard
-// mutexes at once, and writes to //hetlb:guarded fields (the partial load
-// reductions) happen under a shard lock — or on the coordinator, which owns
-// all quiesced state between barriers.
+// mutexes at once, and writes to //hetlb:guarded fields happen under a
+// shard lock — or on the coordinator, which owns all quiesced state between
+// barriers. The engine's sessions take no lock today; should a lock
+// return, the check holds it to this shape.
 //
-// The at-most-one-shard-mutex rule is what makes the engine deadlock-free
-// without lock ordering (DESIGN.md §14): updatePartials takes the touched
-// machine's block mutex for a few integer operations and never nests it. A
+// The at-most-one-shard-mutex rule is what makes an engine deadlock-free
+// without lock ordering (DESIGN.md §16): a session that takes one block
+// mutex for a few integer operations and never nests it cannot deadlock. A
 // refactor that takes a second lock two calls deep would deadlock only under
 // a cross-shard schedule on a loaded machine — exactly the kind of bug that
 // survives tests. So the analyzer abstract-interprets every function with a
@@ -17,11 +18,10 @@
 //
 // Guarded-field writes are checked against the worker/coordinator split from
 // the package call graph: a write with no lock held is a finding only in
-// worker-concurrent code (reachable from a `go` spawn). The phase-B lockless
-// rescan is exactly such a write whose safety argument (the barrier between
-// phases) is outside the lock shape — it carries a reasoned
-// //hetlb:concurrency-ok, which is the point: the proof boundary is written
-// down where it is crossed.
+// worker-concurrent code (reachable from a `go` spawn). A write whose safety
+// argument (say, a barrier between two fan-outs) is outside the lock shape
+// carries a reasoned //hetlb:concurrency-ok, which is the point: the proof
+// boundary is written down where it is crossed.
 //
 // Soundness limits: holding *a* shard mutex is taken as holding the *owning*
 // one (lock identity is not tracked), mutexes reached through aliases or

@@ -1,7 +1,7 @@
 // Package phasefreeze proves the sharded engine's frozen-per-epoch contract
 // mechanically: fields that worker goroutines read without synchronization —
-// the fault down-set, the front schedule buffer, the dispatch phase, the
-// verified-stable latch — may be written only by coordinator-phase code.
+// the fault down-set, the front schedule buffer, the verified-stable latch
+// — may be written only by coordinator-phase code.
 //
 // The PR-9 contract is prose: "down is read-only during an epoch; written
 // between epochs". What makes it safe is that every write happens in

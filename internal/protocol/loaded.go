@@ -26,8 +26,8 @@ func (p SameCost) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]i
 	return pairwise.SplitSameCostLoaded(p.Model, i, j, baseI, baseJ, jobs)
 }
 
-// SplitLoaded implements LoadedSplitter for MJTB: each type is balanced
-// with the loads accumulated by the previous types plus the bases.
+// SplitLoaded implements LoadedSplitter for MJTB: as Algorithm 4 balances
+// each type on its own, each type is balanced from the two bases.
 func (p MJTB) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]int, []int) {
 	byType := make([][]int, p.Model.NumTypes())
 	for _, job := range jobs {
@@ -35,18 +35,8 @@ func (p MJTB) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]int, 
 		byType[t] = append(byType[t], job)
 	}
 	var toI, toJ []int
-	lI, lJ := baseI, baseJ
-	for t := 0; t < p.Model.NumTypes(); t++ {
-		if len(byType[t]) == 0 {
-			continue
-		}
-		a, b := pairwise.SplitBasicGreedyLoaded(p.Model, i, j, lI, lJ, byType[t])
-		for _, job := range a {
-			lI += p.Model.Cost(i, job)
-		}
-		for _, job := range b {
-			lJ += p.Model.Cost(j, job)
-		}
+	for _, typeJobs := range byType {
+		a, b := pairwise.SplitBasicGreedyLoaded(p.Model, i, j, baseI, baseJ, typeJobs)
 		toI = append(toI, a...)
 		toJ = append(toJ, b...)
 	}

@@ -25,15 +25,19 @@ import (
 // at each step the movable job that best halves the imbalance — until no
 // single move reduces it. Both machines must price jobs identically (same
 // cluster / identical machines). The final imbalance is at most the largest
-// job on the heavier side, the same class as the rebuild kernels. lh and
-// ll are the loads of heavy and light. It mutates (and may grow) its
-// arguments and returns them, possibly with their roles swapped, each
-// sorted ascending, with their loads.
-func transfer(cost func(job int) core.Cost, heavy, light []int, lh, ll core.Cost) (_, _ []int, _, _ core.Cost) {
+// job on the heavier side, the same class as the rebuild kernels. la and
+// lb are the loads of a and b. It mutates (and may grow) a and b and
+// returns them in argument order, each sorted ascending, with their loads.
+func transfer(cost func(job int) core.Cost, a, b []int, la, lb core.Cost) (_, _ []int, _, _ core.Cost) {
+	// heavy and light name the sides by their current loads; swapped
+	// records that heavy is b.
+	heavy, light, lh, ll := a, b, la, lb
+	swapped := false
 	for {
 		if lh < ll {
 			heavy, light = light, heavy
 			lh, ll = ll, lh
+			swapped = !swapped
 		}
 		d := lh - ll
 		// Pick the movable job (size strictly between 0 and d) whose
@@ -65,6 +69,9 @@ func transfer(cost func(job int) core.Cost, heavy, light []int, lh, ll core.Cost
 	}
 	slices.Sort(heavy)
 	slices.Sort(light)
+	if swapped {
+		return light, heavy, ll, lh
+	}
 	return heavy, light, lh, ll
 }
 
@@ -84,11 +91,7 @@ func transferPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ 
 	for _, job := range s.To2 {
 		lJ += cost(job)
 	}
-	if lI >= lJ {
-		toI, toJ, lI, lJ = transfer(cost, s.To1, s.To2, lI, lJ)
-	} else {
-		toJ, toI, lJ, lI = transfer(cost, s.To2, s.To1, lJ, lI)
-	}
+	toI, toJ, lI, lJ = transfer(cost, s.To1, s.To2, lI, lJ)
 	s.To1, s.To2, s.Load1, s.Load2 = toI, toJ, lI, lJ
 	s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], onI, toI)
 	s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], onJ, toJ)

@@ -179,6 +179,25 @@ func TestTransferHandlesEmptySides(t *testing.T) {
 	}
 }
 
+// TestTransferKeepsSidesInArgumentOrder pins a transfer whose one move makes
+// the sides trade roles: on sizes 5, 4, 2 with jobs 0 and 1 on machine 0,
+// moving job 1 leaves 5 on machine 0 and 6 on machine 1. The step must hand
+// each machine its own side and report job 1 as the only arrival.
+func TestTransferKeepsSidesInArgumentOrder(t *testing.T) {
+	id, _ := core.NewIdentical(2, []core.Cost{5, 4, 2})
+	var s pairwise.Scratch
+	toI, toJ := Step(SameCostMinMove{Model: id}, &s, 0, 1, []int{0, 1}, []int{2})
+	if !slices.Equal(toI, []int{0}) || !slices.Equal(toJ, []int{1, 2}) {
+		t.Fatalf("sides %v | %v, want [0] | [1 2]", toI, toJ)
+	}
+	if len(s.Diff1) != 0 || !slices.Equal(s.Diff2, []int{1}) {
+		t.Fatalf("arrivals %v | %v, want [] | [1]", s.Diff1, s.Diff2)
+	}
+	if s.Load1 != 5 || s.Load2 != 6 {
+		t.Fatalf("loads %d | %d, want 5 | 6", s.Load1, s.Load2)
+	}
+}
+
 // placed is p's Step on a fresh scratch, copied out of it.
 func placed(p Protocol, i, j int, onI, onJ []int) ([]int, []int) {
 	var s pairwise.Scratch

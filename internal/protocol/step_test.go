@@ -24,8 +24,8 @@ type rankChecked struct {
 func (p rankChecked) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
 	*p.splits++
 	for _, entry := range jobs {
-		if job := core.JobOf(entry); entry>>32 != p.rank[job] {
-			p.t.Fatalf("pair (%d,%d): entry %#x of job %d has rank %d, want %d", i, j, entry, job, entry>>32, p.rank[job])
+		if job, rank := core.JobOf(entry), int(uint64(entry)>>32); rank != p.rank[job] {
+			p.t.Fatalf("pair (%d,%d): entry %#x of job %d has rank %d, want %d", i, j, entry, job, rank, p.rank[job])
 		}
 	}
 	return p.Protocol.SplitScratch(s, i, j, jobs)

@@ -12,8 +12,8 @@ import (
 )
 
 // TestDeltaLoadsMatchRecompute pins the session's load writes, which take
-// the loads every kernel sums as it places the jobs, and the per-shard
-// partial reductions against ground truth: after EVERY epoch of a 64-epoch
+// the loads every kernel sums as it places the jobs, and the barrier's
+// aggregates against ground truth: after EVERY epoch of a 64-epoch
 // run, each machine's cached load must exactly equal the sum of its job
 // costs recomputed from scratch, and the barrier's reduced makespan / total
 // load must equal a full O(m) fold over those recomputed loads. Every
@@ -141,7 +141,7 @@ func TestStableFastPathMatchesFullPath(t *testing.T) {
 	}
 }
 
-// TestAutoShardHeuristic checks the Shards: 0 default: the partition gets
+// TestAutoShardHeuristic checks the Shards: 0 default: the engine gets
 // AutoShards(m) shards (GOMAXPROCS clamped to m), and — because shard count
 // never affects results — the run is bit-identical to an explicit S=1 engine.
 func TestAutoShardHeuristic(t *testing.T) {
@@ -152,7 +152,7 @@ func TestAutoShardHeuristic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer auto.Close()
-	if got, want := auto.Partition().NumShards(), AutoShards(9); got != want {
+	if got, want := len(auto.shards), AutoShards(9); got != want {
 		t.Fatalf("auto shard count = %d, want AutoShards(9) = %d", got, want)
 	}
 	one, err := New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), Config{Seed: 5, Shards: 1})

@@ -2,6 +2,8 @@ package shardgossip
 
 import (
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"hetlb/internal/core"
@@ -144,12 +146,6 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	if _, err := New(protocol.OJTB{Model: ty2}, incomplete, Config{}); err == nil {
 		t.Fatal("accepted an incomplete assignment")
 	}
-	if _, err := New(protocol.OJTB{Model: ty2}, core.RoundRobin(ty2), Config{Shards: 3}); err == nil {
-		t.Fatal("accepted more shards than machines")
-	}
-	if _, err := New(protocol.OJTB{Model: ty2}, core.RoundRobin(ty2), Config{Shards: -1}); err == nil {
-		t.Fatal("accepted a negative shard count")
-	}
 
 	e, err := New(protocol.OJTB{Model: ty2}, core.RoundRobin(ty2), Config{Shards: 2})
 	if err != nil {
@@ -157,6 +153,40 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	}
 	e.Close()
 	e.Close() // must be idempotent
+}
+
+// TestNewChecksShardCount pins New's shard-count check on five machines:
+// negative counts and more shards than machines are rejected, the latter
+// with an error naming both counts; zero (AutoShards) and every count up to
+// one shard per machine are accepted and step an epoch.
+func TestNewChecksShardCount(t *testing.T) {
+	ty := workload.UniformTyped(rng.New(9), 5, 20, 2, 1, 9)
+	for _, tc := range []struct {
+		shards int
+		ok     bool
+	}{
+		{-7, false}, {-1, false}, {0, true}, {1, true}, {3, true}, {5, true}, {6, false}, {64, false},
+	} {
+		e, err := New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), Config{Shards: tc.shards})
+		if !tc.ok {
+			if err == nil {
+				e.Close()
+				t.Fatalf("Shards: %d over 5 machines accepted", tc.shards)
+			}
+			if msg := err.Error(); tc.shards > 0 && (!strings.Contains(msg, strconv.Itoa(tc.shards)) || !strings.Contains(msg, "5 machines")) {
+				t.Errorf("Shards: %d: error %q does not name both counts", tc.shards, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Shards: %d over 5 machines rejected: %v", tc.shards, err)
+		}
+		e.StepEpoch()
+		if err := e.ValidateConservation(); err != nil {
+			t.Errorf("Shards: %d: %v", tc.shards, err)
+		}
+		e.Close()
+	}
 }
 
 // TestObserverSeesEpochs checks the Stepper-based observer contract on the

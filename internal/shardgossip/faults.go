@@ -23,18 +23,17 @@
 // # Crash semantics
 //
 // A crash with LoseJobs freezes nothing: the machine's jobs move to the lost
-// ledger, its load drops to zero, and its block's partial sum is adjusted in
-// place (the block is marked dirty so phase B rescans its max). Without
-// LoseJobs the jobs freeze with the machine — they stay in its list and its
-// load stays in the partial reductions, so Cmax keeps counting frozen work,
-// mirroring netsim — and are re-hosted in place on recovery. Every
-// transition unlatches the verified-stable fast path and resets the quiet
-// counter: a recovery brings frozen work back into play and a crash removes
-// a participant from every future matching, so a previously proven
-// stability no longer holds. Every transition also marks its machine for
-// the incremental stability check: the check skips the pairs of a down
-// machine, so they were never verified and must be split again once the
-// machine is back.
+// ledger, its load drops to zero, and if it held any load the coordinator
+// recomputes Cmax and ΣC on the spot (reduceLoads). Without LoseJobs the
+// jobs freeze with the machine — they stay in its list and its load stays
+// in the aggregates, so Cmax keeps counting frozen work, mirroring netsim —
+// and are re-hosted in place on recovery. Every transition unlatches the
+// verified-stable fast path and resets the quiet counter: a recovery brings
+// frozen work back into play and a crash removes a participant from every
+// future matching, so a previously proven stability no longer holds. Every
+// transition also marks its machine for the incremental stability check:
+// the check skips the pairs of a down machine, so they were never verified
+// and must be split again once the machine is back.
 package shardgossip
 
 import (
@@ -122,7 +121,7 @@ func newFaultState(cfg faults.Config, m int) (*faultState, error) {
 
 // applyFaults applies every scheduled transition up to and including the
 // epoch about to execute. Runs on the coordinator between epochs: no worker
-// is live, so state and partials are written without locks.
+// is live, so state is written without locks.
 func (e *Engine) applyFaults() {
 	fs := e.faults
 	now := int64(e.epoch)
@@ -136,13 +135,11 @@ func (e *Engine) applyFaults() {
 		} else {
 			e.crashMachine(ev)
 		}
-		// Any transition invalidates a proven stability and dirties the
-		// machine's block so phase B refreshes its partial max. It also
-		// marks the machine for the stability checker: while it was down
-		// its pairs were skipped, not verified.
+		// Any transition invalidates a proven stability. It also marks the
+		// machine for the stability checker: while it was down its pairs
+		// were skipped, not verified.
 		e.stable = false
 		e.noChange = 0
-		e.shards[e.part.ShardOf(int(ev.machine))].dirty = true
 		if e.check != nil {
 			e.check.Mark(int(ev.machine))
 		}
@@ -170,10 +167,11 @@ func (e *Engine) crashMachine(ev faultEvent) {
 		}
 		slices.SortFunc(fs.lost[first:], func(a, b LostJob) int { return cmp.Compare(a.Job, b.Job) })
 		fs.jobsLost += affected
-		old := e.load[x]
 		e.jobs[x] = e.jobs[x][:0]
-		e.load[x] = 0
-		e.shards[e.part.ShardOf(x)].partialSum -= int64(old)
+		if e.load[x] > 0 {
+			e.load[x] = 0
+			e.reduceLoads()
+		}
 	} else {
 		fs.frozen[x] = int32(affected)
 	}
@@ -200,7 +198,7 @@ func (e *Engine) crashMachine(ev faultEvent) {
 
 // recoverMachine brings machine ev.machine back; jobs frozen by a
 // non-losing crash are re-hosted in place (their loads never left the
-// partial reductions).
+// aggregates).
 func (e *Engine) recoverMachine(ev faultEvent) {
 	fs := e.faults
 	x := int(ev.machine)
@@ -265,14 +263,14 @@ func (e *Engine) Voided() int {
 // ValidateConservation checks the engine's global invariants after (or
 // during) a faulted run: every job of the model is either placed on exactly
 // one machine or recorded exactly once in the lost ledger; every cached
-// load, the per-shard partial reductions and the barrier-cached aggregates
-// match a recomputation from job costs; and the dynamic down-set matches
-// the plan's DownAt at the engine's current virtual time. Call it between
-// epochs (it reads coordinator-owned state). It is the sharded counterpart
-// of netsim's conservation invariant and is O(n + m).
+// load and the cached Cmax and ΣC match a recomputation from job costs; and
+// the dynamic down-set matches the plan's DownAt at the engine's current
+// virtual time. Call it between epochs (it reads coordinator-owned state).
+// It is the sharded counterpart of netsim's conservation invariant and is
+// O(n + m).
 func (e *Engine) ValidateConservation() error {
 	n := e.model.NumJobs()
-	m := e.part.NumMachines()
+	m := len(e.load)
 	const (
 		unseen = iota
 		placed
@@ -325,23 +323,6 @@ func (e *Engine) ValidateConservation() error {
 	}
 	if max != e.cachedMax {
 		return fmt.Errorf("shardgossip: cached makespan %d != recomputed %d", e.cachedMax, max)
-	}
-	for s := range e.shards {
-		lo, hi := e.part.Bounds(s)
-		var psum int64
-		var pmax core.Cost
-		for _, l := range e.load[lo:hi] {
-			psum += int64(l)
-			if l > pmax {
-				pmax = l
-			}
-		}
-		if psum != e.shards[s].partialSum {
-			return fmt.Errorf("shardgossip: shard %d partial sum %d != recomputed %d", s, e.shards[s].partialSum, psum)
-		}
-		if !e.shards[s].dirty && pmax != e.shards[s].partialMax {
-			return fmt.Errorf("shardgossip: shard %d partial max %d != recomputed %d", s, e.shards[s].partialMax, pmax)
-		}
 	}
 	if e.faults != nil && e.epoch > 0 {
 		// applyFaults last ran with virtual time e.epoch-1 (the top of the

@@ -51,11 +51,6 @@ func TestEngineMetrics(t *testing.T) {
 	if got := met.EpochMoves.Sum(); got != int64(e.Moves()) {
 		t.Fatalf("shardgossip_epoch_moves sum = %d, want %d", got, e.Moves())
 	}
-	// Three shards over ten machines must see some cross-shard sessions in
-	// 40 random matchings.
-	if met.Cross.Value() == 0 {
-		t.Fatal("no cross-shard sessions counted")
-	}
 	// Re-registration on the same registry must accumulate, not panic.
 	if NewMetrics(reg).Epochs.Value() != epochs {
 		t.Fatal("metrics registry not reusable")

@@ -12,8 +12,8 @@ import (
 )
 
 // benchSharded measures one epoch of the sharded engine — pipelined schedule
-// handoff, ⌊m/2⌋ sessions, partial-reduction barrier — per protocol family
-// and shard count. Results are recorded in BENCH_8.json; sessions/sec is the
+// handoff, ⌊m/2⌋ sessions, the barrier and its pass over the m loads — per
+// protocol family and shard count. Results are recorded in BENCH_8.json; sessions/sec is the
 // headline metric (one session is one pairwise exchange, the unit the paper
 // counts).
 func benchSharded(b *testing.B, m, n int) {

@@ -7,8 +7,7 @@
 //
 // # Execution model
 //
-// Machines are assigned to S load blocks by a core.Partition (contiguous
-// blocks), one per worker; the coordinator is worker 0. Time advances in
+// S workers step the engine; the coordinator is worker 0. Time advances in
 // epochs. Each epoch's schedule — a random perfect matching of the machines
 // — is drawn by a dedicated scheduler goroutine one epoch ahead (see
 // "Pipelined schedule" below). The schedule is only the matching: no session
@@ -18,26 +17,23 @@
 // none are left. A chunk is about an eighth of a worker's even share and at
 // least one session, so a worker that wakes late or a chunk that runs slow
 // leaves the rest of the epoch to the others instead of holding the barrier.
-// Workers execute their sessions without long-lived locks: the matching
-// guarantees the sessions of one epoch touch pairwise-disjoint machine
-// state, so the session body (pair step, write-back) is lock-free; only
-// the few-instruction update of a block's partial max/sum accumulators takes
-// that block's mutex (see "Per-shard reductions"). A barrier closes the
-// epoch: the coordinator reduces the S workers' tallies and the S blocks'
-// accumulators in shard order — never rescanning the m loads — and notifies
-// metrics, spans, timeline and observers once per epoch.
+// Workers execute their sessions without locks: the matching guarantees the
+// sessions of one epoch touch pairwise-disjoint machine state, so a session
+// writes its pair's job lists and loads and its worker's tallies, nothing
+// shared. A barrier closes the epoch: the coordinator sums the S workers'
+// tallies in shard order, recomputes the aggregates if a load changed (see
+// "The barrier pass") and notifies metrics, spans, timeline and observers
+// once per epoch.
 //
-// # Per-shard reductions
+// # The barrier pass
 //
-// Each block maintains a partial sum and partial max of its machines' loads,
-// updated in O(1) per load write under the block's mutex by whichever worker
-// ran the session. Within an epoch every machine's load is written at most
-// once (matching), so the partial max is exact unless the write that held
-// the block max decreased it — that write observes old == partialMax and
-// marks the block dirty. Dirty blocks are rescanned in parallel (worker s
-// scans block s, O(m/S)) in a second fan-out before the barrier, so
-// barrier() only folds S partials: the coordinator's former O(m) Amdahl term
-// is gone.
+// Cmax and ΣC are computed in one place, reduceLoads: one pass over the m
+// loads, which the barrier runs when a session of the epoch changed a load,
+// and New and a LoseJobs crash of a loaded machine run too. A quiet epoch,
+// and every epoch after the placement is verified stable, reads no load.
+// The pass is serial, but an epoch that changed a load ran ⌊m/2⌋ sessions
+// that each read two job lists, so the pass is a small fraction of the epoch
+// it closes (DESIGN.md §14 gives the measured costs).
 //
 // # Pipelined schedule
 //
@@ -57,7 +53,7 @@
 // (integer arithmetic, so the result is bit-identical to a recomputation
 // from the job lists), and the arrivals it reports for each side say
 // whether anything moved. A session that moved nothing skips the
-// write-back and the partial updates entirely. On top of
+// write-back entirely. On top of
 // that, once a Run's stability check has *proved* the placement
 // pairwise-stable, the engine latches a verified-stable fast path: every
 // later session is known to be a step that moves nothing and only performs
@@ -88,10 +84,9 @@
 // split of the claimed chunks among the workers. (The alternative of
 // per-worker rng.Substream(seed, shard, epoch) generators was rejected: any
 // shard-keyed draw that feeds the schedule would make results depend on S,
-// breaking cross-shard-count identity.) The per-worker tallies are sums and
-// the partial max/sum accumulators are reduced in shard order; rescans
-// recompute a block max from loads alone, so none of them can introduce
-// interleaving dependence either.
+// breaking cross-shard-count identity.) The per-worker tallies are sums,
+// reduced in shard order, and the barrier pass recomputes Cmax and ΣC from
+// the loads alone, so neither can introduce interleaving dependence.
 //
 // Span traces do not depend on who ran a session. Each session writes its
 // record into the epoch's slot for its session index, and at the barrier
@@ -119,23 +114,14 @@ import (
 	"hetlb/internal/rng"
 )
 
-// Worker dispatch phases: after the sessions fan-out, a second fan-out
-// rescans dirty blocks. The coordinator writes phase between barriers; the
-// start-channel send/receive orders the write before any worker reads it.
-const (
-	phaseSessions = iota
-	phaseRescan
-)
-
 // Metrics bundles the engine's obs instruments. All record paths are
 // allocation-free; a nil *Metrics disables instrumentation with one branch
 // per epoch.
 type Metrics struct {
 	// Epochs counts completed epochs; Sessions the pairwise sessions they
 	// executed; Changed those that altered a pair's loads; Moves the job
-	// migrations; Cross the sessions whose two machines lie in different
-	// load blocks, whichever worker ran them.
-	Epochs, Sessions, Changed, Moves, Cross *obs.Counter
+	// migrations.
+	Epochs, Sessions, Changed, Moves *obs.Counter
 	// Makespan tracks Cmax after every epoch barrier.
 	Makespan *obs.Gauge
 	// EpochMoves is the distribution of migrations per epoch.
@@ -156,7 +142,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Sessions:   r.Counter("shardgossip_sessions_total", "pairwise balancing sessions executed"),
 		Changed:    r.Counter("shardgossip_changed_sessions_total", "sessions that changed the pair's loads"),
 		Moves:      r.Counter("shardgossip_moves_total", "job migrations across all sessions"),
-		Cross:      r.Counter("shardgossip_cross_sessions_total", "sessions whose two machines lie in different load blocks"),
 		Makespan:   r.Gauge("shardgossip_makespan", "current Cmax of the schedule"),
 		EpochMoves: r.Histogram("shardgossip_epoch_moves", "jobs migrated per epoch", obs.Pow2Bounds(24)),
 
@@ -217,40 +202,23 @@ func AutoShards(m int) int {
 }
 
 // schedule is one epoch's pair matching: session t pairs pairI[t] with
-// pairJ[t]; cross counts the pairs whose machines lie in two load blocks.
-// Two schedule buffers double-buffer between the coordinator (executing
-// epoch k) and the scheduler goroutine (drawing epoch k+1).
+// pairJ[t]. Two schedule buffers double-buffer between the coordinator
+// (executing epoch k) and the scheduler goroutine (drawing epoch k+1).
 type schedule struct {
 	//hetlb:frozen
 	pairI []int32
 	//hetlb:frozen
 	pairJ []int32
-	//hetlb:frozen
-	cross int
 }
 
-// shardState is worker s's slice of the engine plus load block s: the
-// worker's scratch and its epoch tallies over the sessions it claimed
-// (moves/changed/voided, reduced by the coordinator at the barrier in shard
-// order), and the block's partial load reduction, which any worker updates.
-// The mutex guards ONLY partialSum/partialMax/dirty — see updatePartials for
-// the locking invariant.
+// shardState is worker s's scratch and its epoch tallies over the sessions
+// it claimed (moves/changed/voided), which only worker s writes during an
+// epoch and the coordinator sums at the barrier in shard order.
 type shardState struct {
-	mu      sync.Mutex
 	scratch pairwise.Scratch
 	moves   int
 	changed int
 	voided  int
-	// partialSum and partialMax reduce the loads of this shard's machine
-	// block; dirty marks that the block max may have decreased and the block
-	// needs an O(m/S) rescan before the barrier (see package doc,
-	// "Per-shard reductions").
-	//hetlb:guarded
-	partialSum int64
-	//hetlb:guarded
-	partialMax core.Cost
-	//hetlb:guarded
-	dirty bool
 }
 
 // Engine drives one sharded simulation run. It is not safe for concurrent
@@ -258,7 +226,6 @@ type shardState struct {
 type Engine struct {
 	proto protocol.Protocol
 	model core.CostModel
-	part  *core.Partition
 	seed  uint64
 
 	// Per-machine state. During an epoch each entry is written by at most
@@ -280,8 +247,6 @@ type Engine struct {
 	perm      []int    // owned by the scheduler goroutine after New
 
 	shards []shardState
-	//hetlb:frozen
-	phase int // worker dispatch phase for the current fan-out
 	// next is the index of the current epoch's first unclaimed session;
 	// StepEpoch resets it before the fan-out, and every worker claims
 	// chunks of sessions from it (see runSessions).
@@ -322,7 +287,7 @@ type Engine struct {
 	// notification does not box *Engine per epoch.
 	self gossip.Stepper
 
-	// Worker pool, live iff NumShards() > 1: worker s (s >= 1) blocks on
+	// Worker pool, live iff len(shards) > 1: worker s (s >= 1) blocks on
 	// start[s]; the coordinator is worker 0 and runs inline. Signalling is
 	// channel send + WaitGroup, so steady-state epochs allocate nothing.
 	start  []chan struct{}
@@ -352,16 +317,14 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 	if shards == 0 {
 		shards = AutoShards(m)
 	}
-	part, err := core.NewPartition(m, shards)
-	if err != nil {
-		return nil, err
+	if shards > m {
+		return nil, fmt.Errorf("shardgossip: %d shards over %d machines (at most one shard per machine)", shards, m)
 	}
 
 	n := model.NumJobs()
 	e := &Engine{
 		proto:     p,
 		model:     model,
-		part:      part,
 		seed:      cfg.Seed,
 		load:      make([]core.Cost, m),
 		exchanges: make([]int, m),
@@ -384,27 +347,10 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 
 	e.jobs = make([][]int, m)
 	initial.FillOrderedLists(e.jobs, make([]int, n), p.ListOrder())
-	var max core.Cost
-	for i := 0; i < m; i++ {
-		l := initial.Load(i)
-		e.load[i] = l
-		e.sumLoad += int64(l)
-		if l > max {
-			max = l
-		}
+	for i := range e.load {
+		e.load[i] = initial.Load(i)
 	}
-	e.cachedMax = max
-	// Seed the per-shard partial reductions from the initial loads.
-	for s := range e.shards {
-		sh := &e.shards[s]
-		lo, hi := part.Bounds(s)
-		for _, l := range e.load[lo:hi] {
-			sh.partialSum += int64(l)
-			if l > sh.partialMax {
-				sh.partialMax = l
-			}
-		}
-	}
+	e.reduceLoads()
 
 	if e.spans != nil {
 		e.runSpan = e.spans.NextID()
@@ -445,9 +391,6 @@ func (e *Engine) Close() {
 // with i = j = -1 (see gossip.Observer).
 func (e *Engine) Observe(o gossip.Observer) { e.observers = append(e.observers, o) }
 
-// Partition returns the machine→shard partition.
-func (e *Engine) Partition() *core.Partition { return e.part }
-
 // Epochs returns the number of epochs executed so far.
 func (e *Engine) Epochs() int { return e.epoch }
 
@@ -469,27 +412,23 @@ func (e *Engine) Makespan() core.Cost { return e.cachedMax }
 func (e *Engine) TotalLoad() int64 { return e.sumLoad }
 
 // Machines implements gossip.Stepper.
-func (e *Engine) Machines() int { return e.part.NumMachines() }
+func (e *Engine) Machines() int { return len(e.load) }
 
 // Exchanges implements gossip.Stepper (live slice; copy to snapshot).
 func (e *Engine) Exchanges() []int { return e.exchanges }
 
 var _ gossip.Stepper = (*Engine)(nil)
 
-// worker is the loop of worker s (s >= 1): when signalled, run the current
-// phase's work (claim sessions, or rescan block s), report through the epoch
-// WaitGroup, exit on Close.
+// worker is the loop of worker s (s >= 1): when signalled, claim sessions
+// until the epoch has none left, report through the epoch WaitGroup, exit on
+// Close.
 func (e *Engine) worker(s int) {
 	for {
 		select {
 		case <-e.quit:
 			return
 		case <-e.start[s]:
-			if e.phase == phaseRescan {
-				e.rescanBlock(s)
-			} else {
-				e.runSessions(s)
-			}
+			e.runSessions(s)
 			e.wg.Done()
 		}
 	}
@@ -520,14 +459,9 @@ func (e *Engine) scheduler() {
 func (e *Engine) drawSchedule(b *schedule, epoch uint64) {
 	e.drawGen.Reseed(rng.DeriveSeed(e.seed, epoch))
 	e.drawGen.PermInto(e.perm)
-	b.cross = 0
 	for t := range b.pairI {
-		i, j := e.perm[2*t], e.perm[2*t+1]
-		b.pairI[t] = int32(i)
-		b.pairJ[t] = int32(j)
-		if e.part.ShardOf(i) != e.part.ShardOf(j) {
-			b.cross++
-		}
+		b.pairI[t] = int32(e.perm[2*t])
+		b.pairJ[t] = int32(e.perm[2*t+1])
 	}
 }
 
@@ -558,42 +492,15 @@ func (e *Engine) StepEpoch() bool {
 	// send below.
 	e.next.Store(0)
 	if e.start != nil {
-		e.phase = phaseSessions
 		e.wg.Add(len(e.shards) - 1)
 		for s := 1; s < len(e.shards); s++ {
 			e.start[s] <- struct{}{}
 		}
-		e.runSessions(0)
-		e.wg.Wait()
-		// Phase B: worker s rescans block s if it is dirty, in parallel.
-		// The barrier above ordered every load write before these reads.
-		dirty := 0
-		for s := 1; s < len(e.shards); s++ {
-			if e.shards[s].dirty {
-				dirty++
-			}
-		}
-		if dirty > 0 {
-			e.phase = phaseRescan
-			e.wg.Add(dirty)
-			for s := 1; s < len(e.shards); s++ {
-				if e.shards[s].dirty {
-					e.start[s] <- struct{}{}
-				}
-			}
-		}
-		if e.shards[0].dirty {
-			e.rescanBlock(0)
-		}
-		if dirty > 0 {
-			e.wg.Wait()
-		}
-	} else {
-		e.runSessions(0)
-		if e.shards[0].dirty {
-			e.rescanBlock(0)
-		}
 	}
+	e.runSessions(0)
+	// The wait orders every worker's load and tally writes before the
+	// barrier's reads.
+	e.wg.Wait()
 	return e.barrier()
 }
 
@@ -619,47 +526,6 @@ func (e *Engine) runSessions(s int) {
 			e.session(s, int(t))
 		}
 	}
-}
-
-// rescanBlock recomputes block s's partial max from its O(m/S) loads, on
-// worker s. It runs only between the session barrier and the epoch barrier
-// (phase B), when no session is writing loads, so it takes no lock.
-func (e *Engine) rescanBlock(s int) {
-	sh := &e.shards[s]
-	lo, hi := e.part.Bounds(s)
-	var max core.Cost
-	for _, l := range e.load[lo:hi] {
-		if l > max {
-			max = l
-		}
-	}
-	sh.partialMax = max //hetlb:concurrency-ok phase B rescan: the session barrier ordered every load write before this read, and only worker s rescans block s
-	sh.dirty = false    //hetlb:concurrency-ok phase B rescan: only worker s clears block s's dirty flag between the session and epoch barriers
-}
-
-// updatePartials folds one machine's load change into its block's partial
-// reduction. Locking invariant: a session takes at most ONE shard mutex at a
-// time (the block owning the touched machine), holds it for these few
-// integer operations only, and never nests it with another — so no lock
-// ordering is needed and deadlock is impossible by construction. The unlock
-// is explicit, not deferred: this sits on the //hetlb:noalloc hot path and a
-// defer would cost more than the critical section.
-//
-//hetlb:noalloc
-func (e *Engine) updatePartials(machine int, old, new core.Cost) {
-	sh := &e.shards[e.part.ShardOf(machine)]
-	sh.mu.Lock()
-	sh.partialSum += int64(new) - int64(old)
-	// Within an epoch each machine's load is written once, so old is the
-	// machine's epoch-start load and old <= partialMax always holds.
-	if new > sh.partialMax {
-		sh.partialMax = new
-	} else if new < old && old == sh.partialMax {
-		// The write that held the block max decreased it: the partial max
-		// may now overestimate. The owner rescans the block in phase B.
-		sh.dirty = true
-	}
-	sh.mu.Unlock()
 }
 
 // session executes pair t of the current epoch on worker s: step the pair's
@@ -730,8 +596,6 @@ func (e *Engine) session(s, t int) {
 			c.Mark(i)
 			c.Mark(j)
 		}
-		e.updatePartials(i, l1, n1)
-		e.updatePartials(j, l2, n2)
 		sh.moves += moved
 		changed = n1 != l1 || n2 != l2
 		if changed {
@@ -756,10 +620,10 @@ func (e *Engine) session(s, t int) {
 	}
 }
 
-// barrier closes the epoch on the coordinator: reduce the workers' tallies
-// and the blocks' partial load reductions in shard order — S values, never
-// the m loads — append the epoch's session records in index order, and
-// notify metrics, timeline and observers.
+// barrier closes the epoch on the coordinator: sum the workers' tallies in
+// shard order, recompute Cmax and ΣC if a session changed a load, append
+// the epoch's session records in index order, and notify metrics, timeline
+// and observers.
 func (e *Engine) barrier() bool {
 	np := len(e.cur.pairI)
 	if e.slots != nil {
@@ -768,28 +632,21 @@ func (e *Engine) barrier() bool {
 		}
 	}
 	moves, changed := 0, 0
-	var max core.Cost
-	var sum int64
 	for s := range e.shards {
-		sh := &e.shards[s]
-		moves += sh.moves
-		changed += sh.changed
-		if sh.partialMax > max {
-			max = sh.partialMax
-		}
-		sum += sh.partialSum
+		moves += e.shards[s].moves
+		changed += e.shards[s].changed
 	}
 	e.moves += moves
 	e.sessions += np
 	e.epoch++
-	e.cachedMax = max
-	e.sumLoad = sum
 
 	if changed == 0 {
 		e.noChange += np
 	} else {
 		e.noChange = 0
+		e.reduceLoads()
 	}
+	max, sum := e.cachedMax, e.sumLoad
 
 	if e.faults != nil {
 		voided := 0
@@ -809,9 +666,6 @@ func (e *Engine) barrier() bool {
 		if moves > 0 {
 			e.metrics.Moves.Add(int64(moves))
 		}
-		if e.cur.cross > 0 {
-			e.metrics.Cross.Add(int64(e.cur.cross))
-		}
 		e.metrics.Makespan.Set(int64(max))
 		e.metrics.EpochMoves.Observe(int64(moves))
 	}
@@ -819,7 +673,7 @@ func (e *Engine) barrier() bool {
 		e.timeline.Record(timeline.Point{
 			Time:      int64(e.sessions - 1),
 			Cmax:      int64(max),
-			Imbalance: int64(max) - sum/int64(e.part.NumMachines()),
+			Imbalance: int64(max) - sum/int64(len(e.load)),
 			Moves:     int64(e.moves),
 		})
 	}
@@ -827,6 +681,22 @@ func (e *Engine) barrier() bool {
 		o.OnStep(e.self, e.sessions-1, -1, -1)
 	}
 	return changed > 0
+}
+
+// reduceLoads recomputes the cached Cmax and ΣC in one pass over the m
+// loads. It runs on the coordinator between epochs only: in New, at the
+// barrier of an epoch that changed a load, and after a LoseJobs crash of a
+// loaded machine.
+func (e *Engine) reduceLoads() {
+	var max core.Cost
+	var sum int64
+	for _, l := range e.load {
+		sum += int64(l)
+		if l > max {
+			max = l
+		}
+	}
+	e.cachedMax, e.sumLoad = max, sum
 }
 
 // Snapshot materializes the current placement as a fresh core.Assignment
@@ -878,7 +748,7 @@ func (e *Engine) checkStable() bool {
 // machine and re-opens the latch (see applyFaults).
 func (e *Engine) unstablePair() (int, int) {
 	if e.check == nil {
-		e.check = protocol.NewChecker(e.part.NumMachines(), e.proto)
+		e.check = protocol.NewChecker(len(e.load), e.proto)
 	}
 	var down []bool
 	if e.faults != nil {
@@ -919,7 +789,7 @@ type Result struct {
 // success it latches the verified-stable session fast path for any further
 // stepping).
 func (e *Engine) Run(maxSessions int, detectStability bool) Result {
-	m := e.part.NumMachines()
+	m := len(e.load)
 	startSessions := e.sessions
 	window := 2 * m
 	if window < 8 {
