@@ -52,7 +52,7 @@ race:
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/... \
 		./internal/core/... ./internal/central/...
 
-# Fuzzes six targets for 30s each. FuzzStabilityCheck: random small
+# Fuzzes seven targets for 30s each. FuzzStabilityCheck: random small
 # instances, epoch counts and crash plans, on both engines, where every
 # check must answer as a full scan from pair (0,1) does. FuzzShardedFaultPlan:
 # arbitrary crash plans (machines out of range, overlapping intervals,
@@ -74,11 +74,16 @@ race:
 # side's costs summed afresh, the step equal to a merge and a split on a
 # fresh scratch unless a MinMove protocol transfers, MJTB's walk equal to
 # BasicGreedy per type, a dirty scratch equal to a fresh one, a second step
-# moving nothing). go test -fuzz takes one target in one package per run. The
-# committed seed corpora (internal/shardgossip/testdata/fuzz,
-# internal/core/testdata/fuzz, internal/explain/testdata/fuzz,
-# internal/protocol/testdata/fuzz) also run as plain tests in `make test`;
-# a failing input found here is written next to them.
+# moving nothing). Then FuzzMinLoads: the loser tree that finds CLB2C's and
+# online LS's least-loaded machine, over 1 to 300 machines listed in order,
+# as a sorted subset or shuffled, start loads that tie or reach 2^62, and
+# raises that include 0, against a linear scan after every step; its
+# minimization is capped at 5s too. go test -fuzz takes one target in one
+# package per run. The committed seed corpora
+# (internal/shardgossip/testdata/fuzz, internal/core/testdata/fuzz,
+# internal/explain/testdata/fuzz, internal/protocol/testdata/fuzz,
+# internal/central/testdata/fuzz) also run as plain tests in `make test`; a
+# failing input found here is written next to them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzStabilityCheck$$' -fuzztime=30s ./internal/shardgossip/
 	$(GO) test -run='^$$' -fuzz='^FuzzShardedFaultPlan$$' -fuzztime=30s ./internal/shardgossip/
@@ -86,6 +91,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSpans$$' -fuzztime=30s ./internal/explain/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimeline$$' -fuzztime=30s ./internal/explain/
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=30s ./internal/protocol/
+	$(GO) test -run='^$$' -fuzz='^FuzzMinLoads$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/central/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

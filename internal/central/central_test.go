@@ -465,6 +465,53 @@ func TestCLB2CMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCLB2CMatchesReferenceWideClusters is TestCLB2CMatchesReference at
+// 5, 63, 64, 65 and 100 machines per cluster, where the loser trees have
+// padded leaves and paths up to seven matches long: over every cost family,
+// RunCLB2C on the whole instance, and CLB2C on random machine subsets in
+// random order with a third of the jobs already placed, must put every job
+// where the comparator-sort and container/heap reference does.
+func TestCLB2CMatchesReferenceWideClusters(t *testing.T) {
+	gen := rng.New(15)
+	widths := []int{5, 63, 64, 65, 100}
+	for _, f := range clb2cFamilies {
+		for trial, m1 := range widths {
+			m2 := widths[(trial+2)%len(widths)]
+			n := []int{1, 64, 700, 2000}[trial%4]
+			p0, p1 := make([]core.Cost, n), make([]core.Cost, n)
+			for j := range p0 {
+				p0[j], p1[j] = f.draw(gen)
+			}
+			tc, err := core.NewTwoCluster(m1, m2, p0, p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s: m1=%d m2=%d n=%d", f.name, m1, m2, n)
+
+			ref := core.NewAssignment(tc)
+			refCLB2C(ref, tc, seq(0, m1), seq(m1, m1+m2), seq(0, n))
+			sameMachines(t, what+" RunCLB2C", RunCLB2C(tc), ref)
+
+			got, ref := core.NewAssignment(tc), core.NewAssignment(tc)
+			var rest []int
+			for j := 0; j < n; j++ {
+				if gen.Intn(3) == 0 {
+					i := gen.Intn(m1 + m2)
+					got.Assign(j, i)
+					ref.Assign(j, i)
+				} else {
+					rest = append(rest, j)
+				}
+			}
+			gen.ShuffleInts(rest)
+			ms0, ms1 := subset(gen, seq(0, m1)), subset(gen, seq(m1, m1+m2))
+			CLB2C(got, opaque{tc}, ms0, ms1, rest)
+			refCLB2C(ref, tc, ms0, ms1, rest)
+			sameMachines(t, fmt.Sprintf("%s CLB2C on %d+%d machines", what, len(ms0), len(ms1)), got, ref)
+		}
+	}
+}
+
 // TestRunCLB2CMatchesReferenceAtScale compares the schedules of a
 // 131,072-job instance, whose ratios tie in the thousands.
 func TestRunCLB2CMatchesReferenceAtScale(t *testing.T) {
@@ -476,24 +523,42 @@ func TestRunCLB2CMatchesReferenceAtScale(t *testing.T) {
 }
 
 // TestRunCLB2CAllocationPerJob bounds what RunCLB2C allocates at paper
-// scale (64+32 machines, 768 jobs) by three words per job (the
-// assignment's job map, the sort keys and the radix buffer) plus O(m)
-// words: the loads, two heaps of (load, machine) pairs, the two machine
-// lists and a constant for the headers. Replications run CLB2C once each
-// with the collector paused, so every byte shows in their peak memory.
+// scale (64+32 machines, 768 jobs) by three words per job plus O(m) words.
+// A first call on a model allocates four per-job arrays: the sort keys and
+// the radix buffer (8 bytes per job each), the ratio order the model keeps
+// and the assignment's job map (4 bytes per job each). The O(m) words are
+// the loads, the two loser trees (16 bytes per padded leaf), the two
+// machine lists and a constant for the headers. The test measures first
+// calls on fresh models over the same costs, as benchRunCLB2C times them,
+// and later calls on a model that keeps its order, which skip the radix
+// buffer and the order. Replications run CLB2C once each with the collector
+// paused, so every byte shows in their peak memory.
 func TestRunCLB2CAllocationPerJob(t *testing.T) {
 	const m, n, runs = 96, 768, 20
 	tc := workload.UniformTwoCluster(rng.New(10), 64, 32, n, 1, 1000)
-	RunCLB2C(tc)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < runs; r++ {
-		RunCLB2C(tc)
+	fresh := make([]*core.TwoCluster, runs)
+	for r := range fresh {
+		var err error
+		if fresh[r], err = core.NewTwoCluster(64, 32, tc.ClusterCosts(0), tc.ClusterCosts(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(8 * (3*n + 4*m + 32)); perCall > limit {
-		t.Fatalf("RunCLB2C allocates %d bytes per call, want at most %d", perCall, limit)
+	limit := uint64(8 * (3*n + 4*m + 32))
+	perCall := func(run func(r int)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			run(r)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if got := perCall(func(r int) { RunCLB2C(fresh[r]) }); got > limit {
+		t.Errorf("a first RunCLB2C on a model allocates %d bytes, want at most %d", got, limit)
+	}
+	RunCLB2C(tc)
+	if got := perCall(func(int) { RunCLB2C(tc) }); got > limit {
+		t.Errorf("a later RunCLB2C on a model allocates %d bytes, want at most %d", got, limit)
 	}
 }
 

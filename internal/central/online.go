@@ -7,15 +7,15 @@ import (
 )
 
 // OnlineLS is the submission-time scheduler the paper's related work
-// describes: each arriving job goes to the least loaded machine, maintained
-// in a priority queue so each placement costs O(log m). On identical
-// machines every intermediate solution is a 2-approximation (Graham), but
-// the structure is inherently centralized — which is the paper's argument
-// for decentralized alternatives.
+// describes: each arriving job goes to the least loaded machine (the
+// lowest-indexed among ties), maintained in a loser tree so each placement
+// costs O(log m). On identical machines every intermediate solution is a
+// 2-approximation (Graham), but the structure is inherently centralized —
+// which is the paper's argument for decentralized alternatives.
 type OnlineLS struct {
 	model      core.CostModel
 	assignment *core.Assignment
-	h          minLoads
+	t          loserTree
 }
 
 // NewOnlineLS builds an empty online scheduler over the model.
@@ -25,7 +25,7 @@ func NewOnlineLS(m core.CostModel) *OnlineLS {
 		machines[i] = i
 	}
 	a := core.NewAssignment(m)
-	return &OnlineLS{model: m, assignment: a, h: newMinLoads(a, machines)}
+	return &OnlineLS{model: m, assignment: a, t: newLoserTree(a, machines)}
 }
 
 // Add places job j on the currently least loaded machine and returns that
@@ -34,9 +34,9 @@ func (o *OnlineLS) Add(job int) int {
 	if o.assignment.MachineOf(job) != -1 {
 		panic(fmt.Sprintf("central: job %d submitted twice", job))
 	}
-	i := o.h[0].machine
+	i, _ := o.t.min()
 	o.assignment.Assign(job, i)
-	o.h.raiseMin(o.assignment.Load(i))
+	o.t.raiseMin(o.assignment.Load(i))
 	return i
 }
 

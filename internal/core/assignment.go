@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -20,17 +21,23 @@ import (
 // (internal/shardgossip) materializes one only on snapshot.
 type Assignment struct {
 	model     CostModel
-	machineOf []int  // machineOf[job] = machine, or -1 if unassigned
-	load      []Cost // load[machine] = sum of costs of its jobs
-	assigned  int    // number of assigned jobs
+	machineOf []int32 // machineOf[job] = machine, or -1 if unassigned
+	load      []Cost  // load[machine] = sum of costs of its jobs
+	assigned  int     // number of assigned jobs
 }
 
 // NewAssignment returns an empty assignment (all jobs unassigned) over the
-// given model.
+// given model. The job map holds machines as 32-bit ids, half the memory of
+// an int per job, so the model must have at most math.MaxInt32 machines:
+// NewTwoCluster and NewIdentical reject larger counts, and NewAssignment
+// panics on any model with more.
 func NewAssignment(m CostModel) *Assignment {
+	if int64(m.NumMachines()) > math.MaxInt32 {
+		panic(fmt.Sprintf("core: %d machines; an assignment holds at most %d", m.NumMachines(), math.MaxInt32))
+	}
 	a := &Assignment{
 		model:     m,
-		machineOf: make([]int, m.NumJobs()),
+		machineOf: make([]int32, m.NumJobs()),
 		load:      make([]Cost, m.NumMachines()),
 	}
 	for j := range a.machineOf {
@@ -48,7 +55,7 @@ func (a *Assignment) Model() CostModel { return a.model }
 func (a *Assignment) Clone() *Assignment {
 	return &Assignment{
 		model:     a.model,
-		machineOf: append([]int(nil), a.machineOf...),
+		machineOf: append([]int32(nil), a.machineOf...),
 		load:      append([]Cost(nil), a.load...),
 		assigned:  a.assigned,
 	}
@@ -113,7 +120,7 @@ func (a *Assignment) Assign(job, machine int) {
 	if a.machineOf[job] != -1 {
 		panic(fmt.Sprintf("core: job %d already assigned to machine %d", job, a.machineOf[job]))
 	}
-	a.machineOf[job] = machine
+	a.machineOf[job] = int32(machine)
 	a.load[machine] += a.model.Cost(machine, job)
 	a.assigned++
 }
@@ -124,7 +131,7 @@ func (a *Assignment) Unassign(job int) {
 	if i == -1 {
 		panic(fmt.Sprintf("core: job %d is not assigned", job))
 	}
-	a.load[i] -= a.model.Cost(i, job)
+	a.load[i] -= a.model.Cost(int(i), job)
 	a.machineOf[job] = -1
 	a.assigned--
 }
@@ -139,7 +146,7 @@ func (a *Assignment) Move(job, machine int) {
 }
 
 // MachineOf returns the machine of job j, or -1 if unassigned.
-func (a *Assignment) MachineOf(job int) int { return a.machineOf[job] }
+func (a *Assignment) MachineOf(job int) int { return int(a.machineOf[job]) }
 
 // Load returns the current load of the given machine.
 func (a *Assignment) Load(machine int) Cost { return a.load[machine] }
@@ -178,7 +185,7 @@ func (a *Assignment) Unplaced() []int {
 func (a *Assignment) Jobs(machine int) []int {
 	var jobs []int
 	for j, i := range a.machineOf {
-		if i == machine {
+		if int(i) == machine {
 			jobs = append(jobs, j)
 		}
 	}
@@ -239,10 +246,10 @@ func (a *Assignment) Validate() error {
 		if i == -1 {
 			continue
 		}
-		if i < 0 || i >= a.model.NumMachines() {
+		if i < 0 || int(i) >= a.model.NumMachines() {
 			return fmt.Errorf("core: job %d on invalid machine %d", j, i)
 		}
-		recomputed[i] += a.model.Cost(i, j)
+		recomputed[i] += a.model.Cost(int(i), j)
 		count++
 	}
 	for i, l := range recomputed {

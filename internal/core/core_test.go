@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +224,39 @@ func TestAssignPanicsOnDouble(t *testing.T) {
 		}
 	}()
 	a.Assign(0, 0)
+}
+
+// TestMachineCountsFit32Bits holds the constructors to what an Assignment
+// can store, math.MaxInt32 machines, without allocating per machine: the
+// models keep only the counts, and NewAssignment panics before its load
+// vector on an opaque model beyond the limit. The counts are computed at
+// run time, so the test also builds where int has 32 bits.
+func TestMachineCountsFit32Bits(t *testing.T) {
+	limit := math.MaxInt32
+	over := strconv.FormatInt(int64(limit)+1, 10)
+	if _, err := NewTwoCluster(limit/2+1, limit/2+1, nil, nil); err == nil || !strings.Contains(err.Error(), over) {
+		t.Fatalf("NewTwoCluster at %s machines: error %v, want one naming the count", over, err)
+	}
+	if _, err := NewTwoCluster(limit/2+1, limit/2, nil, nil); err != nil {
+		t.Fatalf("NewTwoCluster at %d machines: %v", limit, err)
+	}
+	if _, err := NewIdentical(limit, nil); err != nil {
+		t.Fatalf("NewIdentical at %d machines: %v", limit, err)
+	}
+	if strconv.IntSize < 64 {
+		return // no int count exceeds the limit
+	}
+	m := limit
+	m++
+	if _, err := NewIdentical(m, nil); err == nil || !strings.Contains(err.Error(), over) {
+		t.Fatalf("NewIdentical at %d machines: error %v, want one naming the count", m, err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), over) {
+			t.Fatalf("NewAssignment at %d machines: panic %v, want one naming the count", m, r)
+		}
+	}()
+	NewAssignment(opaqueModel{m: m, n: 1})
 }
 
 func TestUnassignPanicsOnUnassigned(t *testing.T) {

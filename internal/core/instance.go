@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -59,12 +60,25 @@ type Identical struct {
 }
 
 // NewIdentical builds an identical-machines instance with m machines and the
-// given job sizes.
+// given job sizes. m may not exceed math.MaxInt32, the most machines an
+// Assignment holds.
 func NewIdentical(m int, sizes []Cost) (*Identical, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("core: identical instance needs m > 0, got %d", m)
 	}
+	if err := checkMachineCount(int64(m)); err != nil {
+		return nil, err
+	}
 	return &Identical{m: m, p: sizes}, nil
+}
+
+// checkMachineCount rejects a model of more than math.MaxInt32 machines:
+// an Assignment stores each job's machine as a 32-bit id.
+func checkMachineCount(m int64) error {
+	if m > math.MaxInt32 {
+		return fmt.Errorf("core: %d machines; at most %d are supported", m, math.MaxInt32)
+	}
+	return nil
 }
 
 // NumMachines implements CostModel.
@@ -293,12 +307,16 @@ type TwoCluster struct {
 
 // NewTwoCluster builds a two-cluster instance with m1 machines in cluster 0
 // and m2 machines in cluster 1. Machines [0, m1) belong to cluster 0 and
-// machines [m1, m1+m2) to cluster 1. The cost vectors are used directly (not
-// copied) and must not change afterwards: the model caches their ratio
-// order.
+// machines [m1, m1+m2) to cluster 1, and m1+m2 may not exceed
+// math.MaxInt32, the most machines an Assignment holds. The cost vectors are
+// used directly (not copied) and must not change afterwards: the model
+// caches their ratio order.
 func NewTwoCluster(m1, m2 int, p0, p1 []Cost) (*TwoCluster, error) {
 	if m1 <= 0 || m2 <= 0 {
 		return nil, fmt.Errorf("core: two-cluster instance needs positive cluster sizes, got %d and %d", m1, m2)
+	}
+	if err := checkMachineCount(int64(m1) + int64(m2)); err != nil {
+		return nil, err
 	}
 	if len(p0) != len(p1) {
 		return nil, fmt.Errorf("core: cluster cost vectors disagree on n: %d vs %d", len(p0), len(p1))

@@ -84,17 +84,57 @@ func OrderJobs(o JobOrder, own, other []Cost, ids []int, keys, buf []uint64) (so
 		buf = Resize(buf, n)
 		keys, buf = radixSortHigh(keys, buf)
 	}
-	for k := 1; k < n; k++ {
+	finishTies(o, own, other, ids, keys)
+	return keys, buf
+}
+
+// finishTies is OrderJobs' tie pass: an insertion sort with the exact order
+// that moves a key only past neighbours whose images tie with it. Its
+// common step compares a key with the one before and moves nothing, so the
+// pass carries the costs of the key before from the previous step: a step
+// reads one job's costs, not two.
+//
+//hetlb:noalloc
+func finishTies(o JobOrder, own, other []Cost, ids []int, keys []uint64) {
+	y := -1 // the position whose costs ya, yb hold
+	var ya, yb Cost
+	for k := 1; k < len(keys); k++ {
 		key := keys[k]
-		m := k
-		for m > 0 && keys[m-1]>>32 == key>>32 &&
-			precedes(o, own, other, ids, int(uint32(key)), int(uint32(keys[m-1]))) {
+		if keys[k-1]>>32 != key>>32 {
+			continue
+		}
+		x := int(uint32(key))
+		xa, xb := orderCosts(o, own, other, x)
+		if p := int(uint32(keys[k-1])); p != y {
+			y = p
+			ya, yb = orderCosts(o, own, other, y)
+		}
+		if !precedes(o, ids, x, xa, xb, y, ya, yb) {
+			y, ya, yb = x, xa, xb // keys[k] stays, the key before the next
+			continue
+		}
+		// The key at y moves up to k and stays the carried one.
+		keys[k] = keys[k-1]
+		m := k - 1
+		for ; m > 0 && keys[m-1]>>32 == key>>32; m-- {
+			p := int(uint32(keys[m-1]))
+			pa, pb := orderCosts(o, own, other, p)
+			if !precedes(o, ids, x, xa, xb, p, pa, pb) {
+				break
+			}
 			keys[m] = keys[m-1]
-			m--
 		}
 		keys[m] = key
 	}
-	return keys, buf
+}
+
+// orderCosts returns what order o compares of the job at position p: its
+// own and other cost for ByRatio, its own cost for BySize.
+func orderCosts(o JobOrder, own, other []Cost, p int) (Cost, Cost) {
+	if o == ByRatio {
+		return own[p], other[p]
+	}
+	return own[p], 0
 }
 
 // presorted recognizes, in one pass of exact comparisons between
@@ -252,14 +292,14 @@ func sizeImage(own Cost) uint64 {
 	return uint64(^math.Float32bits(float32(own)))
 }
 
-// precedes reports whether the job at position x comes before the one at y
-// in the exact order o.
-func precedes(o JobOrder, own, other []Cost, ids []int, x, y int) bool {
+// precedes reports whether the job at position x, whose orderCosts are xa
+// and xb, comes before the one at y, with ya and yb, in the exact order o.
+func precedes(o JobOrder, ids []int, x int, xa, xb Cost, y int, ya, yb Cost) bool {
 	var c int
 	if o == ByRatio {
-		c = CompareRatios(own[x], other[x], own[y], other[y])
+		c = CompareRatios(xa, xb, ya, yb)
 	} else {
-		c = cmp.Compare(own[y], own[x])
+		c = cmp.Compare(ya, xa)
 	}
 	if c != 0 {
 		return c < 0
@@ -335,7 +375,14 @@ func GatherCosts(c Clustered, cluster int, jobs []int, buf []Cost) []Cost {
 }
 
 // Resize returns buf with length n, growing its capacity only when n
-// exceeds it. The contents are unspecified.
+// exceeds it. The contents are unspecified, so a grown buffer is a fresh
+// one, at least twice the old capacity, and nothing is copied: one
+// allocation of the new size, where slices.Grow would also copy the old
+// contents (and, built with the race detector, allocate its appended zeros
+// a second time).
 func Resize[E any](buf []E, n int) []E {
-	return slices.Grow(buf[:0], n)[:n]
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return make([]E, n, max(n, 2*cap(buf)))
 }
