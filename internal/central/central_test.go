@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"sync"
@@ -533,31 +534,47 @@ func TestRunCLB2CMatchesReferenceAtScale(t *testing.T) {
 // and later calls on a model that keeps its order, which skip the radix
 // buffer and the order. Replications run CLB2C once each with the collector
 // paused, so every byte shows in their peak memory.
+//
+// TotalAlloc counts the whole process. When the runtime starts an OS thread
+// it allocates its own records of the thread on the heap, 5,248 bytes per
+// thread on amd64 with Go 1.24, which over 20 calls exceeds the bound's
+// headroom. That happens at random, more often on a loaded host, so a
+// window in which the count of threads (the threadcreate profile) grew is
+// measured again, on new fresh models.
 func TestRunCLB2CAllocationPerJob(t *testing.T) {
 	const m, n, runs = 96, 768, 20
 	tc := workload.UniformTwoCluster(rng.New(10), 64, 32, n, 1, 1000)
 	fresh := make([]*core.TwoCluster, runs)
-	for r := range fresh {
-		var err error
-		if fresh[r], err = core.NewTwoCluster(64, 32, tc.ClusterCosts(0), tc.ClusterCosts(1)); err != nil {
-			t.Fatal(err)
+	renew := func() {
+		for r := range fresh {
+			var err error
+			if fresh[r], err = core.NewTwoCluster(64, 32, tc.ClusterCosts(0), tc.ClusterCosts(1)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	limit := uint64(8 * (3*n + 4*m + 32))
-	perCall := func(run func(r int)) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for r := 0; r < runs; r++ {
-			run(r)
+	threads := pprof.Lookup("threadcreate")
+	perCall := func(prepare func(), run func(r int)) uint64 {
+		for attempt := 1; ; attempt++ {
+			prepare()
+			var before, after runtime.MemStats
+			started := threads.Count()
+			runtime.ReadMemStats(&before)
+			for r := 0; r < runs; r++ {
+				run(r)
+			}
+			runtime.ReadMemStats(&after)
+			if threads.Count() == started || attempt == 3 {
+				return (after.TotalAlloc - before.TotalAlloc) / runs
+			}
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	if got := perCall(func(r int) { RunCLB2C(fresh[r]) }); got > limit {
+	if got := perCall(renew, func(r int) { RunCLB2C(fresh[r]) }); got > limit {
 		t.Errorf("a first RunCLB2C on a model allocates %d bytes, want at most %d", got, limit)
 	}
 	RunCLB2C(tc)
-	if got := perCall(func(int) { RunCLB2C(tc) }); got > limit {
+	if got := perCall(func() {}, func(int) { RunCLB2C(tc) }); got > limit {
 		t.Errorf("a later RunCLB2C on a model allocates %d bytes, want at most %d", got, limit)
 	}
 }

@@ -313,6 +313,38 @@ func FromMachineOf(m CostModel, machineOf []int) (*Assignment, error) {
 	return a, nil
 }
 
+// FromLists builds an assignment from per-machine job lists: lists[i] holds
+// the job-list entries of machine i (see JobOf), in any order, and a job on
+// no list is unassigned. It fills the job map from the lists directly and
+// then sums the loads from the model's costs in one pass in job order. It
+// returns an error for more lists than machines, an entry whose job is out
+// of range, or a job listed twice.
+func FromLists(m CostModel, lists [][]int) (*Assignment, error) {
+	if len(lists) > m.NumMachines() {
+		return nil, fmt.Errorf("core: %d job lists for %d machines", len(lists), m.NumMachines())
+	}
+	a := NewAssignment(m)
+	for i, list := range lists {
+		for _, entry := range list {
+			j := JobOf(entry)
+			if j < 0 || j >= len(a.machineOf) {
+				return nil, fmt.Errorf("core: machine %d lists entry %#x, job %d of %d", i, entry, j, len(a.machineOf))
+			}
+			if prev := a.machineOf[j]; prev != -1 {
+				return nil, fmt.Errorf("core: job %d listed on machines %d and %d", j, prev, i)
+			}
+			a.machineOf[j] = int32(i)
+		}
+	}
+	for j, i := range a.machineOf {
+		if i != -1 {
+			a.load[i] += m.Cost(int(i), j)
+			a.assigned++
+		}
+	}
+	return a, nil
+}
+
 // Equal reports whether two assignments place every job identically.
 func (a *Assignment) Equal(b *Assignment) bool {
 	if len(a.machineOf) != len(b.machineOf) {

@@ -139,3 +139,55 @@ func TestFillOrderedLists(t *testing.T) {
 		}
 	}
 }
+
+// TestFromListsRoundTrip rebuilds an assignment from the job lists
+// FillOrderedLists writes, in increasing job order and, on a 64-bit int, in
+// the ratio order: every job must land on its machine, with the loads and
+// the assigned count of the original, unassigned jobs on no machine. It
+// must reject a job listed twice, on one list or on two, an entry whose
+// job is out of range, and more lists than machines.
+func TestFromListsRoundTrip(t *testing.T) {
+	p0 := make([]Cost, 300)
+	p1 := make([]Cost, 300)
+	for j := range p0 {
+		p0[j], p1[j] = Cost((j*37)%23), Cost(1+(j*11)%19)
+	}
+	tc, _ := NewTwoCluster(4, 3, p0, p1)
+	machineOf := make([]int, tc.NumJobs())
+	for j := range machineOf {
+		machineOf[j] = (j * 5) % 7
+		if j%9 == 0 {
+			machineOf[j] = -1
+		}
+	}
+	a := mustFromMachineOf(t, tc, machineOf)
+	orders := [][]uint32{nil}
+	if strconv.IntSize == 64 {
+		orders = append(orders, tc.RatioOrder())
+	}
+	lists := make([][]int, tc.NumMachines())
+	for _, order := range orders {
+		a.FillOrderedLists(lists, make([]int, a.NumAssigned()), order)
+		b, err := FromLists(tc, lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.Equal(a) || !slices.Equal(b.Loads(), a.Loads()) || b.NumAssigned() != a.NumAssigned() {
+			t.Fatalf("order %d jobs: rebuilt %v (loads %v, %d assigned), original %v (loads %v, %d assigned)",
+				len(order), b, b.Loads(), b.NumAssigned(), a, a.Loads(), a.NumAssigned())
+		}
+	}
+
+	bad := map[string][][]int{
+		"twice on one list":        {{1, 2, 2}},
+		"twice on two lists":       {{1, 2}, {3}, {2}},
+		"job out of range":         {{1}, {300}},
+		"more lists than machines": make([][]int, tc.NumMachines()+1),
+		"negative entry":           {{-1}},
+	}
+	for name, lists := range bad {
+		if _, err := FromLists(tc, lists); err == nil {
+			t.Errorf("%s: FromLists accepted %v", name, lists)
+		}
+	}
+}

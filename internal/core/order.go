@@ -34,11 +34,6 @@ const radixCutover = 64
 // to n when short; the second result is the one OrderJobs did not return
 // the keys in, for the caller to pass back next time.
 //
-// Jobs that arrive already in order o, or in its group-reversed form, are
-// not sorted (see presorted): the engines keep DLB2C's job lists in the
-// model's ratio order, so every union a DLB2C step pools is one or the
-// other. Any other input is sorted.
-//
 // It sorts packed uint64 keys, not positions through a comparator that
 // reads the costs again on every comparison:
 //
@@ -65,11 +60,6 @@ func OrderJobs(o JobOrder, own, other []Cost, ids []int, keys, buf []uint64) (so
 	keys = Resize(keys, n)
 	if o == ByRatio {
 		other = other[:n]
-	}
-	if sorted, spare, ok := presorted(o, own, other, ids, keys, buf); ok {
-		return sorted, spare
-	}
-	if o == ByRatio {
 		for p, c := range own {
 			keys[p] = ratioImage(c, other[p])<<32 | uint64(p)
 		}
@@ -135,143 +125,6 @@ func orderCosts(o JobOrder, own, other []Cost, p int) (Cost, Cost) {
 		return own[p], other[p]
 	}
 	return own[p], 0
-}
-
-// presorted recognizes, in one pass of exact comparisons between
-// neighbours, jobs that are already in order o or in its group-reversed
-// form: the groups of jobs that o ranks equal, in the reverse of order o,
-// each group in increasing id order. The second is how a same-cluster pair
-// on cluster 1 receives its union from job lists kept in the ratio order of
-// cluster 0: decreasing p1/p0, ties by increasing index. On success it
-// returns the positions in order o (keys in the first case, buf in the
-// second, and the other buffer as spare), the result the sort would give:
-// neighbours in order, or groups in reverse order with ids increasing
-// within each, make the whole sequence, or its reversed groups, the one
-// exact order. Equal ids fall back to the sort. keys must have length n.
-//
-//hetlb:noalloc
-func presorted(o JobOrder, own, other []Cost, ids []int, keys, buf []uint64) (sorted, spare []uint64, ok bool) {
-	n := len(own)
-	dir, tied := direction(o, own, other, ids)
-	switch {
-	case dir == 1:
-		for p := range keys[:n] {
-			keys[p] = uint64(p)
-		}
-		return keys, buf, true
-	case dir == -1 && !tied:
-		// Every group is one job: the order is the input reversed.
-		buf = Resize(buf, n)
-		for k := range buf {
-			buf[k] = uint64(n - 1 - k)
-		}
-		return buf, keys, true
-	case dir == -1:
-		// Emit the groups from the last to the first, each in increasing
-		// position: a group starts where its first job and the one before
-		// compare unequal.
-		buf = Resize(buf, n)
-		out, end := 0, n
-		for start := n - 1; start >= 0; start-- {
-			if start > 0 && tiesPrevious(o, own, other, start) {
-				continue
-			}
-			for p := start; p < end; p++ {
-				buf[out] = uint64(p)
-				out++
-			}
-			end = start
-		}
-		return buf, keys, true
-	}
-	return keys, buf, false
-}
-
-// direction reports whether the jobs are in order o (1), in its
-// group-reversed form (-1) or neither (0), comparing each neighbour pair
-// exactly once: by their ratios or sizes, and by id when the order ties
-// them; tied reports whether any neighbours tie. It stops at the first
-// neighbour pair that rules both forms out, so unordered input costs a few
-// comparisons.
-//
-//hetlb:noalloc
-func direction(o JobOrder, own, other []Cost, ids []int) (dir int, tied bool) {
-	n := len(own)
-	if n < 2 {
-		return 1, false
-	}
-	if o == ByRatio {
-		return ratioDirection(own, other[:n], ids)
-	}
-	for p := 1; p < n; p++ {
-		d := cmp.Compare(own[p], own[p-1]) // -1: the larger size first, in order
-		switch {
-		case d == 0:
-			if ids != nil && ids[p-1] >= ids[p] {
-				return 0, true
-			}
-			tied = true
-		case dir == 0:
-			dir = d
-		case d != dir:
-			return 0, tied
-		}
-	}
-	if dir == 0 {
-		return 1, tied // one group: in order when its ids increase
-	}
-	return -dir, tied
-}
-
-// ratioDirection is direction for the ratio order, len(other) = len(own) ≥
-// 2. It carries the previous job's ratio a/b from one neighbour pair to the
-// next and compares them by the cross products of CompareRatios, a job free
-// on both clusters counting as 1/1: the loop the engines' ratio-ordered
-// unions run, so it keeps few values live.
-//
-//hetlb:noalloc
-func ratioDirection(own, other []Cost, ids []int) (dir int, tied bool) {
-	a, b := own[0], other[0]
-	if a|b == 0 {
-		a, b = 1, 1
-	}
-	for p := 1; p < len(own); p++ {
-		x, y := own[p], other[p]
-		if x|y == 0 {
-			x, y = 1, 1
-		}
-		l, r := a*y, x*b
-		a, b = x, y
-		d := 1 // l > r: decreasing, reversed
-		switch {
-		case l < r:
-			d = -1 // increasing, in order
-		case l == r:
-			if ids != nil && ids[p-1] >= ids[p] {
-				return 0, true
-			}
-			tied = true
-			continue
-		}
-		if dir == 0 {
-			dir = d
-		} else if d != dir {
-			return 0, tied
-		}
-	}
-	if dir == 0 {
-		return 1, tied // one group: in order when its ids increase
-	}
-	return -dir, tied
-}
-
-// tiesPrevious reports whether order o ranks the jobs at positions p-1 and
-// p equal.
-func tiesPrevious(o JobOrder, own, other []Cost, p int) bool {
-	if o == ByRatio {
-		return CompareRatios(own[p-1], other[p-1], own[p], other[p]) == 0
-	}
-	return own[p-1] == own[p]
 }
 
 // ratioImage is the order-preserving float32 image of own/other. Below 2^53

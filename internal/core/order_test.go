@@ -77,13 +77,13 @@ func fuzzCosts(data []byte) (own, other []Cost) {
 
 // FuzzJobOrder checks OrderJobs in both orders against the comparator-sort
 // oracle, with the positions as ids or with ids that decrease, reusing one
-// pair of buffers across the calls. Each instance is then fed again in the
-// presorted forms OrderJobs takes without sorting (see presorted), with ids
-// rank<<32 | id: permuted into its oracle ratio order, as the engines'
-// DLB2C job lists pool it; the same sequence with own and other swapped,
-// which a same-cluster pair on cluster 1 receives (ratio descending, ids
-// ascending within ties); and the size order as is and with its groups of
-// equal sizes reversed. Every form must come back in the oracle order.
+// pair of buffers across the calls. Each instance is then fed again in
+// presorted forms, with ids rank<<32 | id, which OrderJobs sorts like any
+// other input: permuted into its oracle ratio order, as the engines' DLB2C
+// job lists pool it; the same sequence with own and other swapped, which a
+// same-cluster pair on cluster 1 receives (ratio descending, ids ascending
+// within ties); and the size order as is and with its groups of equal sizes
+// reversed. Every form must come back in the oracle order.
 func FuzzJobOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reverseIDs bool, data []byte) {
 		if len(data) > 3*512 {

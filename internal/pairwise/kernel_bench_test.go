@@ -2,6 +2,7 @@ package pairwise
 
 import (
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -22,7 +23,11 @@ import (
 //
 // Each op splits the next union of a pool drawn once per shape; the pool is
 // large enough (4096 unions) that the threshold unions do not warm the cache
-// for each other.
+// for each other. The unions come in increasing job order, as netsim and the
+// DLB2C MinMove protocol pool them, and (the -ranked forms) as entries
+// rank<<32 | job in the model's ratio order, as the engines pool DLB2C's
+// lists: CLB2C cuts those, Greedy Load Balancing walks them forward on
+// cluster 0 and by tie groups from the back on cluster 1 (-ranked-cluster1).
 
 type kernelShape struct {
 	name        string
@@ -30,6 +35,7 @@ type kernelShape struct {
 	n, union    int
 	tc          *core.TwoCluster
 	unions      [][]int
+	ranked      [][]int // unions as entries in the ratio order, sorted by entry; nil where int is 32 bits
 	prepareOnce sync.Once
 }
 
@@ -56,31 +62,57 @@ func (k *kernelShape) prepare() {
 			}
 			k.unions[u] = jobs
 		}
+		if strconv.IntSize == 64 {
+			rank := ratioRanks(k.tc)
+			k.ranked = make([][]int, len(k.unions))
+			for u, jobs := range k.unions {
+				k.ranked[u] = rankedUnion(rank, jobs)
+			}
+		}
 	})
 }
 
 func benchKernel(b *testing.B, sameCluster bool) {
+	forms := []struct {
+		suffix           string
+		ranked, cluster1 bool
+	}{{"", false, false}, {"-ranked", true, false}, {"-ranked-cluster1", true, true}}
 	for _, k := range kernelShapes {
-		b.Run(k.name, func(b *testing.B) {
-			k.prepare()
-			// Machine 0 is in cluster 0; machine 1 shares it and machine m1
-			// is the first machine of cluster 1.
-			other := k.m1
-			if sameCluster {
-				other = 1
+		for _, form := range forms {
+			if form.cluster1 && !sameCluster {
+				continue
 			}
-			var s Scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jobs := k.unions[i%len(k.unions)]
-				if sameCluster {
-					SplitGreedyLoadBalancingScratch(&s, k.tc, 0, other, jobs)
-				} else {
-					SplitCLB2CScratch(&s, k.tc, 0, other, jobs)
+			b.Run(k.name+form.suffix, func(b *testing.B) {
+				k.prepare()
+				unions := k.unions
+				if form.ranked {
+					if k.ranked == nil {
+						b.Skip("ranked entries need a 64-bit int")
+					}
+					unions = k.ranked
 				}
-			}
-		})
+				// Machines 0 and 1 are in cluster 0, machines m1 and m1+1
+				// in cluster 1.
+				m1, m2 := 0, k.m1
+				switch {
+				case form.cluster1:
+					m1, m2 = k.m1, k.m1+1
+				case sameCluster:
+					m2 = 1
+				}
+				var s Scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					jobs := unions[i%len(unions)]
+					if sameCluster {
+						SplitGreedyLoadBalancingScratch(&s, k.tc, m1, m2, jobs)
+					} else {
+						SplitCLB2CScratch(&s, k.tc, m1, m2, jobs)
+					}
+				}
+			})
+		}
 	}
 }
 

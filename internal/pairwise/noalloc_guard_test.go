@@ -1,6 +1,7 @@
 package pairwise
 
 import (
+	"strconv"
 	"testing"
 
 	"hetlb/internal/core"
@@ -58,6 +59,17 @@ func TestSplitGreedyLoadBalancingScratchNoalloc(t *testing.T) {
 	assertNoAllocs(t, "SplitGreedyLoadBalancingScratch", func() {
 		SplitGreedyLoadBalancingScratch(&s, tc, 0, 1, jobs)
 	})
+	if strconv.IntSize < 64 {
+		return // ranked entries need a 64-bit int
+	}
+	// The same jobs as a ranked union, on cluster 0 and on cluster 1
+	// (machines 2 and 3), whose walk visits the tie groups from last to
+	// first; costs in [1, 100] make ties common.
+	ranked := rankedUnion(ratioRanks(tc), jobs)
+	assertNoAllocs(t, "SplitGreedyLoadBalancingScratch, ranked union", func() {
+		SplitGreedyLoadBalancingScratch(&s, tc, 0, 1, ranked)
+		SplitGreedyLoadBalancingScratch(&s, tc, 3, 2, ranked)
+	})
 }
 
 func TestSplitCLB2CScratchNoalloc(t *testing.T) {
@@ -71,6 +83,16 @@ func TestSplitCLB2CScratchNoalloc(t *testing.T) {
 	// Machine 0 is in cluster 0, machine 2 in cluster 1.
 	assertNoAllocs(t, "SplitCLB2CScratch", func() {
 		SplitCLB2CScratch(&s, tc, 0, 2, jobs)
+	})
+	if strconv.IntSize < 64 {
+		return // ranked entries need a 64-bit int
+	}
+	// The same jobs as a ranked union, which the kernel cuts, with either
+	// cluster's machine first.
+	ranked := rankedUnion(ratioRanks(tc), jobs)
+	assertNoAllocs(t, "SplitCLB2CScratch, ranked union", func() {
+		SplitCLB2CScratch(&s, tc, 0, 2, ranked)
+		SplitCLB2CScratch(&s, tc, 3, 1, ranked)
 	})
 }
 

@@ -31,14 +31,16 @@
 // DLB2C keeps its lists in the model's ratio order, entries rank<<32 | job,
 // so a union merged from two of its lists is already in the order of CLB2C
 // and Greedy Load Balancing (or, for a same-cluster pair on cluster 1, in
-// its group-reversed form) and core.OrderJobs returns it without sorting.
+// its group-reversed form), and the kernels take it as it stands: CLB2C on
+// a pair cuts it into a prefix and the rest, and Greedy Load Balancing
+// walks it once (see rankedCosts).
 //
 // Each side a kernel returns is an ordered subsequence of its input, so a
 // union passed sorted by entry comes back as two sides sorted by entry,
-// ready to become the machines' job lists. The ordering kernels
-// (GreedyLoadBalancing, CLB2C, LargestFirst) get there by ordering the
-// pooled jobs with core.OrderJobs, deciding a side per input position, and
-// writing both sides in input order with Scratch.Emit. The *Loaded
+// ready to become the machines' job lists. On any other union the ordering
+// kernels (GreedyLoadBalancing, CLB2C, LargestFirst) get there by ordering
+// the pooled jobs with core.OrderJobs, deciding a side per input position,
+// and writing both sides in input order with Scratch.Emit. The *Loaded
 // variants are the exception: they return sides in placement order, which
 // the dynamic simulator uses as each machine's queue.
 //
@@ -252,8 +254,9 @@ func (w *typedWalk) walkJobOrder(ty *core.Typed, lLo, lHi []core.Cost, onLo, onH
 // machine with the smaller accumulated load (ties to the lower-indexed
 // machine, making the kernel symmetric in its arguments). The returned
 // slices alias s.To1/s.To2 and are ordered subsequences of jobs, and the
-// loads of m1 and m2 are left in s.Load1 and s.Load2. No allocation in
-// steady state.
+// loads of m1 and m2 are left in s.Load1 and s.Load2. A union in the
+// model's ratio order (DLB2C's ranked lists) is walked as it stands, any
+// other is ordered first (see rankedCosts). No allocation in steady state.
 //
 // The ratio order does not change the loads (both machines price jobs
 // identically) but it is essential to the stable-state analysis of
@@ -262,10 +265,21 @@ func (w *typedWalk) walkJobOrder(ty *core.Typed, lLo, lHi []core.Cost, onLo, onH
 //
 //hetlb:noalloc
 func SplitGreedyLoadBalancingScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) {
-	if c.ClusterOf(m1) != c.ClusterOf(m2) {
+	own := c.ClusterOf(m1)
+	if own != c.ClusterOf(m2) {
 		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
 	}
-	return s.splitGreedy(core.ByRatio, c, m1, m2, jobs)
+	var tLo, tHi []int
+	var lLo, lHi core.Cost
+	switch p0, p1, ok := rankedCosts(c, jobs); {
+	case ok && own == 0:
+		tLo, tHi, lLo, lHi = s.greedyForward(p0, jobs)
+	case ok:
+		tLo, tHi, lLo, lHi = s.greedyGroupsReversed(p0, p1, jobs)
+	default:
+		tLo, tHi, lLo, lHi = s.splitGreedy(core.ByRatio, c, own, jobs)
+	}
+	return s.inArgOrder(m1 > m2, tLo, tHi, lLo, lHi)
 }
 
 // SplitLargestFirstScratch splits the pooled jobs of two machines of the
@@ -278,10 +292,12 @@ func SplitGreedyLoadBalancingScratch(s *Scratch, c core.Clustered, m1, m2 int, j
 //
 //hetlb:noalloc
 func SplitLargestFirstScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []int) (to1, to2 []int) {
-	if c.ClusterOf(m1) != c.ClusterOf(m2) {
+	own := c.ClusterOf(m1)
+	if own != c.ClusterOf(m2) {
 		panic("pairwise: a largest-first split requires machines of the same cluster")
 	}
-	return s.splitGreedy(core.BySize, c, m1, m2, jobs)
+	tLo, tHi, lLo, lHi := s.splitGreedy(core.BySize, c, own, jobs)
+	return s.inArgOrder(m1 > m2, tLo, tHi, lLo, lHi)
 }
 
 // AppendSplitSameCost rebalances two machines that price every job
@@ -317,35 +333,21 @@ func AppendSplitSameCost(m core.CostModel, m1, m2 int, jobs, to1, to2 []int) (_,
 // the tail job on the cluster-1 machine, and the placement that finishes
 // earlier is committed (ties favor cluster 0). The returned slices alias
 // s.To1/s.To2 and are ordered subsequences of jobs; the loads of mA and mB
-// are left in s.Load1 and s.Load2.
+// are left in s.Load1 and s.Load2. A union in the model's ratio order
+// (DLB2C's ranked lists) is cut as it stands, any other is ordered first
+// (see rankedCosts).
 //
 //hetlb:noalloc
 func SplitCLB2CScratch(s *Scratch, c core.Clustered, mA, mB int, jobs []int) (toA, toB []int) {
 	if c.ClusterOf(mA) == c.ClusterOf(mB) {
 		panic("pairwise: CLB2C on a pair requires machines of different clusters")
 	}
-	s.orderBy(core.ByRatio, c, 0, jobs)
-	second := s.Sides(len(jobs))
+	var to0, to1 []int
 	var l0, l1 core.Cost
-	lo, hi := 0, len(jobs)-1
-	for lo <= hi {
-		head, tail := int(uint32(s.keys[lo])), int(uint32(s.keys[hi]))
-		c0 := l0 + s.own[head]
-		c1 := l1 + s.other[tail]
-		if c0 <= c1 {
-			l0 = c0
-			lo++
-		} else {
-			second[tail] = true
-			l1 = c1
-			hi--
-		}
+	if p0, p1, ok := rankedCosts(c, jobs); ok {
+		to0, to1, l0, l1 = s.cutRanked(p0, p1, jobs)
+	} else {
+		to0, to1, l0, l1 = s.clb2c(c, jobs)
 	}
-	to0, to1 := s.Emit(jobs)
-	if c.ClusterOf(mA) == 1 {
-		s.Load1, s.Load2 = l1, l0
-		return to1, to0
-	}
-	s.Load1, s.Load2 = l0, l1
-	return to0, to1
+	return s.inArgOrder(c.ClusterOf(mA) == 1, to0, to1, l0, l1)
 }

@@ -49,7 +49,8 @@ type Scratch struct {
 	// buffer of core.OrderJobs' radix presort.
 	keys, radix []uint64
 	// own and other hold each pooled job's costs on the pair's own cluster
-	// and on the other one, read once, by input position; MergeSplitByType
+	// and on the other one, read once, by input position (Greedy Load
+	// Balancing's cluster-1 walk reads them there too); MergeSplitByType
 	// keeps its per-type loads of the two machines there instead.
 	own, other []core.Cost
 	// second marks, by input position, the jobs a kernel sends to its

@@ -231,9 +231,10 @@ func (DLB2C) Name() string { return "DLB2C" }
 // ListOrder implements Protocol: on a core.TwoCluster, the model's cached
 // ratio order, so a cross-cluster pair and a same-cluster pair on cluster 0
 // pool their jobs already in kernel order, and one on cluster 1 in its
-// group-reversed form, which core.OrderJobs takes without sorting. Ranked
-// entries need a 64-bit int: where int is 32 bits, and on other models,
-// DLB2C keeps increasing job order.
+// group-reversed form, and the kernels take the union as it stands: a cut
+// across clusters, one walk within. Ranked entries need a 64-bit int:
+// where int is 32 bits, and on other models, DLB2C keeps increasing job
+// order.
 func (p DLB2C) ListOrder() []uint32 {
 	if tc, ok := p.Model.(*core.TwoCluster); ok && strconv.IntSize == 64 {
 		return tc.RatioOrder()

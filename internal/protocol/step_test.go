@@ -116,9 +116,11 @@ func fuzzCase(gen *rng.RNG, k, m, n int, hi core.Cost) (Protocol, core.CostModel
 // each side's costs summed afresh; except where a MinMove protocol
 // transfers, the step must be a merge and a SplitScratch on a fresh
 // scratch, and MJTB's must be BasicGreedy on each type's jobs in index
-// order (the per-type reference); a dirty scratch must give the fresh
-// scratch's result; the inputs must come back unmutated; and a second step
-// on the result must move nothing.
+// order (the per-type reference); lists in increasing job order must give
+// the same partition of jobs and the same loads (DLB2C's ranked unions take
+// the kernels' cut and walks, job-order ones the ordering path); a dirty
+// scratch must give the fresh scratch's result; the inputs must come back
+// unmutated; and a second step on the result must move nothing.
 func FuzzStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, proto, machines, jobs, hi byte, seed uint64) {
 		m := 3 + int(machines%7)
@@ -171,6 +173,15 @@ func FuzzStep(f *testing.F) {
 				t.Fatalf("%s (%d,%d): Step (%v, %v), merge and split (%v, %v)", p.Name(), i, j, toI, toJ, wantI, wantJ)
 			}
 		}
+		// Either kind of list must give the same partition of jobs.
+		jobLists := make([][]int, m)
+		a.FillOrderedLists(jobLists, make([]int, a.NumAssigned()), nil)
+		var plain pairwise.Scratch
+		if jobI, jobJ := Step(p, &plain, i, j, jobLists[i], jobLists[j]); !slices.Equal(jobsOf(toI), jobI) || !slices.Equal(jobsOf(toJ), jobJ) ||
+			plain.Load1 != s.Load1 || plain.Load2 != s.Load2 {
+			t.Fatalf("%s (%d,%d): Step (%v, %v; %d, %d), on job-order lists (%v, %v; %d, %d)", p.Name(), i, j,
+				jobsOf(toI), jobsOf(toJ), s.Load1, s.Load2, jobI, jobJ, plain.Load1, plain.Load2)
+		}
 		if ty, ok := model.(*core.Typed); ok {
 			if _, mjtb := unwrap(p).(MJTB); mjtb {
 				wantI, wantJ := perTypeBasicGreedy(ty, i, j, union)
@@ -200,6 +211,16 @@ func FuzzStep(f *testing.F) {
 			t.Fatalf("%s (%d,%d): a second step on (%v, %v) moved %v and %v", p.Name(), i, j, toI, toJ, again.Diff1, again.Diff2)
 		}
 	})
+}
+
+// jobsOf returns the jobs of a side's entries in increasing job order.
+func jobsOf(side []int) []int {
+	jobs := make([]int, len(side))
+	for k, entry := range side {
+		jobs[k] = core.JobOf(entry)
+	}
+	slices.Sort(jobs)
+	return jobs
 }
 
 // unwrap returns the protocol behind the embedding wrapper, or p.

@@ -700,24 +700,17 @@ func (e *Engine) reduceLoads() {
 }
 
 // Snapshot materializes the current placement as a fresh core.Assignment
-// over the engine's model. It is O(n) and independent of the shard count.
-// Jobs lost to a LoseJobs crash are unassigned in the snapshot (use Lost
-// for the ledger); fault-free snapshots are always complete.
+// over the engine's model. It is O(n) and independent of the shard count:
+// the job map comes straight from the engine's job lists, and the loads are
+// summed afresh from the model's costs, not copied from the engine's.
+// Jobs lost to a LoseJobs crash are on no list, so they are unassigned in
+// the snapshot (use Lost for the ledger); fault-free snapshots are always
+// complete.
 func (e *Engine) Snapshot() *core.Assignment {
-	machineOf := make([]int, e.model.NumJobs())
-	for j := range machineOf {
-		machineOf[j] = -1
-	}
-	for i := range e.jobs {
-		for _, entry := range e.jobs[i] {
-			machineOf[core.JobOf(entry)] = i
-		}
-	}
-	a, err := core.FromMachineOf(e.model, machineOf)
+	a, err := core.FromLists(e.model, e.jobs)
 	if err != nil {
-		// Unreachable: the engine conserves the job set of its complete
-		// initial assignment (minus the lost ledger, which FromMachineOf
-		// leaves unassigned).
+		// Unreachable: the engine's lists hold each job of its initial
+		// assignment once, minus the lost ledger.
 		panic(err)
 	}
 	return a
