@@ -52,7 +52,7 @@ race:
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/... \
 		./internal/core/... ./internal/central/...
 
-# Fuzzes seven targets for 30s each. FuzzStabilityCheck: random small
+# Fuzzes eight targets for 30s each. FuzzStabilityCheck: random small
 # instances, epoch counts and crash plans, on both engines, where every
 # check must answer as a full scan from pair (0,1) does. FuzzShardedFaultPlan:
 # arbitrary crash plans (machines out of range, overlapping intervals,
@@ -78,12 +78,16 @@ race:
 # online LS's least-loaded machine, over 1 to 300 machines listed in order,
 # as a sorted subset or shuffled, start loads that tie or reach 2^62, and
 # raises that include 0, against a linear scan after every step; its
-# minimization is capped at 5s too. go test -fuzz takes one target in one
+# minimization is capped at 5s too. Then FuzzTwoClusterFractionalLB: the
+# two-cluster fractional lower bound never above exact.Solve's proven
+# optimum, on 1 to 3 machines per cluster and up to 8 jobs with costs in
+# [0, 30], so jobs free on one or both clusters and tied ratios are common;
+# its minimization is capped at 5s. go test -fuzz takes one target in one
 # package per run. The committed seed corpora
 # (internal/shardgossip/testdata/fuzz, internal/core/testdata/fuzz,
 # internal/explain/testdata/fuzz, internal/protocol/testdata/fuzz,
-# internal/central/testdata/fuzz) also run as plain tests in `make test`; a
-# failing input found here is written next to them.
+# internal/central/testdata/fuzz) and the f.Add seeds also run as plain
+# tests in `make test`; a failing input found here is written next to them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzStabilityCheck$$' -fuzztime=30s ./internal/shardgossip/
 	$(GO) test -run='^$$' -fuzz='^FuzzShardedFaultPlan$$' -fuzztime=30s ./internal/shardgossip/
@@ -92,6 +96,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimeline$$' -fuzztime=30s ./internal/explain/
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=30s ./internal/protocol/
 	$(GO) test -run='^$$' -fuzz='^FuzzMinLoads$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/central/
+	$(GO) test -run='^$$' -fuzz='^FuzzTwoClusterFractionalLB$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/exact/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -140,10 +145,12 @@ bench-scale:
 	$(GO) run ./cmd/benchguard -baseline BENCH_8.json -against BENCH_9.json \
 		-column guard -tolerance $(FAULT_TOLERANCE)
 
-# The sharded engine's worker/scheduler handoff under the race detector at
-# pinned low parallelism: GOMAXPROCS 1 and 2 force different interleavings
-# of the pipelined draw, the session fan-out and the barrier than the
-# native run in `race`. CI runs this as a matrix leg.
+# The sharded engine's coordinator/worker handoff under the race detector
+# at pinned low parallelism: GOMAXPROCS 1 and 2 force different
+# interleavings of the session fan-out, the chunk claims and the barrier
+# (and of the coordinator's matching draw against workers still leaving the
+# previous barrier) than the native run in `race`. CI runs this as a matrix
+# leg.
 race-shard:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/shardgossip/...
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/shardgossip/...
@@ -164,8 +171,8 @@ chaos:
 # GOMAXPROCS 1 and 2: 128 random crash/loss plans, each run at S in
 # {1, 2, 4}, asserted bit-identical with job conservation after drain, plus
 # the latch-reopen and degraded-observability regressions. Low parallelism
-# forces the coordinator's fault transitions against the pipelined draw and
-# the session fan-out in orders the native race leg never schedules. The
+# forces the coordinator's fault transitions and matching draw against the
+# session fan-out in orders the native race leg never schedules. The
 # -timeout is the watchdog: a fault transition that wedges an epoch barrier
 # shows up as a hang, not a pass. CI runs this as its own matrix job.
 chaos-shard:

@@ -74,6 +74,8 @@ func cmdChaos(args []string) error {
 			return fmt.Errorf("-lose = %v; want a probability in [0, 1]", *lose)
 		case *machines < 2:
 			return fmt.Errorf("-m = %d; want at least 2 machines", *machines)
+		case *shards > *machines:
+			return fmt.Errorf("-shards = %d; want at most one shard per machine (-m = %d)", *shards, *machines)
 		case *jobs < 1:
 			return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
 		case *types < 1:

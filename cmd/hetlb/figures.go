@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"hetlb/internal/evaluation"
@@ -20,7 +21,7 @@ import (
 // is set to.
 func cmdFigures(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
-	exp := fs.String("exp", "all", "which experiment to run (all, tableI, tableII, fig1, fig2a, fig2b, fig3, fig4, fig5, extk, extdyn, residual)")
+	exp := fs.String("exp", "all", "which experiment to run (all, "+strings.Join(evaluation.StepNames(), ", ")+")")
 	out := fs.String("out", "figures", "output directory for CSV files (\"\" disables CSV output)")
 	paper := fs.Bool("paper", false, "run the paper-scale configurations instead of the scaled-down ones")
 	full := fs.Bool("full", false, "with -paper: include the most expensive configurations too")

@@ -32,12 +32,19 @@ func cmdSim(args []string) error {
 		return err
 	}
 	// The generators and constructors below treat bad sizes as programming
-	// errors and panic, so command-line input is checked here first.
+	// errors and panic, and the engines pair machines, so command-line input
+	// is checked here first.
+	machines, machinesFlags := *m1, "-m1"
+	if *proto == "dlb2c" {
+		machines, machinesFlags = *m1+*m2, "-m1 + -m2"
+	}
 	switch {
-	case *m1 < 1:
+	case *proto == "dlb2c" && *m1 < 1:
 		return fmt.Errorf("-m1 = %d; want at least 1 machine", *m1)
 	case *proto == "dlb2c" && *m2 < 1:
 		return fmt.Errorf("-m2 = %d; want at least 1 machine", *m2)
+	case *proto != "dlb2c" && *m1 < 2:
+		return fmt.Errorf("-m1 = %d; want at least 2 machines to form pairs", *m1)
 	case *jobs < 1:
 		return fmt.Errorf("-jobs = %d; want at least 1 job", *jobs)
 	case *proto == "mjtb" && *types < 1:
@@ -52,6 +59,8 @@ func cmdSim(args []string) error {
 		return fmt.Errorf("-steps = %d; want an exchange budget of at least 1, or 0 for 5 per machine", *steps)
 	case *shards < -1:
 		return fmt.Errorf("-shards = %d; want a shard count, -1 for one shard per core, or 0 for the sequential engine", *shards)
+	case *shards > machines:
+		return fmt.Errorf("-shards = %d; want at most one shard per machine (%s = %d)", *shards, machinesFlags, machines)
 	}
 	gen := rng.New(*seed)
 	sinks, err := ob.setup()

@@ -91,6 +91,12 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"chaos", cmdChaos, []string{"-shards", "1", "-m", "1"}, "-m"},
 		{"chaos", cmdChaos, []string{"-shards", "1", "-jobs", "0"}, "-jobs"},
 		{"sim", cmdSim, []string{"-m1", "4", "-m2", "2", "-jobs", "16", "-shards", "-5"}, "-shards"},
+		{"sim", cmdSim, []string{"-proto", "ojtb", "-m1", "1"}, "-m1"},
+		{"sim", cmdSim, []string{"-proto", "homog", "-m1", "1", "-jobs", "4"}, "-m1"},
+		{"sim", cmdSim, []string{"-proto", "mjtb", "-m1", "1", "-jobs", "4"}, "-m1"},
+		{"sim", cmdSim, []string{"-proto", "mjtb", "-m1", "2", "-jobs", "3", "-shards", "5"}, "-shards"},
+		{"sim", cmdSim, []string{"-proto", "dlb2c", "-m1", "2", "-m2", "1", "-jobs", "3", "-shards", "4"}, "-shards"},
+		{"chaos", cmdChaos, []string{"-shards", "40", "-runs", "1"}, "-shards"},
 	}
 	for _, c := range cases {
 		t.Run(c.cmd+" "+strings.Join(c.args, " "), func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package phasefreeze proves the sharded engine's frozen-per-epoch contract
 // mechanically: fields that worker goroutines read without synchronization —
-// the fault down-set, the front schedule buffer, the verified-stable latch
-// — may be written only by coordinator-phase code.
+// the fault down-set, the epoch's matching, the verified-stable latch — may
+// be written only by coordinator-phase code.
 //
 // The PR-9 contract is prose: "down is read-only during an epoch; written
 // between epochs". What makes it safe is that every write happens in
@@ -12,11 +12,15 @@
 // spawn), but a write in worker-concurrent code is a finding carrying the
 // spawn path that makes the function concurrent.
 //
-// One exemption makes the double-buffered schedule checkable: a write whose
-// root is a *parameter* of the enclosing function is ownership handoff —
-// drawSchedule(b *schedule) fills a back buffer it received over a channel
-// and exclusively owns. The receiver deliberately does NOT count: shared
-// engine state reached through a receiver is exactly what the check is for.
+// One exemption keeps ownership handoff checkable: a write whose root is a
+// *parameter* of the enclosing function writes a buffer the caller handed
+// over and the function exclusively owns, such as the back buffer a
+// draw-ahead goroutine receives over a channel. The engine has no such
+// handoff (its coordinator draws each epoch's matching between barriers);
+// the freezeclean testdata keeps the shape, so the exemption stays
+// exercised in case one comes back. The receiver deliberately does NOT
+// count: shared engine state reached through a receiver is exactly what the
+// check is for.
 // Writes that launder a frozen field through a local alias before storing
 // are invisible (no points-to analysis); see DESIGN.md §16.
 package phasefreeze
@@ -140,8 +144,9 @@ func (c *checker) checkWrite(fn *flow.Func, lhs ast.Expr) {
 	if root := analysis.RootIdent(lhs); root != nil {
 		if obj := c.pass.TypesInfo.Uses[root]; obj != nil && fn.IsParam(obj) {
 			// Ownership handoff: the caller passed this buffer in, so the
-			// function owns it exclusively (the double-buffered schedule
-			// draw). Receivers do not qualify.
+			// function owns it exclusively (a back buffer handed over a
+			// channel, as in the freezeclean testdata). Receivers do not
+			// qualify.
 			return
 		}
 	}

@@ -147,3 +147,32 @@ func BenchmarkSolve3x8(b *testing.B) {
 		Solve(d)
 	}
 }
+
+// FuzzTwoClusterFractionalLB holds core.TwoClusterFractionalLB to the exact
+// optimum: a lower bound may never exceed it. It decodes cluster sizes in
+// [1, 3] and up to 8 jobs, two bytes each, with costs in [0, 30], so jobs
+// free on one or both clusters and tied ratios are common; the bound once
+// rose above the optimum on jobs free on both clusters.
+func FuzzTwoClusterFractionalLB(f *testing.F) {
+	f.Add(byte(0), byte(0), []byte{0, 0, 3, 5})
+	f.Add(byte(1), byte(2), []byte{0, 0, 0, 7, 9, 0, 4, 4, 8, 8, 30, 1})
+	f.Fuzz(func(t *testing.T, m1, m2 byte, costs []byte) {
+		n := min(len(costs)/2, 8)
+		p0, p1 := make([]core.Cost, n), make([]core.Cost, n)
+		for j := range p0 {
+			p0[j] = core.Cost(costs[2*j] % 31)
+			p1[j] = core.Cost(costs[2*j+1] % 31)
+		}
+		tc, err := core.NewTwoCluster(1+int(m1%3), 1+int(m2%3), p0, p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Solve(tc)
+		if !res.Proven {
+			t.Fatal("instance not proven optimal")
+		}
+		if lb := core.TwoClusterFractionalLB(tc); float64(res.Opt) < lb-1e-9 {
+			t.Fatalf("optimum %d below the fractional lower bound %v (p0 %v, p1 %v)", res.Opt, lb, p0, p1)
+		}
+	})
+}

@@ -99,9 +99,37 @@ func cloneScan(p protocol.Protocol, a *core.Assignment) (int, int) {
 	return -1, -1
 }
 
-// checkStats counts what a comparison run covered.
+// checkStats counts what a comparison run covered: checks, stable verdicts,
+// checks with a machine down, and the stable verdicts that Theorem 7's and
+// Theorem 5's certificates checked.
 type checkStats struct {
 	checks, stable, withDown int
+	theorem7, theorem5       int
+}
+
+// certify checks the paper's certificates on the placement of a stable
+// verdict with every machine up: Equation (3) and the cluster imbalance
+// bound (Theorem 7) for DLB2C, and each type's optimal spread (Theorem 5)
+// for MJTB. DLB2CMinMove and DLBKC get none, since the theorems do not
+// cover their stable states.
+func certify(t testing.TB, what string, p protocol.Protocol, a *core.Assignment, st *checkStats) {
+	t.Helper()
+	switch p := p.(type) {
+	case protocol.DLB2C:
+		tc := p.Model.(*core.TwoCluster)
+		if err := protocol.EquationThree(tc, a); err != nil {
+			t.Fatalf("%s: stable verdict, but %v", what, err)
+		}
+		if err := protocol.ClusterImbalance(tc, a); err != nil {
+			t.Fatalf("%s: stable verdict, but %v", what, err)
+		}
+		st.theorem7++
+	case protocol.MJTB:
+		if err := protocol.TypeOptimal(p.Model, a); err != nil {
+			t.Fatalf("%s: stable verdict, but %v", what, err)
+		}
+		st.theorem5++
+	}
 }
 
 // compareCheck runs one incremental check through check and compares its
@@ -138,7 +166,8 @@ func compareCheck(t testing.TB, what string, wi, wj int, calls *atomic.Int64, do
 // compareSharded steps a sharded engine through rounds of the given epoch
 // counts and compares its stability check with a full scan after each round.
 // A stable verdict latches the engine, as Run does, so later rounds cover
-// the latched fast path and its re-opening by fault transitions.
+// the latched fast path and its re-opening by fault transitions, and with
+// no machine down its placement must carry the paper's certificates.
 func compareSharded(t testing.TB, c checkCase, initial *core.Assignment, cfg Config, rounds []int, st *checkStats) {
 	t.Helper()
 	p := &countingProtocol{Protocol: c.proto}
@@ -157,8 +186,14 @@ func compareSharded(t testing.TB, c checkCase, initial *core.Assignment, cfg Con
 		}
 		what := c.name + " sharded"
 		wi, wj := fullScan(c.proto, e.jobs, down)
-		if compareCheck(t, what, wi, wj, &p.calls, down, e.unstablePair, st) && !e.checkStable() {
+		if !compareCheck(t, what, wi, wj, &p.calls, down, e.unstablePair, st) {
+			continue
+		}
+		if !e.checkStable() {
 			t.Fatalf("%s round %d: a stable placement did not latch", what, r)
+		}
+		if !slices.Contains(down, true) {
+			certify(t, what, c.proto, e.Snapshot(), st)
 		}
 	}
 	if err := e.ValidateConservation(); err != nil {
@@ -167,7 +202,8 @@ func compareSharded(t testing.TB, c checkCase, initial *core.Assignment, cfg Con
 }
 
 // compareSequential does the same on the sequential engine, whose rounds are
-// step counts and whose check runs on the assignment it mutates.
+// step counts and whose check runs on the assignment it mutates; it has no
+// fault plan, so every stable verdict is certified.
 func compareSequential(t testing.TB, c checkCase, initial *core.Assignment, seed uint64, rounds []int, st *checkStats) {
 	t.Helper()
 	p := &countingProtocol{Protocol: c.proto}
@@ -177,7 +213,9 @@ func compareSequential(t testing.TB, c checkCase, initial *core.Assignment, seed
 			e.Step()
 		}
 		wi, wj := cloneScan(c.proto, e.Assignment())
-		compareCheck(t, c.name+" sequential", wi, wj, &p.calls, nil, e.UnstablePair, st)
+		if compareCheck(t, c.name+" sequential", wi, wj, &p.calls, nil, e.UnstablePair, st) {
+			certify(t, c.name+" sequential", c.proto, e.Assignment(), st)
+		}
 	}
 }
 
@@ -188,6 +226,8 @@ func compareSequential(t testing.TB, c checkCase, initial *core.Assignment, seed
 // that never recovers), every check after a random number of epochs or
 // steps returns the verdict and first failing pair of a scan restarting at
 // (0,1), and an immediate re-check splits at most the one failing pair.
+// Every stable DLB2C or MJTB verdict with no machine down also carries its
+// theorem's certificates (certify).
 func TestStabilityCheckMatchesFullScanUnderCrashes(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -229,6 +269,9 @@ func TestStabilityCheckMatchesFullScanUnderCrashes(t *testing.T) {
 		if st.stable == 0 || st.stable == st.checks {
 			t.Errorf("%s: %d of %d checks stable; both verdicts must be covered", name, st.stable, st.checks)
 		}
+		if !testing.Short() && (st.theorem7 == 0 || st.theorem5 == 0) {
+			t.Errorf("%s: certified %d DLB2C and %d MJTB stable verdicts; each certificate must check at least one", name, st.theorem7, st.theorem5)
+		}
 	}
 	if crashed.withDown == 0 {
 		t.Error("no check ran with a machine down")
@@ -261,7 +304,9 @@ func decodeCrashes(data []byte, m int) []faults.Crash {
 // the seed of its costs and initial placement), per-round epoch counts and a
 // crash plan. It runs the sharded engine at S = 1 and 2 under the plan and
 // the sequential engine for m steps per epoch, and asserts after every round
-// that the incremental stability check answers as a full scan does.
+// that the incremental stability check answers as a full scan does, and
+// that a stable DLB2C or MJTB verdict with no machine down carries its
+// theorem's certificates.
 func FuzzStabilityCheck(f *testing.F) {
 	f.Fuzz(func(t *testing.T, proto, machines byte, seed uint64, rounds, plan []byte) {
 		m := 4 + int(machines%9)

@@ -11,9 +11,9 @@ import (
 	"hetlb/internal/workload"
 )
 
-// benchSharded measures one epoch of the sharded engine — pipelined schedule
-// handoff, ⌊m/2⌋ sessions, the barrier and its pass over the m loads — per
-// protocol family and shard count. Results are recorded in BENCH_8.json; sessions/sec is the
+// benchSharded measures one epoch of the sharded engine — the coordinator's
+// matching draw, ⌊m/2⌋ sessions, the barrier and its pass over the m loads
+// — per protocol family and shard count. Results are recorded in BENCH_8.json; sessions/sec is the
 // headline metric (one session is one pairwise exchange, the unit the paper
 // counts).
 func benchSharded(b *testing.B, m, n int) {
@@ -159,5 +159,21 @@ func BenchmarkNoChangeTail(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDrawMatching prices the coordinator's serial matching draw,
+// drawMatching, at the machine counts of the benchmark's stable (64), churn
+// (8192) and threshold (16384) workloads and of BenchmarkShardedStep
+// (100k). One op is one epoch's draw; DESIGN.md §14 sets it against the
+// epochs it opens.
+func BenchmarkDrawMatching(b *testing.B) {
+	for _, m := range []int{64, 8192, 16_384, 100_000} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			gen, perm := rng.New(0), make([]int, m)
+			for i := 0; i < b.N; i++ {
+				drawMatching(gen, perm, 1, uint64(i))
+			}
+		})
 	}
 }

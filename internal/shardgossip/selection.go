@@ -42,9 +42,8 @@ func (s *MatchingSelection) Pair(_ *rng.RNG, m int) (int, int) {
 		panic("shardgossip: MatchingSelection sized for a different machine count")
 	}
 	if s.pos >= m/2 {
-		s.gen.Reseed(rng.DeriveSeed(s.seed, s.epoch))
+		drawMatching(s.gen, s.perm, s.seed, s.epoch)
 		s.epoch++
-		s.gen.PermInto(s.perm)
 		s.pos = 0
 	}
 	i, j := s.perm[2*s.pos], s.perm[2*s.pos+1]
@@ -53,3 +52,15 @@ func (s *MatchingSelection) Pair(_ *rng.RNG, m int) (int, int) {
 }
 
 var _ gossip.Selection = (*MatchingSelection)(nil)
+
+// drawMatching fills perm with the matching of one epoch of seed: gen is
+// re-keyed with rng.DeriveSeed(seed, epoch) and draws one permutation, and
+// pair t is perm[2t] with perm[2t+1] (an odd machine count leaves machine
+// perm[m-1] idle). It is the one draw of the schedule, shared by the sharded
+// engine and MatchingSelection, so the two cannot drift apart.
+//
+//hetlb:noalloc
+func drawMatching(gen *rng.RNG, perm []int, seed, epoch uint64) {
+	gen.Reseed(rng.DeriveSeed(seed, epoch))
+	gen.PermInto(perm)
+}

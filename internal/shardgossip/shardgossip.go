@@ -7,16 +7,17 @@
 //
 // # Execution model
 //
-// S workers step the engine; the coordinator is worker 0. Time advances in
+// S workers step the engine; the coordinator is worker 0 and runs on the
+// caller's goroutine, so an S=1 engine owns no goroutine. Time advances in
 // epochs. Each epoch's schedule — a random perfect matching of the machines
-// — is drawn by a dedicated scheduler goroutine one epoch ahead (see
-// "Pipelined schedule" below). The schedule is only the matching: no session
-// belongs to a worker. StepEpoch resets one atomic session counter and wakes
-// the other workers, and every worker, the coordinator included, claims the
-// epoch's sessions from that counter in chunks of consecutive indices until
-// none are left. A chunk is about an eighth of a worker's even share and at
-// least one session, so a worker that wakes late or a chunk that runs slow
-// leaves the rest of the epoch to the others instead of holding the barrier.
+// — is drawn by the coordinator at the top of StepEpoch (see "The schedule
+// draw" below). The schedule is only the matching: no session belongs to a
+// worker. StepEpoch resets one atomic session counter and wakes the other
+// workers, and every worker, the coordinator included, claims the epoch's
+// sessions from that counter in chunks of consecutive indices until none are
+// left. A chunk is about an eighth of a worker's even share and at least one
+// session, so a worker that wakes late or a chunk that runs slow leaves the
+// rest of the epoch to the others instead of holding the barrier.
 // Workers execute their sessions without locks: the matching guarantees the
 // sessions of one epoch touch pairwise-disjoint machine state, so a session
 // writes its pair's job lists and loads and its worker's tallies, nothing
@@ -35,16 +36,16 @@
 // that each read two job lists, so the pass is a small fraction of the epoch
 // it closes (DESIGN.md §14 gives the measured costs).
 //
-// # Pipelined schedule
+// # The schedule draw
 //
 // The matching for epoch k is a pure function of (seed, k):
 // Reseed(DeriveSeed(seed, k)) + one PermInto, pairing perm[2t] with
-// perm[2t+1]. Because it depends on nothing else, epoch k+1's schedule is
-// drawn by the scheduler goroutine while epoch k executes, double-buffered
-// and handed over by channel, so the serial draw leaves the critical path.
-// StepEpoch receives the pre-drawn front buffer, immediately recycles the
-// previous buffer to the scheduler for epoch k+1, and only then starts the
-// workers.
+// perm[2t+1] (drawMatching, which MatchingSelection runs too). StepEpoch
+// draws it on the coordinator after the epoch's fault transitions and
+// before it wakes the workers, and the sessions read perm in place. The
+// draw is serial, but it is one O(m) shuffle against ⌊m/2⌋ sessions that
+// each step two job lists, so it is a small fraction of the epoch it opens
+// (DESIGN.md §14 gives the measured costs).
 //
 // # Sessions without cost reads
 //
@@ -74,14 +75,14 @@
 //
 // # Determinism argument
 //
-// The schedule is a pure function of (seed, epoch) drawn by the single
-// scheduler goroutine; no worker holds a generator, and no random draw ever
-// happens on a worker goroutine, so goroutine interleaving cannot reach the
-// schedule. Because the schedule is a matching, the sessions of one epoch
-// touch pairwise-disjoint machine state; any interleaving of them produces
-// the same post-epoch state, so placements, loads, moves and exchange
-// counters are bit-identical for any shard count, any GOMAXPROCS and any
-// split of the claimed chunks among the workers. (The alternative of
+// The schedule is a pure function of (seed, epoch) drawn by the
+// coordinator between epochs; no worker holds a generator, and no random
+// draw ever happens on a worker goroutine, so goroutine interleaving cannot
+// reach the schedule. Because the schedule is a matching, the sessions of
+// one epoch touch pairwise-disjoint machine state; any interleaving of them
+// produces the same post-epoch state, so placements, loads, moves and
+// exchange counters are bit-identical for any shard count, any GOMAXPROCS
+// and any split of the claimed chunks among the workers. (The alternative of
 // per-worker rng.Substream(seed, shard, epoch) generators was rejected: any
 // shard-keyed draw that feeds the schedule would make results depend on S,
 // breaking cross-shard-count identity.) The per-worker tallies are sums,
@@ -201,16 +202,6 @@ func AutoShards(m int) int {
 	return s
 }
 
-// schedule is one epoch's pair matching: session t pairs pairI[t] with
-// pairJ[t]. Two schedule buffers double-buffer between the coordinator
-// (executing epoch k) and the scheduler goroutine (drawing epoch k+1).
-type schedule struct {
-	//hetlb:frozen
-	pairI []int32
-	//hetlb:frozen
-	pairJ []int32
-}
-
 // shardState is worker s's scratch and its epoch tallies over the sessions
 // it claimed (moves/changed/voided), which only worker s writes during an
 // epoch and the coordinator sums at the barrier in shard order.
@@ -236,15 +227,12 @@ type Engine struct {
 	load      []core.Cost
 	exchanges []int
 
-	// Pipelined schedule: cur is the front buffer (the epoch being
-	// executed); the scheduler goroutine owns drawGen/perm and fills the
-	// back buffer handed to it on drawKick, returning it on drawReady.
+	// The current epoch's matching: session t pairs perm[2t] with
+	// perm[2t+1]. The coordinator draws it with gen at the top of StepEpoch;
+	// workers read it during the epoch.
+	gen *rng.RNG
 	//hetlb:frozen
-	cur       *schedule
-	drawKick  chan *schedule
-	drawReady chan *schedule
-	drawGen   *rng.RNG // owned by the scheduler goroutine after New
-	perm      []int    // owned by the scheduler goroutine after New
+	perm []int
 
 	shards []shardState
 	// next is the index of the current epoch's first unclaimed session;
@@ -298,9 +286,9 @@ type Engine struct {
 
 // New builds a sharded engine from a complete initial assignment. The
 // assignment is read once (not mutated and not retained): the engine owns
-// per-machine job lists, like the message-passing runtime. Every engine owns
-// at least the pipelined-schedule goroutine (plus workers when Shards > 1);
-// call Close when done with it.
+// per-machine job lists, like the message-passing runtime. An engine with S
+// shards starts S−1 worker goroutines (none at S=1); call Close when done
+// with it.
 func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, error) {
 	model := initial.Model()
 	m := model.NumMachines()
@@ -328,9 +316,7 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 		seed:      cfg.Seed,
 		load:      make([]core.Cost, m),
 		exchanges: make([]int, m),
-		drawKick:  make(chan *schedule, 2),
-		drawReady: make(chan *schedule, 2),
-		drawGen:   rng.New(cfg.Seed), // reseeded per draw with DeriveSeed(seed, epoch)
+		gen:       rng.New(0), // re-keyed by every draw
 		perm:      make([]int, m),
 		shards:    make([]shardState, shards),
 		metrics:   cfg.Metrics,
@@ -358,28 +344,19 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 	}
 	e.self = e
 
-	e.quit = make(chan struct{})
 	if shards > 1 {
+		e.quit = make(chan struct{})
 		e.start = make([]chan struct{}, shards)
 		for s := 1; s < shards; s++ {
 			e.start[s] = make(chan struct{}, 1)
 			go e.worker(s)
 		}
 	}
-	// Prime the pipeline: hand both buffers to the scheduler so epoch 0 is
-	// drawn before the first StepEpoch and epoch 1 right behind it.
-	go e.scheduler()
-	for b := 0; b < 2; b++ {
-		e.drawKick <- &schedule{
-			pairI: make([]int32, m/2),
-			pairJ: make([]int32, m/2),
-		}
-	}
 	return e, nil
 }
 
-// Close stops the worker and scheduler goroutines. It is idempotent. The
-// engine must not be stepped after Close.
+// Close stops the S−1 worker goroutines (an S=1 engine has none). It is
+// idempotent. The engine must not be stepped after Close.
 func (e *Engine) Close() {
 	if e.quit != nil && !e.closed {
 		e.closed = true
@@ -434,37 +411,6 @@ func (e *Engine) worker(s int) {
 	}
 }
 
-// scheduler is the pipelined-draw goroutine: it receives a free schedule
-// buffer, fills it with the matching for the next undrawn epoch — a pure
-// function of (seed, epoch) — and hands it back. Epochs are drawn in order
-// starting at 0; the coordinator consumes them in order, so the draw for
-// epoch k+1 overlaps the execution of epoch k.
-func (e *Engine) scheduler() {
-	for epoch := uint64(0); ; epoch++ {
-		var b *schedule
-		select {
-		case <-e.quit:
-			return
-		case b = <-e.drawKick:
-		}
-		e.drawSchedule(b, epoch)
-		e.drawReady <- b // cap 2 ≥ buffers in flight: never blocks
-	}
-}
-
-// drawSchedule fills b with epoch's matching: session t pairs perm[2t] with
-// perm[2t+1]. It allocates nothing.
-//
-//hetlb:noalloc
-func (e *Engine) drawSchedule(b *schedule, epoch uint64) {
-	e.drawGen.Reseed(rng.DeriveSeed(e.seed, epoch))
-	e.drawGen.PermInto(e.perm)
-	for t := range b.pairI {
-		b.pairI[t] = int32(e.perm[2*t])
-		b.pairJ[t] = int32(e.perm[2*t+1])
-	}
-}
-
 // StepEpoch executes one epoch — ⌊m/2⌋ sessions on a (seed, epoch)-keyed
 // random perfect matching (odd m leaves one machine idle per epoch) — and
 // reports whether any session changed its pair's loads.
@@ -474,14 +420,7 @@ func (e *Engine) StepEpoch() bool {
 	if e.faults != nil {
 		e.applyFaults()
 	}
-	// Take the pre-drawn schedule and immediately recycle the previous
-	// buffer: the next epoch's draw proceeds concurrently with this one's
-	// execution.
-	sched := <-e.drawReady
-	if e.cur != nil {
-		e.drawKick <- e.cur
-	}
-	e.cur = sched
+	drawMatching(e.gen, e.perm, e.seed, uint64(e.epoch))
 	for s := range e.shards {
 		sh := &e.shards[s]
 		sh.moves = 0
@@ -512,7 +451,7 @@ func (e *Engine) StepEpoch() bool {
 //
 //hetlb:noalloc
 func (e *Engine) runSessions(s int) {
-	n := int64(len(e.cur.pairI))
+	n := int64(len(e.perm) / 2)
 	// About eight chunks per worker and at least one session each: a
 	// worker that starts late still finds work, and claims stay rare.
 	chunk := max(1, n/int64(8*len(e.shards)))
@@ -540,7 +479,7 @@ func (e *Engine) runSessions(s int) {
 //hetlb:noalloc
 func (e *Engine) session(s, t int) {
 	sh := &e.shards[s]
-	i, j := int(e.cur.pairI[t]), int(e.cur.pairJ[t])
+	i, j := e.perm[2*t], e.perm[2*t+1]
 	if fs := e.faults; fs != nil && (fs.down[i] || fs.down[j]) {
 		// Voided: a pair touching a down machine skips the session entirely
 		// for this epoch — no exchange, no kernel, no load write. The
@@ -625,7 +564,7 @@ func (e *Engine) session(s, t int) {
 // the epoch's session records in index order, and notify metrics, timeline
 // and observers.
 func (e *Engine) barrier() bool {
-	np := len(e.cur.pairI)
+	np := len(e.perm) / 2
 	if e.slots != nil {
 		for _, s := range e.slots[:np] {
 			e.spans.Append(s)
