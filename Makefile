@@ -52,7 +52,7 @@ race:
 		./internal/harness/... ./internal/experiments/... ./internal/analysis/... \
 		./internal/core/... ./internal/central/...
 
-# Fuzzes eight targets for 30s each. FuzzStabilityCheck: random small
+# Fuzzes nine targets for 30s each. FuzzStabilityCheck: random small
 # instances, epoch counts and crash plans, on both engines, where every
 # check must answer as a full scan from pair (0,1) does. FuzzShardedFaultPlan:
 # arbitrary crash plans (machines out of range, overlapping intervals,
@@ -78,7 +78,13 @@ race:
 # online LS's least-loaded machine, over 1 to 300 machines listed in order,
 # as a sorted subset or shuffled, start loads that tie or reach 2^62, and
 # raises that include 0, against a linear scan after every step; its
-# minimization is capped at 5s too. Then FuzzTwoClusterFractionalLB: the
+# minimization is capped at 5s too. Then FuzzCLB2C: RunCLB2C on a model
+# with its cost vectors and on one that hides them, and CLB2C on random
+# machine subsets with shuffled jobs, against the comparator-sort and
+# container/heap reference, job for job and with Validate, over 1 to 8
+# machines per cluster, up to 64 jobs, and costs free on one or both
+# clusters, small, around OrderJobs' exact-image bound (1900-3100) or near
+# 2^31; its minimization is capped at 5s. Then FuzzTwoClusterFractionalLB: the
 # two-cluster fractional lower bound never above exact.Solve's proven
 # optimum, on 1 to 3 machines per cluster and up to 8 jobs with costs in
 # [0, 30], so jobs free on one or both clusters and tied ratios are common;
@@ -96,6 +102,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimeline$$' -fuzztime=30s ./internal/explain/
 	$(GO) test -run='^$$' -fuzz='^FuzzStep$$' -fuzztime=30s ./internal/protocol/
 	$(GO) test -run='^$$' -fuzz='^FuzzMinLoads$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/central/
+	$(GO) test -run='^$$' -fuzz='^FuzzCLB2C$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/central/
 	$(GO) test -run='^$$' -fuzz='^FuzzTwoClusterFractionalLB$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/exact/
 
 bench:

@@ -191,8 +191,12 @@ type MessagePassingResult struct {
 // independent actors exchanging REQUEST/OFFER/COMMIT messages over a
 // simulated network with latency — the paper's literal system model
 // ("the machines do not share memory"). Use it to study how communication
-// delay stretches convergence; for plain simulations prefer DLB2C.
+// delay stretches convergence; for plain simulations prefer DLB2C. As
+// DLB2C, it rejects a model that is not two clusters (see Clustered).
 func DLB2CMessagePassing(model Clustered, initial *Assignment, opt MessagePassingOptions) (MessagePassingResult, error) {
+	if _, _, err := core.CheckTwoClusters(model); err != nil {
+		return MessagePassingResult{}, err
+	}
 	cfg := netsim.Config{
 		Seed:     opt.Seed,
 		Latency:  opt.Latency,

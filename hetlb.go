@@ -24,7 +24,10 @@ const Infinite = core.Infinite
 type CostModel = core.CostModel
 
 // Clustered is a cost model whose machines form two clusters of identical
-// machines (the Section VI setting; required by CLB2C and DLB2C).
+// machines (the Section VI setting; required by CLB2C and DLB2C). A
+// *KCluster satisfies it at any cluster count, so the functions that take
+// one check that every machine is in cluster 0 or 1 and that neither
+// cluster is empty.
 type Clustered = core.Clustered
 
 // Assignment is a partition of jobs onto machines with O(1) load queries.
@@ -84,8 +87,21 @@ func RandomInitial(m CostModel, seed uint64) *Assignment {
 func LowerBound(m CostModel) Cost { return core.LowerBound(m) }
 
 // TwoClusterLowerBound returns the fractional pooled-machines lower bound
-// for a two-cluster instance.
-func TwoClusterLowerBound(c Clustered) float64 { return core.TwoClusterFractionalLB(c) }
+// for a two-cluster instance. It returns no error, so on a model that is
+// not two clusters (see Clustered) it panics with the error that names the
+// first machine outside clusters 0 and 1, or the empty cluster.
+func TwoClusterLowerBound(c Clustered) float64 {
+	mustBeTwoClusters(c)
+	return core.TwoClusterFractionalLB(c)
+}
+
+// mustBeTwoClusters panics on a Clustered model that is not two clusters,
+// for the facade functions that return no error.
+func mustBeTwoClusters(c Clustered) {
+	if _, _, err := core.CheckTwoClusters(c); err != nil {
+		panic(err)
+	}
+}
 
 // SolveExact computes the optimal makespan by branch and bound; practical
 // for small instances only (n ≲ 14). The boolean reports whether optimality
@@ -104,7 +120,10 @@ func ListScheduling(m CostModel) *Assignment { return central.ListScheduling(m, 
 func LPT(id *Identical) *Assignment { return central.LPT(id) }
 
 // CLB2C runs the paper's centralized two-cluster 2-approximation
-// (Algorithm 5, Theorem 6) over all jobs of the model.
+// (Algorithm 5, Theorem 6) over all jobs of the model. It returns no error,
+// so on a model that is not two clusters (see Clustered) it panics with the
+// error that names the first machine outside clusters 0 and 1, or the empty
+// cluster.
 func CLB2C(c Clustered) *Assignment { return central.RunCLB2C(c) }
 
 // LST runs the Lenstra–Shmoys–Tardos LP-rounding 2-approximation for
@@ -256,8 +275,13 @@ func runProtocol(p protocol.Protocol, initial *Assignment, opt RunOptions) (Resu
 // DLB2C runs the decentralized two-cluster balancer (Algorithm 7) from the
 // given initial distribution. If the run converges, the schedule is a
 // 2-approximation under the paper's hypothesis that no processing time
-// exceeds the optimal makespan (Theorem 7).
+// exceeds the optimal makespan (Theorem 7). A model that is not two
+// clusters (see Clustered) is an error naming the first machine outside
+// clusters 0 and 1, or the empty cluster.
 func DLB2C(model Clustered, initial *Assignment, opt RunOptions) (Result, error) {
+	if _, _, err := core.CheckTwoClusters(model); err != nil {
+		return Result{}, err
+	}
 	return runProtocol(protocol.DLB2C{Model: model}, initial, opt)
 }
 
@@ -334,7 +358,11 @@ func WorkStealingRun(model CostModel, initial *Assignment, opt WorkStealingOptio
 // IsStable reports whether no pairwise DLB2C exchange can change the given
 // two-cluster schedule (the premise of Theorem 7). It splits every pair of
 // machines once on scratch buffers, without copying the schedule: the same
-// check the engines run when DetectStability is set.
+// check the engines run when DetectStability is set. It returns no error,
+// so on a model that is not two clusters (see Clustered) it panics with the
+// error that names the first machine outside clusters 0 and 1, or the
+// empty cluster.
 func IsStable(model Clustered, a *Assignment) bool {
+	mustBeTwoClusters(model)
 	return protocol.Stable(protocol.DLB2C{Model: model}, a)
 }

@@ -1,6 +1,8 @@
 package hetlb_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hetlb"
@@ -242,6 +244,65 @@ func TestPublicErrors(t *testing.T) {
 			t.Fatalf("Shards: %d: OJTB accepted a one-machine model", shards)
 		}
 	}
+	// A KCluster is Clustered at any cluster count; the two-cluster calls
+	// reject every count but two, naming the first machine outside clusters
+	// 0 and 1 (machine 4 of sizes 2, 2, 2) or the empty cluster.
+	kcluster := func(sizes []int, n int) *hetlb.KCluster {
+		p := make([][]hetlb.Cost, len(sizes))
+		for c := range p {
+			p[c] = make([]hetlb.Cost, n)
+			for j := range p[c] {
+				p[c][j] = hetlb.Cost(1 + (j*7+c*3)%10)
+			}
+		}
+		kc, err := hetlb.NewKCluster(sizes, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kc
+	}
+	for _, c := range []struct {
+		kc   *hetlb.KCluster
+		want string
+	}{
+		{kcluster([]int{2, 2, 2}, 24), "machine 4 is in cluster 2"},
+		{kcluster([]int{4}, 24), "cluster 1 of a two-cluster model has no machine"},
+	} {
+		what := fmt.Sprintf("%d clusters", c.kc.NumClusters())
+		for _, shards := range []int{0, 2} {
+			opt := hetlb.RunOptions{MaxExchanges: 10, Shards: shards}
+			if _, err := hetlb.DLB2C(c.kc, hetlb.RoundRobin(c.kc), opt); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, Shards %d: DLB2C error %v, want one containing %q", what, shards, err, c.want)
+			}
+		}
+		if _, err := hetlb.DLB2CMessagePassing(c.kc, hetlb.RoundRobin(c.kc), hetlb.MessagePassingOptions{Horizon: 100}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: DLB2CMessagePassing error %v, want one containing %q", what, err, c.want)
+		}
+		for _, call := range []struct {
+			name string
+			f    func()
+		}{
+			{"CLB2C", func() { hetlb.CLB2C(c.kc) }},
+			{"IsStable", func() { hetlb.IsStable(c.kc, hetlb.RoundRobin(c.kc)) }},
+			{"TwoClusterLowerBound", func() { hetlb.TwoClusterLowerBound(c.kc) }},
+		} {
+			if got := panicMessage(call.f); !strings.Contains(got, c.want) {
+				t.Errorf("%s: %s panicked with %q, want a message containing %q", what, call.name, got, c.want)
+			}
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, or "" if it
+// returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 func TestPublicLST(t *testing.T) {

@@ -64,9 +64,12 @@ func LPT(id *core.Identical) *core.Assignment {
 // CLB2C implements Algorithm 5 of the paper on an arbitrary sub-problem: it
 // assigns each job of jobs onto one of the machines in ms0 (which must
 // belong to cluster 0) or ms1 (cluster 1), mutating a. The jobs must be
-// unassigned in a, and ms0 and ms1 must list distinct machines, in any
-// order: CLB2C keeps each machine's load in its own loser tree from the
-// start loads in a, so a machine listed twice would be two machines.
+// distinct and unassigned in a (CLB2C panics on one already placed), and
+// ms0 and ms1 must list distinct machines, in any order: CLB2C keeps each
+// machine's load in its own loser tree from the start loads in a, and
+// writes the trees' final loads back to a, so a machine listed twice would
+// be two machines, and one listed in the wrong cluster would be charged
+// that cluster's costs.
 //
 // The jobs are considered sorted by increasing cost ratio p0/p1. At each
 // step the head job (relatively cheapest on cluster 0) is tentatively placed
@@ -77,7 +80,9 @@ func LPT(id *core.Identical) *core.Assignment {
 //
 // Besides a, a call allocates 32 bytes per job (its two costs, its sort key
 // and a radix slot) and 16 bytes per padded leaf of the two trees, each
-// cluster's machine count rounded up to a power of two.
+// cluster's machine count rounded up to a power of two. It reads each job's
+// two costs once, to gather them; the walk and the final pass read the
+// gathered copies.
 func CLB2C(a *core.Assignment, m core.Clustered, ms0, ms1, jobs []int) {
 	p0, p1 := core.GatherCosts(m, 0, jobs, nil), core.GatherCosts(m, 1, jobs, nil)
 	keys, _ := core.OrderJobs(core.ByRatio, p0, p1, jobs, make([]uint64, len(jobs)), make([]uint64, len(jobs)))
@@ -95,8 +100,9 @@ const blockKeys = 2048
 // on cluster 0 and p1[pos] on cluster 1; ids[pos] is the job (pos itself
 // when ids is nil). keys are core.OrderJobs' keys in the exact ratio order
 // and double as the schedule: once a key's job is placed, its high half
-// (the spent ratio image) records the machine, and one pass at the end
-// applies every placement to a.
+// (the spent ratio image) records the machine. One pass at the end writes
+// every placement into a's job map, and the two trees, which hold every
+// listed machine's final load, write the loads: no cost is read again.
 func clb2c(a *core.Assignment, p0, p1 []core.Cost, ids []int, keys []uint64, ms0, ms1 []int) {
 	t0, t1 := newLoserTree(a, ms0), newLoserTree(a, ms1)
 	// head[k%blockKeys] is the cluster-0 cost of the key k places from the
@@ -140,22 +146,30 @@ func clb2c(a *core.Assignment, p0, p1 []core.Cost, ids []int, keys []uint64, ms0
 		if ids != nil {
 			j = ids[j]
 		}
-		a.Assign(j, int(key>>32))
+		a.Place(j, int(key>>32))
 	}
+	t0.setLoads(a)
+	t1.setLoads(a)
 }
 
 // RunCLB2C builds a complete schedule of all jobs of a two-cluster model
 // with CLB2C. This is the centralized reference ("cent" in Figure 5 of the
-// paper). On a core.TwoCluster, which caches its ratio order, it takes the
-// keys from the model (RatioKeys) over the model's own cost vectors: the
-// first call on a model sorts them, and keeps the order the DLB2C engines
-// then share; later calls copy the order and sort nothing. Besides the
-// assignment it allocates only the keys (and on the first call the radix
-// buffer and the kept order), the trees and the machine lists.
+// paper). It panics, with core.CheckTwoClusters' error, on a model with a
+// machine outside clusters 0 and 1 or with an empty cluster. On a
+// core.TwoCluster, which caches its ratio order, it takes the keys from the
+// model (RatioKeys) over the model's own cost vectors: the first call on a
+// model sorts them, and keeps the order the DLB2C engines then share; later
+// calls copy the order and sort nothing. Each job's costs are read to build
+// its key and in the walk, and nowhere else. Besides the assignment it
+// allocates only the keys (and on the first call the radix buffer and the
+// kept order), the trees and the machine lists.
 func RunCLB2C(m core.Clustered) *core.Assignment {
+	m0, m1, err := core.CheckTwoClusters(m)
+	if err != nil {
+		panic(err)
+	}
 	a := core.NewAssignment(m)
-	ms0 := make([]int, 0, m.ClusterSize(0))
-	ms1 := make([]int, 0, m.ClusterSize(1))
+	ms0, ms1 := make([]int, 0, m0), make([]int, 0, m1)
 	for i := 0; i < m.NumMachines(); i++ {
 		if m.ClusterOf(i) == 0 {
 			ms0 = append(ms0, i)

@@ -390,6 +390,11 @@ var clb2cFamilies = []clb2cFamily{
 		}
 		return small, big
 	}},
+	// Costs past OrderJobs' exact-image bound of 2^11, where distinct
+	// ratios can share a float32 image (2949/2948 and 2948/2947 do).
+	{"near-bound", func(gen *rng.RNG) (core.Cost, core.Cost) {
+		return gen.IntRange(2900, 3000), gen.IntRange(2900, 3000)
+	}},
 	// Costs on both sides of 2^31, in both clusters; the largest is
 	// 2^31+2^29, so every cross product stays below 2^63.
 	{"large", func(gen *rng.RNG) (core.Cost, core.Cost) {
@@ -523,6 +528,117 @@ func TestRunCLB2CMatchesReferenceAtScale(t *testing.T) {
 	sameMachines(t, "131072 jobs", RunCLB2C(tc), ref)
 }
 
+// fuzzCLB2CInstance decodes FuzzCLB2C's input: m1 and m2 in [1, 8] from
+// the first two bytes, then up to 64 jobs of five bytes each, a class and
+// two 16-bit values v and w. The classes are jobs free on one or both
+// clusters; small costs (at most 1024); costs of 1900–3100, around
+// OrderJobs' exact-image bound, where 2949/2948 and 2948/2947 share a
+// float32 image; and costs near 2^31 on cluster 0, near 2^31 or small on
+// cluster 1. No cost exceeds 2^31+2^29, so every cross product fits in an
+// int64 and the comparator reference is exact.
+func fuzzCLB2CInstance(data []byte) (m1, m2 int, p0, p1 []core.Cost) {
+	if len(data) < 2 {
+		return 1, 1, nil, nil
+	}
+	m1, m2 = 1+int(data[0]%8), 1+int(data[1]%8)
+	data = data[2:]
+	n := min(len(data)/5, 64)
+	p0, p1 = make([]core.Cost, n), make([]core.Cost, n)
+	small := func(v core.Cost) core.Cost { return 1 + v%1024 }
+	big := func(v core.Cost) core.Cost { return 1<<31 - 1<<15 + v<<13 }
+	for j := range p0 {
+		b := data[5*j : 5*j+5]
+		v, w := core.Cost(b[1])|core.Cost(b[2])<<8, core.Cost(b[3])|core.Cost(b[4])<<8
+		switch b[0] % 4 {
+		case 0:
+			switch v % 3 {
+			case 0:
+				p0[j], p1[j] = 0, 0
+			case 1:
+				p0[j], p1[j] = 0, small(w)
+			default:
+				p0[j], p1[j] = small(w), 0
+			}
+		case 1:
+			p0[j], p1[j] = small(v), small(w)
+		case 2:
+			p0[j], p1[j] = 1900+v%1201, 1900+w%1201
+		default:
+			p0[j], p1[j] = big(v), big(w)
+			if w%2 == 0 {
+				p1[j] = small(w)
+			}
+		}
+	}
+	return m1, m2, p0, p1
+}
+
+// FuzzCLB2C holds CLB2C to the comparator-sort and container/heap
+// reference on fuzzed instances (fuzzCLB2CInstance): RunCLB2C on a fresh
+// model, on the same model with its cost vectors hidden, and CLB2C on
+// random machine subsets with a third of the jobs placed beforehand and
+// the rest in shuffled order, drawn from the input's last byte. Every
+// schedule must put each job where the reference does and pass Validate.
+func FuzzCLB2C(f *testing.F) {
+	job := func(class byte, v, w int) []byte {
+		return []byte{class, byte(v), byte(v >> 8), byte(w), byte(w >> 8)}
+	}
+	for class := byte(0); class < 4; class++ {
+		data := []byte{3, 2}
+		for j := 0; j < 40; j++ {
+			data = append(data, job(class, 7919*j+13, 104729*j+7)...)
+		}
+		f.Add(data)
+	}
+	mix := []byte{5, 7}
+	for j := 0; j < 64; j++ {
+		mix = append(mix, job(byte(j), 7919*j+5, 3*j*j+11)...)
+	}
+	f.Add(mix)
+	// 2948/2947 listed before 2949/2948: one float32 image, the exact
+	// order the reverse.
+	f.Add(slices.Concat([]byte{0, 0}, job(2, 1048, 1047), job(2, 1049, 1048), job(1, 9, 9)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m1, m2, p0, p1 := fuzzCLB2CInstance(data)
+		n := len(p0)
+		fresh := func() *core.TwoCluster {
+			tc, err := core.NewTwoCluster(m1, m2, p0, p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tc
+		}
+		ms0, ms1 := seq(0, m1), seq(m1, m1+m2)
+		tc := fresh()
+		ref := core.NewAssignment(tc)
+		refCLB2C(ref, tc, ms0, ms1, seq(0, n))
+		sameMachines(t, "RunCLB2C", RunCLB2C(fresh()), ref)
+		sameMachines(t, "RunCLB2C, costs hidden", RunCLB2C(opaque{fresh()}), ref)
+
+		var seed uint64
+		if len(data) > 0 {
+			seed = uint64(data[len(data)-1])
+		}
+		gen := rng.New(seed)
+		got, ref := core.NewAssignment(tc), core.NewAssignment(tc)
+		var rest []int
+		for j := 0; j < n; j++ {
+			if gen.Intn(3) == 0 {
+				i := gen.Intn(m1 + m2)
+				got.Assign(j, i)
+				ref.Assign(j, i)
+			} else {
+				rest = append(rest, j)
+			}
+		}
+		gen.ShuffleInts(rest)
+		ms0, ms1 = subset(gen, ms0), subset(gen, ms1)
+		CLB2C(got, tc, ms0, ms1, rest)
+		refCLB2C(ref, tc, ms0, ms1, rest)
+		sameMachines(t, fmt.Sprintf("CLB2C on %v+%v, shuffled jobs", ms0, ms1), got, ref)
+	})
+}
+
 // TestRunCLB2CAllocationPerJob bounds what RunCLB2C allocates at paper
 // scale (64+32 machines, 768 jobs) by three words per job plus O(m) words.
 // A first call on a model allocates four per-job arrays: the sort keys and
@@ -595,13 +711,18 @@ func subset(gen *rng.RNG, s []int) []int {
 	return out[:1+gen.Intn(len(out))]
 }
 
-// sameMachines fails unless got places every job where want does.
+// sameMachines fails unless got places every job where want does and its
+// loads and count are those its placements sum to (Validate): CLB2C writes
+// the loads its trees kept, not ones Assign summed.
 func sameMachines(t *testing.T, what string, got, want *core.Assignment) {
 	t.Helper()
 	for j := 0; j < want.Model().NumJobs(); j++ {
 		if got.MachineOf(j) != want.MachineOf(j) {
 			t.Fatalf("%s: job %d on machine %d, reference %d", what, j, got.MachineOf(j), want.MachineOf(j))
 		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 

@@ -91,6 +91,16 @@ func (t loserTree) min() (machine int, load core.Cost) {
 	return int(t[0].lo >> 32), core.Cost(t[0].hi ^ signBit)
 }
 
+// setLoads writes the load the tree holds for each of its machines into a:
+// after CLB2C's walk, the start load plus every cost placed on it.
+func (t loserTree) setLoads(a *core.Assignment) {
+	for _, s := range t {
+		if i := s.lo >> 32; i != math.MaxUint32 { // not a padded leaf
+			a.SetLoad(int(i), core.Cost(s.hi^signBit))
+		}
+	}
+}
+
 // raiseMin sets the load of the least-loaded machine and replays its
 // matches along the fixed path from its leaf to the root: the slots on that
 // path hold the winners of the sibling subtrees, so each step keeps the

@@ -125,6 +125,23 @@ func (a *Assignment) Assign(job, machine int) {
 	a.assigned++
 }
 
+// Place puts job j on the given machine without adding its cost to the
+// machine's load: a scheduler that keeps its own load sums (CLB2C's loser
+// trees) places every job and then writes each load once with SetLoad,
+// instead of reading every job's cost again as Assign does. The job must
+// currently be unassigned. Until the caller has set the load of every
+// machine it placed jobs on, the assignment is inconsistent (Validate).
+func (a *Assignment) Place(job, machine int) {
+	if a.machineOf[job] != -1 {
+		panic(fmt.Sprintf("core: job %d already assigned to machine %d", job, a.machineOf[job]))
+	}
+	a.machineOf[job] = int32(machine)
+	a.assigned++
+}
+
+// SetLoad sets a machine's load to a sum its caller kept; see Place.
+func (a *Assignment) SetLoad(machine int, load Cost) { a.load[machine] = load }
+
 // Unassign removes job j from its machine. The job must be assigned.
 func (a *Assignment) Unassign(job int) {
 	i := a.machineOf[job]

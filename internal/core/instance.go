@@ -426,6 +426,31 @@ type Clustered interface {
 	ClusterCost(cluster, job int) Cost
 }
 
+// CheckTwoClusters returns the machine counts of cluster 0 and cluster 1 of
+// a two-cluster model. It returns an error naming the first machine outside
+// clusters 0 and 1, or the empty cluster when one is: a Clustered model
+// with any other cluster count (a KCluster of k != 2 clusters) is not one
+// CLB2C and DLB2C can run on. It calls ClusterOf once per machine and
+// allocates nothing.
+func CheckTwoClusters(c Clustered) (m0, m1 int, err error) {
+	for i := 0; i < c.NumMachines(); i++ {
+		switch k := c.ClusterOf(i); k {
+		case 0:
+			m0++
+		case 1:
+			m1++
+		default:
+			return 0, 0, fmt.Errorf("core: machine %d is in cluster %d; a two-cluster model has clusters 0 and 1 only", i, k)
+		}
+	}
+	for k, size := range [2]int{m0, m1} {
+		if size == 0 {
+			return 0, 0, fmt.Errorf("core: cluster %d of a two-cluster model has no machine", k)
+		}
+	}
+	return m0, m1, nil
+}
+
 var (
 	_ CostModel = (*Dense)(nil)
 	_ CostModel = (*Identical)(nil)

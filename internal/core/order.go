@@ -45,9 +45,21 @@ const radixCutover = 64
 //     (positions increase, so both give the same order);
 //   - the image never inverts two jobs the exact order separates, but
 //     distinct ratios or sizes can share it, so an insertion pass with the
-//     exact integer order finishes the sort. It compares only neighbours
-//     whose images tie, since a job never has to pass one with a smaller
-//     image.
+//     exact integer order (finishTies) finishes the sort. It compares only
+//     neighbours whose images tie, since a job never has to pass one with
+//     a smaller image;
+//   - below exact-image bounds no two distinct ratios or sizes share an
+//     image: every cost below 2^11 for ByRatio (two distinct ratios a/b and
+//     c/d with terms up to B differ relatively by at least 1/B², 2^-22 at
+//     B = 2^11, more than float32's relative spacing of 2^-23; 0/0 counts
+//     as 1/1, a/0 is +Inf and 0/b is 0 there too), every cost below 2^24
+//     for BySize (float32 holds every integer up to 2^24). There a tie of
+//     images is a tie of the exact order, which the ids break; when the ids
+//     also ascend with the positions (nil ids do), the presort has already
+//     left every tie group in id order, and OrderJobs skips the tie pass.
+//     It ORs every cost into one word as it builds the keys and compares
+//     that word as unsigned, so a negative cost, outside the domain below,
+//     takes the tie pass.
 //
 // The costs must be non-negative and, for ByRatio, below 2^53 with every
 // cross product CompareRatios forms inside an int64 (costs below 3.03e9,
@@ -58,13 +70,19 @@ const radixCutover = 64
 func OrderJobs(o JobOrder, own, other []Cost, ids []int, keys, buf []uint64) (sorted, spare []uint64) {
 	n := len(own)
 	keys = Resize(keys, n)
+	var costBits Cost // every cost ORed: below a power of two iff all are
+	bound := sizeExactBound
 	if o == ByRatio {
+		bound = ratioExactBound
 		other = other[:n]
 		for p, c := range own {
-			keys[p] = ratioImage(c, other[p])<<32 | uint64(p)
+			d := other[p]
+			costBits |= c | d
+			keys[p] = ratioImage(c, d)<<32 | uint64(p)
 		}
 	} else {
 		for p, c := range own {
+			costBits |= c
 			keys[p] = sizeImage(c)<<32 | uint64(p)
 		}
 	}
@@ -74,15 +92,28 @@ func OrderJobs(o JobOrder, own, other []Cost, ids []int, keys, buf []uint64) (so
 		buf = Resize(buf, n)
 		keys, buf = radixSortHigh(keys, buf)
 	}
-	finishTies(o, own, other, ids, keys)
+	if uint64(costBits) >= bound || !slices.IsSorted(ids) {
+		finishTies(o, own, other, ids, keys)
+	}
 	return keys, buf
 }
 
+// The exact-image bounds of OrderJobs: below them, distinct ratios (every
+// cost below ratioExactBound) or distinct sizes (below sizeExactBound) have
+// distinct float32 images. TestRatioImagesExactBelowBound enumerates every
+// ratio with terms below ratioExactBound in exact order.
+const (
+	ratioExactBound uint64 = 1 << 11
+	sizeExactBound  uint64 = 1 << 24
+)
+
 // finishTies is OrderJobs' tie pass: an insertion sort with the exact order
-// that moves a key only past neighbours whose images tie with it. Its
-// common step compares a key with the one before and moves nothing, so the
-// pass carries the costs of the key before from the previous step: a step
-// reads one job's costs, not two.
+// that moves a key only past neighbours whose images tie with it. OrderJobs
+// runs it only where images can tie between distinct ratios or sizes, or
+// where the ids do not ascend with the positions. Its common step compares
+// a key with the one before and moves nothing, so the pass carries the
+// costs of the key before from the previous step: a step reads one job's
+// costs, not two.
 //
 //hetlb:noalloc
 func finishTies(o JobOrder, own, other []Cost, ids []int, keys []uint64) {

@@ -146,3 +146,107 @@ func FuzzJobOrder(f *testing.F) {
 		check("size order, groups reversed", BySize, rOwn, rOther, rIDs)
 	})
 }
+
+// farey calls yield with every reduced fraction a/b, 0 ≤ a ≤ b ≤ n, in
+// increasing order: the Farey sequence of order n, each term found from
+// the two before it.
+func farey(n int, yield func(a, b int)) {
+	a, b, c, d := 0, 1, 1, n
+	yield(a, b)
+	for c <= n {
+		yield(c, d)
+		k := (n + b) / d
+		a, b, c, d = c, d, k*c-a, k*d-b
+	}
+}
+
+// ratioImageCollisions walks every distinct ratio a/b with terms up to n
+// in increasing exact order, 0/1 first and 1/0 (+Inf) last, and returns
+// each neighbouring pair whose float32 images do not strictly increase, as
+// {a, b, c, d} for a/b < c/d. The ratios up to 1 are the Farey sequence;
+// those above are b/(b-a) for its terms a/b in (0, 1), in the same order.
+func ratioImageCollisions(n int) [][4]int {
+	var out [][4]int
+	pa, pb, prev := -1, -1, uint64(0)
+	next := func(a, b int) {
+		img := ratioImage(Cost(a), Cost(b))
+		if pa >= 0 && img <= prev {
+			out = append(out, [4]int{pa, pb, a, b})
+		}
+		pa, pb, prev = a, b, img
+	}
+	farey(n, next)
+	farey(n, func(a, b int) {
+		if 0 < a && a < b {
+			next(b, b-a)
+		}
+	})
+	next(1, 0)
+	return out
+}
+
+// TestRatioImagesExactBelowBound proves OrderJobs' ratio bound: over every
+// ratio whose terms are below ratioExactBound, distinct ratios have
+// distinct float32 images, so a tie of images is an exact tie. The same
+// walk run to 3000 finds the four collisions past the bound, the first to
+// appear as the bound grows being 2949/2948 against 2948/2947.
+func TestRatioImagesExactBelowBound(t *testing.T) {
+	n := int(ratioExactBound - 1)
+	if got := ratioImageCollisions(n); len(got) != 0 {
+		t.Fatalf("terms up to %d: %d ratio pairs share a float32 image, the first %d/%d and %d/%d", n, len(got), got[0][0], got[0][1], got[0][2], got[0][3])
+	}
+	if testing.Short() {
+		return
+	}
+	got := ratioImageCollisions(3000)
+	if len(got) != 4 || !slices.Contains(got, [4]int{2949, 2948, 2948, 2947}) {
+		t.Fatalf("terms up to 3000: collisions %v, want four with 2949/2948 against 2948/2947", got)
+	}
+	for _, c := range got {
+		if max(c[0], c[1], c[2], c[3]) < 2949 {
+			t.Fatalf("terms up to 3000: collision %d/%d against %d/%d has every term below 2949", c[0], c[1], c[2], c[3])
+		}
+	}
+}
+
+// TestOrderJobsExactImageCases runs OrderJobs on inputs where skipping the
+// tie pass would be wrong, each alone and padded past the radix cut-over:
+// distinct ratios past the bound that share an image, given against the
+// exact order; distinct sizes past 2^24 that share one; and ties of exact
+// ratios and sizes whose ids descend.
+func TestOrderJobsExactImageCases(t *testing.T) {
+	cases := []struct {
+		name       string
+		own, other []Cost
+		ids        []int
+	}{
+		{"ratios past the bound", []Cost{2948, 2949}, []Cost{2947, 2948}, nil},
+		{"sizes past 2^24", []Cost{1 << 24, 1<<24 + 1}, []Cost{1, 1}, nil},
+		{"ratio ties, ids descending", []Cost{1, 2, 3, 0}, []Cost{1, 2, 3, 0}, []int{9, 7, 5, 3}},
+		{"size ties, ids descending", []Cost{5, 5, 5, 5}, []Cost{1, 2, 3, 4}, []int{9, 7, 5, 3}},
+	}
+	for _, c := range cases {
+		for _, reps := range []int{1, radixCutover} {
+			var own, other []Cost
+			var ids []int
+			for r := 0; r < reps; r++ {
+				own, other = append(own, c.own...), append(other, c.other...)
+				for p := range c.own {
+					if c.ids == nil {
+						break
+					}
+					ids = append(ids, c.ids[p]-r*len(c.ids)*10)
+				}
+			}
+			for _, o := range []JobOrder{ByRatio, BySize} {
+				keys, _ := OrderJobs(o, own, other, ids, nil, nil)
+				want := refJobOrder(o, own, other, ids)
+				for k, key := range keys {
+					if int(uint32(key)) != want[k] {
+						t.Fatalf("%s, %d jobs, order %d: position %d at %d, oracle has %d", c.name, len(own), o, uint32(key), k, want[k])
+					}
+				}
+			}
+		}
+	}
+}

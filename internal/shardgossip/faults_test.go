@@ -2,6 +2,7 @@ package shardgossip
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -31,12 +32,16 @@ type chaosOutcome struct {
 
 // runChaos executes a fixed 48-epoch MJTB run on a fixed typed instance
 // under the given crash plan and shard count, validates conservation, and
-// returns the comparable outcome.
-func runChaos(t *testing.T, plan faults.Config, shards int) chaosOutcome {
+// returns the comparable outcome. Then it continues the same engine with a
+// stability-checked Run of up to 400 more epochs; a stable verdict with
+// every machine up must carry Theorem 5's certificate (certify), counted
+// in st.
+func runChaos(t *testing.T, plan faults.Config, shards int, st *checkStats) chaosOutcome {
 	t.Helper()
 	gen := rng.New(300)
 	ty := workload.UniformTyped(gen, 24, 300, 3, 1, 50)
-	e, err := New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), Config{Seed: 11, Shards: shards, Faults: &plan})
+	p := protocol.MJTB{Model: ty}
+	e, err := New(p, core.RoundRobin(ty), Config{Seed: 11, Shards: shards, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +64,9 @@ func runChaos(t *testing.T, plan faults.Config, shards int) chaosOutcome {
 		out.crashes, out.recovered = fs.crashes, fs.recoveries
 		out.jobsLost, out.rehosted = fs.jobsLost, fs.jobsRehosted
 	}
+	if r := e.Run(400*e.Machines()/2, true); r.Converged && e.DownMachines() == 0 {
+		certify(t, fmt.Sprintf("shards=%d, after the plan", shards), p, r.Assignment, st)
+	}
 	return out
 }
 
@@ -66,7 +74,9 @@ func runChaos(t *testing.T, plan faults.Config, shards int) chaosOutcome {
 // plans, each replayed at S ∈ {1, 2, 4} and at GOMAXPROCS 1 vs the
 // process's own, must produce bit-identical placements and counters and
 // conserve every job after the plan drains (the 48-epoch run outlives the
-// 40-epoch fault horizon).
+// 40-epoch fault horizon). Every run then continues to a stable verdict,
+// which runChaos certifies with Theorem 5 when every machine is up; the
+// full suite fails if it certified none.
 func TestShardChaosProperty(t *testing.T) {
 	plans := 128
 	if testing.Short() {
@@ -74,22 +84,29 @@ func TestShardChaosProperty(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
+	var st checkStats
+	defer func() {
+		t.Logf("%d runs certified by Theorem 5", st.theorem5)
+		if !testing.Short() && !t.Failed() && st.theorem5 == 0 {
+			t.Error("no chaos run reached a stable verdict with every machine up to certify")
+		}
+	}()
 	for p := 0; p < plans; p++ {
 		seed := rng.DeriveSeed(424242, uint64(p))
 		plan := faults.Config{
 			Crashes: faults.RandomCrashes(seed, 24, 40, 1+p%6, 8, 0.25*float64(p%5)),
 		}
-		base := runChaos(t, plan, 1)
+		base := runChaos(t, plan, 1, &st)
 		if base.crashes == 0 {
 			t.Fatalf("plan %d scheduled no crashes", p)
 		}
 		for _, s := range []int{2, 4} {
-			if got := runChaos(t, plan, s); got != base {
+			if got := runChaos(t, plan, s, &st); got != base {
 				t.Fatalf("plan %d shards=%d diverged:\n got %+v\nwant %+v", p, s, got, base)
 			}
 		}
 		runtime.GOMAXPROCS(1)
-		got := runChaos(t, plan, 4)
+		got := runChaos(t, plan, 4, &st)
 		runtime.GOMAXPROCS(prev)
 		if got != base {
 			t.Fatalf("plan %d GOMAXPROCS=1 diverged:\n got %+v\nwant %+v", p, got, base)
@@ -105,9 +122,10 @@ func TestShardChaosPinnedGolden(t *testing.T) {
 	plan := faults.Config{
 		Crashes: faults.RandomCrashes(rng.DeriveSeed(424242, 7), 24, 40, 4, 8, 0.5),
 	}
-	base := runChaos(t, plan, 1)
+	var st checkStats
+	base := runChaos(t, plan, 1, &st)
 	for _, s := range []int{2, 4, 8} {
-		if got := runChaos(t, plan, s); got != base {
+		if got := runChaos(t, plan, s, &st); got != base {
 			t.Fatalf("shards=%d diverged:\n got %+v\nwant %+v", s, got, base)
 		}
 	}

@@ -2,6 +2,7 @@ package shardgossip
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hetlb/internal/core"
@@ -11,11 +12,11 @@ import (
 	"hetlb/internal/workload"
 )
 
-// benchSharded measures one epoch of the sharded engine — the coordinator's
-// matching draw, ⌊m/2⌋ sessions, the barrier and its pass over the m loads
-// — per protocol family and shard count. Results are recorded in BENCH_8.json; sessions/sec is the
-// headline metric (one session is one pairwise exchange, the unit the paper
-// counts).
+// benchSharded measures one steady-state epoch of the sharded engine — the
+// coordinator's matching draw, ⌊m/2⌋ sessions, the barrier and its pass over
+// the m loads — per protocol family and shard count, after warmUp. Results
+// are recorded in BENCH_8.json; sessions/sec is the headline metric (one
+// session is one pairwise exchange, the unit the paper counts).
 func benchSharded(b *testing.B, m, n int) {
 	gen := rng.New(500)
 	ty := workload.UniformTyped(gen, m, n, 5, 1, 100)
@@ -36,10 +37,7 @@ func benchSharded(b *testing.B, m, n int) {
 					b.Fatal(err)
 				}
 				defer e.Close()
-				// Two warm epochs bring scratches and job buffers to their
-				// high-water capacities; the measured epochs are steady-state.
-				e.StepEpoch()
-				e.StepEpoch()
+				warmUp(e)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					e.StepEpoch()
@@ -48,6 +46,36 @@ func benchSharded(b *testing.B, m, n int) {
 				sessions := float64(m/2) * float64(b.N)
 				b.ReportMetric(sessions/b.Elapsed().Seconds(), "sessions/sec")
 			})
+		}
+	}
+}
+
+// The warm-up of benchSharded: quietEpochs epochs in a row that allocate
+// nothing, or warmSessions sessions, whichever comes first.
+const (
+	quietEpochs  = 64
+	warmSessions = 1 << 19
+)
+
+// warmUp steps e until quietEpochs epochs in a row allocate nothing, or
+// until it has run warmSessions sessions. An epoch allocates when a session
+// hands a machine more jobs than its job list has room for: FillOrderedLists
+// sizes each list to the machine's initial count, and a list that outgrows
+// it reallocates. Such growth grows rarer as the lists reach their
+// high-water marks, but never stops outright: at m = 2048 and n = 16384,
+// the twocluster engine at S=1 still grows a list at epoch 224, and the
+// typed one at epoch 61. The session cap keeps the 100k-machine run
+// practical (ten warm epochs there, 512 at m = 2048).
+func warmUp(e *Engine) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for quiet, sessions := 0, 0; quiet < quietEpochs && sessions < warmSessions; sessions += e.Machines() / 2 {
+		before := ms.Mallocs
+		e.StepEpoch()
+		runtime.ReadMemStats(&ms)
+		quiet++
+		if ms.Mallocs != before {
+			quiet = 0
 		}
 	}
 }
