@@ -1,11 +1,13 @@
 # Developer entry points. `make check` runs lint, build, test and race
 # locally; CI (.github/workflows/ci.yml) runs separate jobs instead: lint,
-# test, fuzz, shard-race, bench-smoke, race-harness, chaos-shard and chaos,
-# several of them through the targets below.
+# test, fuzz, shard-race, bench-smoke, bench-ab (pull requests only: the
+# repository benchmark against the merge-base, see README.md "Testing"),
+# race-harness, chaos-shard and chaos, several of them through the targets
+# below.
 
 GO ?= go
 
-.PHONY: check vet lint lint-stats build test race race-shard fuzz bench bench-smoke overhead-guard bench-scale chaos chaos-shard
+.PHONY: check vet lint lint-stats build test race race-shard fuzz bench bench-smoke chaos chaos-shard
 
 check: lint build test race
 
@@ -15,19 +17,19 @@ vet:
 # Tier-1 static analysis: gofmt, go vet, and hetlbvet — the repo's own
 # analyzer suite that mechanically enforces the determinism, RNG-discipline,
 # noalloc, and stats-safety invariants (DESIGN.md §11) plus the
-# interprocedural flow checks (seedflow, lockshape, phasefreeze; DESIGN.md
-# §16). Suppressions are //hetlb: comments with a reason; unused ones fail
-# the build.
+# interprocedural flow checks (seedflow, phasefreeze; DESIGN.md §16).
+# Suppressions are //hetlb: comments with a reason; unused ones fail the
+# build.
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/hetlbvet -flow ./...
+	$(GO) run ./cmd/hetlbvet ./...
 
 # Per-analyzer finding and suppression counts over the whole tree. Same
 # vet-style exit as lint; the counts make it visible where the suppression
 # debt lives.
 lint-stats:
-	$(GO) run ./cmd/hetlbvet -flow -stats ./...
+	$(GO) run ./cmd/hetlbvet -stats ./...
 
 build:
 	$(GO) build ./...
@@ -114,43 +116,6 @@ bench:
 # (BenchmarkShardedStepScale) still runs and covers the same code path.
 bench-smoke:
 	$(GO) test -run='^$$' -short -bench=. -benchtime=1x -benchmem ./...
-
-# Observability must be free when it is off: the tracing-disabled step path
-# may not drift more than TOLERANCE above BENCH_3.json's recorded 'after'
-# column, and may never allocate. BENCH_6.json records what tracing costs
-# when it is on. The default 2% assumes the baseline's machine class; on
-# other hardware run `make overhead-guard TOLERANCE=0.25` or re-record.
-TOLERANCE ?= 0.02
-overhead-guard:
-	$(GO) test -run='^$$' -bench='^BenchmarkEngineStep$$' -benchmem -benchtime=300ms \
-		./internal/gossip/ | tee /tmp/benchguard-step.txt
-	$(GO) run ./cmd/benchguard -baseline BENCH_3.json -tolerance $(TOLERANCE) \
-		-in /tmp/benchguard-step.txt
-
-# The sharded engine's CI-sized scale guard, two gates: (1) the live
-# BenchmarkShardedStepScale run (m=2048, n=16384 — same code path as the
-# 100k/10M headline run) may not drift more than SCALE_TOLERANCE above
-# BENCH_8.json's 'guard' column; (2) the recorded BENCH_8.json guard column
-# itself may not regress more than COMPARE_TOLERANCE against BENCH_7.json's
-# (benchguard -against; this pins the PR-8 epoch-throughput claim — after
-# the reduction/pipeline/delta work, re-recording slower numbers fails the
-# build). Tolerances are wide because epoch cost depends on how balanced the
-# schedule currently is, which makes these benchmarks noisier than the
-# per-step guards. The full 100k/10M curve is re-recorded with:
-#   go test -run='^$' -bench='BenchmarkShardedStep$' -benchmem -benchtime=3x \
-#       -timeout 50m ./internal/shardgossip/
-SCALE_TOLERANCE ?= 0.50
-COMPARE_TOLERANCE ?= 0.25
-FAULT_TOLERANCE ?= 0.05
-bench-scale:
-	$(GO) test -run='^$$' -bench='BenchmarkShardedStepScale' -benchmem -benchtime=300ms \
-		./internal/shardgossip/ | tee /tmp/benchguard-scale.txt
-	$(GO) run ./cmd/benchguard -baseline BENCH_8.json -bench BenchmarkShardedStepScale \
-		-column guard -tolerance $(SCALE_TOLERANCE) -in /tmp/benchguard-scale.txt
-	$(GO) run ./cmd/benchguard -baseline BENCH_7.json -against BENCH_8.json \
-		-column guard -tolerance $(COMPARE_TOLERANCE)
-	$(GO) run ./cmd/benchguard -baseline BENCH_8.json -against BENCH_9.json \
-		-column guard -tolerance $(FAULT_TOLERANCE)
 
 # The sharded engine's coordinator/worker handoff under the race detector
 # at pinned low parallelism: GOMAXPROCS 1 and 2 force different

@@ -121,43 +121,31 @@ func Keys(m map[string]int) int {
 		}
 	})
 
-	t.Run("lockshape catches the two-shard-lock session", func(t *testing.T) {
+	t.Run("phasefreeze catches a worker-path write to a frozen field", func(t *testing.T) {
 		dir := writeModule(t, map[string]string{
 			"go.mod": goMod,
 			"shardgossip/engine.go": `package shardgossip
 
-import "sync"
-
-type shardState struct {
-	mu sync.Mutex
-	//hetlb:guarded
-	partialSum int64
-}
-
 type engine struct {
-	shards []shardState
-	start  []chan struct{}
+	//hetlb:frozen
+	down  []bool
+	start []chan struct{}
 }
 
 func (e *engine) run() {
-	for s := range e.shards {
+	for s := range e.start {
 		go e.worker(s)
 	}
 }
 
 func (e *engine) worker(s int) {
 	for range e.start[s] {
-		e.session(s, s+1)
+		e.session(s)
 	}
 }
 
-func (e *engine) session(i, j int) {
-	e.shards[i].mu.Lock()
-	e.shards[j].mu.Lock()
-	e.shards[i].partialSum++
-	e.shards[j].partialSum--
-	e.shards[j].mu.Unlock()
-	e.shards[i].mu.Unlock()
+func (e *engine) session(i int) {
+	e.down[i] = false
 }
 `,
 		})
@@ -165,11 +153,14 @@ func (e *engine) session(i, j int) {
 		if code != 1 {
 			t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
 		}
-		if !strings.Contains(stderr, "second shard mutex acquired") {
-			t.Errorf("stderr does not carry the lockshape finding:\n%s", stderr)
+		if !strings.Contains(stderr, "write to frozen field down on a worker path") {
+			t.Errorf("stderr does not carry the phasefreeze finding:\n%s", stderr)
 		}
-		if !strings.Contains(stderr, "lockshape") {
-			t.Errorf("stderr does not name lockshape:\n%s", stderr)
+		if !strings.Contains(stderr, "→ (*engine).session") {
+			t.Errorf("stderr does not carry the spawn path to the write:\n%s", stderr)
+		}
+		if !strings.Contains(stderr, "phasefreeze") {
+			t.Errorf("stderr does not name phasefreeze:\n%s", stderr)
 		}
 	})
 
@@ -262,48 +253,6 @@ func Keys(m map[string]int) int {
 		}
 		if _, err := os.Stat(sarifPath); err != nil {
 			t.Fatalf("SARIF file not written on clean run: %v", err)
-		}
-	})
-
-	t.Run("flow=false drops the interprocedural analyzers", func(t *testing.T) {
-		dir := writeModule(t, map[string]string{
-			"go.mod": goMod,
-			"shardgossip/engine.go": `package shardgossip
-
-import "sync"
-
-type shardState struct {
-	mu sync.Mutex
-}
-
-type engine struct {
-	shards []shardState
-	start  []chan struct{}
-}
-
-func (e *engine) run() {
-	for s := range e.shards {
-		go e.worker(s)
-	}
-}
-
-func (e *engine) worker(s int) {
-	for range e.start[s] {
-		e.shards[s].mu.Lock()
-		e.shards[s+1].mu.Lock()
-		e.shards[s+1].mu.Unlock()
-		e.shards[s].mu.Unlock()
-	}
-}
-`,
-		})
-		code, stderr := runVet(t, bin, dir, "./...")
-		if code != 1 {
-			t.Fatalf("with flow: exit %d, want 1; stderr:\n%s", code, stderr)
-		}
-		code, stderr = runVet(t, bin, dir, "-flow=false", "./...")
-		if code != 0 {
-			t.Fatalf("with -flow=false: exit %d, want 0; stderr:\n%s", code, stderr)
 		}
 	})
 }

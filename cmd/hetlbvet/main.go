@@ -2,9 +2,8 @@
 // project-specific static analyzers over the module and exits non-zero on
 // any finding, vet-style. The suite has two layers: the syntactic checks
 // (determinism, rngdiscipline, noalloc, statssafety) and the
-// interprocedural flow analyzers (seedflow, lockshape, phasefreeze), which
-// build a per-package call graph and carry call-path traces in their
-// diagnostics. `-flow=false` drops the second layer.
+// interprocedural flow analyzers (seedflow, phasefreeze), which build a
+// per-package call graph and carry call-path traces in their diagnostics.
 //
 // Usage:
 //
@@ -18,9 +17,8 @@
 //
 // The invariants these analyzers enforce (bit-determinism across worker
 // counts, keyed RNG substreams, allocation-free step paths, the sharded
-// engine's lock and phase-freeze contracts) are documented in DESIGN.md §11,
-// §14 and §16; `make lint` and the CI lint job run this binary over the
-// whole tree.
+// engine's phase-freeze contract) are documented in DESIGN.md §11, §14 and
+// §16; `make lint` and the CI lint job run this binary over the whole tree.
 package main
 
 import (
@@ -41,7 +39,6 @@ func main() {
 func run() int {
 	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
-	flow := flag.Bool("flow", true, "run the interprocedural flow analyzers (seedflow, lockshape, phasefreeze)")
 	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this path")
 	stats := flag.Bool("stats", false, "print per-analyzer finding and suppression counts")
 	flag.Usage = func() {
@@ -58,16 +55,13 @@ func run() int {
 		}
 		return 0
 	}
-	switch {
-	case *names != "":
+	if *names != "" {
 		sub, ok := suite.ByName(strings.Split(*names, ","))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "hetlbvet: unknown analyzer in -analyzers=%s\n", *names)
 			return 2
 		}
 		analyzers = sub
-	case !*flow:
-		analyzers = suite.Syntactic()
 	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {

@@ -28,16 +28,11 @@ import (
 //	    epoch — worker goroutines read it without synchronization, so only
 //	    coordinator-phase code may write it. Consumed by phasefreeze.
 //
-//	//hetlb:guarded
-//	    Field marker: the struct field on the governed line is guarded by
-//	    its struct's mutex — writes must hold a shard lock. Consumed by
-//	    lockshape.
-//
 //	//hetlb:concurrency-ok <reason>
-//	    Suppresses concurrency-class diagnostics (lockshape, phasefreeze)
-//	    reported on the annotated line — the escape hatch for writes whose
-//	    safety argument lives outside the analyzable lock/phase shape
-//	    (e.g. a lockless write ordered by a barrier between two fan-outs).
+//	    Suppresses concurrency-class diagnostics (phasefreeze) reported on
+//	    the annotated line — the escape hatch for writes whose safety
+//	    argument lives outside the analyzable phase shape (e.g. a write
+//	    ordered by a barrier between two fan-outs).
 //
 // A suppression or field-marker comment may trail the governed line or stand
 // alone on the line directly above it. Unknown verbs, missing reasons and
@@ -54,8 +49,6 @@ const (
 	VerbAllocOK = "alloc-ok"
 	// VerbFrozen marks an epoch-frozen field for the phasefreeze analyzer.
 	VerbFrozen = "frozen"
-	// VerbGuarded marks a mutex-guarded field for the lockshape analyzer.
-	VerbGuarded = "guarded"
 	// VerbConcurrencyOK suppresses concurrency-class findings.
 	VerbConcurrencyOK = "concurrency-ok"
 )
@@ -69,7 +62,7 @@ const annotationChecker = "hetlbvet"
 var suppressionScope = map[string][]string{
 	VerbNondeterministicOK: {"determinism", "rngdiscipline", "statssafety", "seedflow"},
 	VerbAllocOK:            {"noalloc"},
-	VerbConcurrencyOK:      {"lockshape", "phasefreeze"},
+	VerbConcurrencyOK:      {"phasefreeze"},
 }
 
 // Suppression is one parsed suppression comment.
@@ -90,11 +83,11 @@ type Annotations struct {
 	// noallocLines records file:line of every //hetlb:noalloc comment so the
 	// noalloc analyzer can cross-check placement (see MisplacedNoalloc).
 	noalloc map[posKey]token.Pos
-	// marks records field markers (frozen, guarded) by verb and governed
-	// line. Unlike noalloc (a doc-comment marker matched to the function
-	// below), field markers use suppression-style line governance: a
-	// trailing comment governs its own line, a standalone one the line
-	// below — so a mark sits directly on the struct field it names.
+	// marks records field markers (frozen) by verb and governed line.
+	// Unlike noalloc (a doc-comment marker matched to the function below),
+	// field markers use suppression-style line governance: a trailing
+	// comment governs its own line, a standalone one the line below — so a
+	// mark sits directly on the struct field it names.
 	marks map[string]map[posKey]token.Pos
 }
 
@@ -133,7 +126,7 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) (*Annotations, []D
 						continue
 					}
 					ann.noalloc[posKey{pos.Filename, pos.Line}] = c.Pos()
-				case VerbFrozen, VerbGuarded:
+				case VerbFrozen:
 					if reason != "" {
 						diags = append(diags, Diagnostic{
 							Pos:      c.Pos(),
@@ -173,8 +166,8 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) (*Annotations, []D
 				default:
 					diags = append(diags, Diagnostic{
 						Pos: c.Pos(),
-						Message: fmt.Sprintf("unknown //hetlb: annotation %q (known: %s, %s, %s, %s, %s, %s)",
-							verb, VerbNoalloc, VerbFrozen, VerbGuarded, VerbNondeterministicOK, VerbAllocOK, VerbConcurrencyOK),
+						Message: fmt.Sprintf("unknown //hetlb: annotation %q (known: %s, %s, %s, %s, %s)",
+							verb, VerbNoalloc, VerbFrozen, VerbNondeterministicOK, VerbAllocOK, VerbConcurrencyOK),
 						Analyzer: annotationChecker,
 					})
 				}
@@ -210,13 +203,6 @@ func standsAlone(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 // by the noalloc analyzer to match doc comments to functions).
 func (a *Annotations) IsNoalloc(file string, line int) bool {
 	_, ok := a.noalloc[posKey{file, line}]
-	return ok
-}
-
-// IsMarked reports whether a field marker with the given verb (frozen,
-// guarded) governs file:line.
-func (a *Annotations) IsMarked(verb, file string, line int) bool {
-	_, ok := a.marks[verb][posKey{file, line}]
 	return ok
 }
 

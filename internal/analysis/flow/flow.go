@@ -1,11 +1,11 @@
 // Package flow is the interprocedural layer of the analysis framework: a
 // per-package call graph, goroutine-entry reachability with spawn traces,
-// and per-function value-flow (def-use) summaries. The seedflow, lockshape
-// and phasefreeze analyzers are built on it.
+// and per-function value-flow (def-use) summaries. The seedflow and
+// phasefreeze analyzers are built on it.
 //
 // The syntactic analyzers of PR 5 check one function at a time, so a helper
-// that launders a raw loop-variable seed, or a refactor that takes a second
-// shard lock two calls deep, sails through them. The flow layer closes that
+// that launders a raw loop-variable seed, or a worker-path write to a frozen
+// field two calls deep, sails through them. The flow layer closes that
 // gap for the cases this repository actually has — everything is resolved
 // statically within one package:
 //
@@ -25,10 +25,9 @@
 // Calls through function values, interfaces, or across package boundaries
 // are not resolved: a `go` statement whose callee cannot be resolved is
 // recorded in Graph.UnresolvedGo rather than silently dropped, and analyzers
-// may surface it. Aliasing (copying a mutex-bearing struct, taking the
-// address of a guarded field) is not tracked. These are the same limits the
-// upstream x/tools CFG-less checkers accept; the golden testdata pins the
-// shapes that are covered.
+// may surface it. Aliasing (writing a frozen field through a local alias)
+// is not tracked. These are the same limits the upstream x/tools CFG-less
+// checkers accept; the golden testdata pins the shapes that are covered.
 package flow
 
 import (
@@ -138,9 +137,6 @@ type Graph struct {
 
 // FuncOf returns the Func for a declared function object, or nil.
 func (g *Graph) FuncOf(obj *types.Func) *Func { return g.byObj[obj] }
-
-// FuncOfLit returns the Func for a function literal, or nil.
-func (g *Graph) FuncOfLit(lit *ast.FuncLit) *Func { return g.byLit[lit] }
 
 // Build constructs the call graph of pass's package.
 func Build(pass *analysis.Pass) *Graph {

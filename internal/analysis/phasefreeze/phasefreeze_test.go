@@ -21,7 +21,8 @@ func TestPhasefreeze(t *testing.T) {
 }
 
 // TestOutOfScope proves the analyzer is inert outside the concurrency
-// scope: unscopedlocks has every violating shape, but is not shardgossip.
+// scope: unscopedlocks has the worker-path frozen write, but is not
+// shardgossip.
 func TestOutOfScope(t *testing.T) {
 	loader := load.NewTestLoader(filepath.Join("..", "testdata", "src"))
 	pkg, err := loader.Load("unscopedlocks")

@@ -40,16 +40,16 @@ func IsDeterminismScoped(pkgPath string) bool {
 }
 
 // concurrencyScoped lists the packages (by final path element, like the
-// determinism scope) whose lock and phase shapes the lockshape and
-// phasefreeze analyzers prove: today only the sharded engine — it is the one
-// package where worker goroutines read coordinator state without
-// synchronization under a prose contract (DESIGN.md §16).
+// determinism scope) whose phase shapes the phasefreeze analyzer proves:
+// today only the sharded engine — it is the one package where worker
+// goroutines read coordinator state without synchronization under a prose
+// contract (DESIGN.md §16).
 var concurrencyScoped = map[string]bool{
 	"shardgossip": true,
 }
 
 // IsConcurrencyScoped reports whether the package at pkgPath is subject to
-// the lockshape and phasefreeze analyzers.
+// the phasefreeze analyzer.
 func IsConcurrencyScoped(pkgPath string) bool {
 	return concurrencyScoped[pathBase(pkgPath)]
 }

@@ -6,7 +6,6 @@ package suite
 import (
 	"hetlb/internal/analysis"
 	"hetlb/internal/analysis/determinism"
-	"hetlb/internal/analysis/lockshape"
 	"hetlb/internal/analysis/noalloc"
 	"hetlb/internal/analysis/phasefreeze"
 	"hetlb/internal/analysis/rngdiscipline"
@@ -16,7 +15,7 @@ import (
 
 // All returns the full analyzer suite in reporting order: the syntactic
 // checks first, then the interprocedural flow analyzers (seedflow,
-// lockshape, phasefreeze), which build a call graph per package.
+// phasefreeze), which build a call graph per package.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
@@ -24,19 +23,7 @@ func All() []*analysis.Analyzer {
 		noalloc.Analyzer,
 		statssafety.Analyzer,
 		seedflow.Analyzer,
-		lockshape.Analyzer,
 		phasefreeze.Analyzer,
-	}
-}
-
-// Syntactic returns the suite with the interprocedural flow analyzers
-// stripped — what `hetlbvet -flow=false` runs.
-func Syntactic() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		determinism.Analyzer,
-		rngdiscipline.Analyzer,
-		noalloc.Analyzer,
-		statssafety.Analyzer,
 	}
 }
 

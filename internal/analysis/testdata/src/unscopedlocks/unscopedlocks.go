@@ -1,15 +1,7 @@
-// Package unscopedlocks is outside the concurrency scope: every shape here
-// — the double lock, the lockless guarded write, the worker-path frozen
-// write — is a finding in a shardgossip package and silent in this one.
+// Package unscopedlocks is outside the concurrency scope: the worker-path
+// frozen write here is a finding in a shardgossip package and silent in
+// this one.
 package unscopedlocks
-
-import "sync"
-
-type block struct {
-	mu sync.Mutex
-	//hetlb:guarded
-	partial int64
-}
 
 type table struct {
 	//hetlb:frozen
@@ -17,25 +9,18 @@ type table struct {
 }
 
 type pool struct {
-	blocks []block
-	tab    *table
-	start  []chan struct{}
+	tab   *table
+	start []chan struct{}
 }
 
 func (p *pool) run() {
-	for i := range p.blocks {
+	for i := range p.start {
 		go p.worker(i)
 	}
 }
 
 func (p *pool) worker(i int) {
 	for range p.start[i] {
-		p.blocks[i].mu.Lock()
-		p.blocks[i+1].mu.Lock()
-		p.blocks[i].partial++
-		p.blocks[i+1].mu.Unlock()
-		p.blocks[i].mu.Unlock()
-		p.blocks[i].partial = 0
 		p.tab.rows[i] = 0
 	}
 }

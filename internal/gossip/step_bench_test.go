@@ -54,8 +54,10 @@ func BenchmarkEngineStep(b *testing.B) {
 // observability wiring enabled — a span recorder receiving one KindStep span
 // per step and a timeline recorder sampling every step. The delta against
 // BenchmarkEngineStep is the per-step cost of tracing when it is switched on
-// (BENCH_6.json records both columns); the disabled path is guarded
-// separately by the >2% benchguard gate against BENCH_3.json.
+// (BENCH_6.json records both columns). TestEngineStepNoalloc holds the
+// disabled path to 0 allocations at both sizes, and the repository
+// benchmark's replicate workload (bench/), which CI's bench-ab job runs
+// against the merge-base, times its DLB2C step end to end.
 func BenchmarkEngineStepObserved(b *testing.B) {
 	for _, sc := range []struct {
 		name string

@@ -83,7 +83,10 @@ func warmUp(e *Engine) {
 // BenchmarkShardedStep is the headline scale benchmark: m = 100k machines,
 // n = 10M jobs, typed and two-cluster, shards ∈ {1, 2, 4, 8}. One op is one
 // epoch (50 000 sessions). It needs ~1 GB and minutes of wall clock, so it
-// is skipped under -short and run via `make bench-scale`.
+// is skipped under -short. Re-record the curve with
+//
+//	go test -run='^$' -bench='BenchmarkShardedStep$' -benchmem -benchtime=3x \
+//	    -timeout 50m ./internal/shardgossip/
 func BenchmarkShardedStep(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k/10M scale benchmark skipped in short mode")
@@ -91,9 +94,9 @@ func BenchmarkShardedStep(b *testing.B) {
 	benchSharded(b, 100_000, 10_000_000)
 }
 
-// BenchmarkShardedStepScale is the CI-sized guard variant (m = 2048,
-// n = 16384) gated by benchguard against BENCH_8.json's "guard" column —
-// same code path and sub-benchmark shape, small enough for every CI run.
+// BenchmarkShardedStepScale is the CI-sized variant (m = 2048, n = 16384)
+// that BENCH_8.json's "guard" column records — same code path and
+// sub-benchmark shape, small enough for every CI run.
 func BenchmarkShardedStepScale(b *testing.B) {
 	benchSharded(b, 2048, 16_384)
 }
@@ -107,7 +110,7 @@ func BenchmarkShardedStepScale(b *testing.B) {
 // (horizon 4096 — longer -benchtime runs drain the plan and decay toward
 // the armed number), adding void bookkeeping, loss escrow and latch
 // invalidation. Recorded in BENCH_9.json next to the fault-free guard
-// column, which benchguard gates against BENCH_8's within 5%.
+// column.
 func BenchmarkShardedStepFaults(b *testing.B) {
 	const m, n = 2048, 16_384
 	plans := []struct {
