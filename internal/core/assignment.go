@@ -80,9 +80,12 @@ func JobOf(entry int) int { return int(uint32(entry)) }
 // assigned job: the lists are cut from it after a counting pass, so at 10M
 // jobs over 100k machines the build is two linear passes, where
 // machine-by-machine appends would pay millions of grow-and-copy steps on
-// 100k separately reallocated lists. Full-slice expressions pin each list's
-// capacity, so a list that later outgrows its block reallocates privately
-// instead of overwriting its neighbour's.
+// 100k separately reallocated lists. Room in backing beyond the assigned
+// jobs is spread over the lists as spare capacity, in proportion to their
+// counts (rounded down), so an engine that passes more lets its lists grow
+// by that share before any reallocates. Full-slice expressions pin each
+// list's capacity, so a list that later outgrows its block reallocates
+// privately instead of overwriting its neighbour's.
 func (a *Assignment) FillOrderedLists(lists [][]int, backing []int, order []uint32) {
 	if order != nil && strconv.IntSize < 64 {
 		panic("core: job-list entries in a list order need a 64-bit int")
@@ -93,10 +96,17 @@ func (a *Assignment) FillOrderedLists(lists [][]int, backing []int, order []uint
 			counts[i]++
 		}
 	}
+	// The share is spare·c/assigned, in 64 bits: the product passes 2^31
+	// at a few million jobs.
+	spare := int64(len(backing) - a.assigned)
 	start := 0
 	for i, c := range counts {
-		lists[i] = backing[start : start : start+c]
-		start += c
+		room := c
+		if spare > 0 && c > 0 {
+			room += int(spare * int64(c) / int64(a.assigned))
+		}
+		lists[i] = backing[start : start : start+room]
+		start += room
 	}
 	// Entries are appended in increasing order: sorted by construction.
 	if order == nil {

@@ -140,6 +140,56 @@ func TestFillOrderedLists(t *testing.T) {
 	}
 }
 
+// TestFillOrderedListsSpareRoom checks how FillOrderedLists spreads backing
+// beyond the assigned jobs: each list gets spare·count/assigned of it
+// (rounded down) as capacity, empty lists get none, the lists hold the
+// same entries as with exact backing, and a list filled to its capacity
+// overwrites no other list. An empty assignment with spare backing builds
+// empty lists.
+func TestFillOrderedListsSpareRoom(t *testing.T) {
+	model, _ := NewIdentical(9, make([]Cost, 1000))
+	machineOf := make([]int, model.NumJobs())
+	for j := range machineOf {
+		machineOf[j] = (j * j) % 8 // machine 8 and some others stay empty
+		if j%7 == 0 {
+			machineOf[j] = -1
+		}
+	}
+	a := mustFromMachineOf(t, model, machineOf)
+	exact := make([][]int, model.NumMachines())
+	a.FillOrderedLists(exact, make([]int, a.NumAssigned()), nil)
+	for _, spare := range []int{0, 1, 7, a.NumAssigned() / 4, 3 * a.NumAssigned()} {
+		lists := make([][]int, model.NumMachines())
+		a.FillOrderedLists(lists, make([]int, a.NumAssigned()+spare), nil)
+		for i, list := range lists {
+			if !slices.Equal(list, exact[i]) {
+				t.Fatalf("spare %d: machine %d holds %v, with exact backing %v", spare, i, list, exact[i])
+			}
+			if want := len(list) + spare*len(list)/a.NumAssigned(); cap(list) != want {
+				t.Fatalf("spare %d: machine %d has %d jobs and capacity %d, want %d", spare, i, len(list), cap(list), want)
+			}
+		}
+		for i := range lists {
+			for len(lists[i]) < cap(lists[i]) {
+				lists[i] = append(lists[i], -1-i)
+			}
+		}
+		for i, list := range lists {
+			if !slices.Equal(list[:len(exact[i])], exact[i]) || slices.ContainsFunc(list[len(exact[i]):], func(e int) bool { return e != -1-i }) {
+				t.Fatalf("spare %d: filling every list to its capacity left machine %d with %v", spare, i, list)
+			}
+		}
+	}
+	empty := NewAssignment(model)
+	lists := make([][]int, model.NumMachines())
+	empty.FillOrderedLists(lists, make([]int, 10), nil)
+	for i, list := range lists {
+		if len(list) != 0 || cap(list) != 0 {
+			t.Fatalf("empty assignment: machine %d list %v with capacity %d", i, list, cap(list))
+		}
+	}
+}
+
 // TestFromListsRoundTrip rebuilds an assignment from the job lists
 // FillOrderedLists writes, in increasing job order and, on a 64-bit int, in
 // the ratio order: every job must land on its machine, with the loads and

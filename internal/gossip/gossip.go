@@ -189,7 +189,10 @@ func New(p protocol.Protocol, a *core.Assignment, cfg Config) *Engine {
 		exchanges: make([]int, a.Model().NumMachines()),
 		jobs:      make([][]int, a.Model().NumMachines()),
 	}
-	a.FillOrderedLists(e.jobs, make([]int, a.NumAssigned()), p.ListOrder())
+	// A quarter more backing than jobs gives each list room to grow by a
+	// quarter before it reallocates (FillOrderedLists spreads the spare).
+	assigned := a.NumAssigned()
+	a.FillOrderedLists(e.jobs, make([]int, assigned+assigned/4), p.ListOrder())
 	for i := 0; i < a.Model().NumMachines(); i++ {
 		e.sumLoad += int64(a.Load(i))
 	}

@@ -37,7 +37,13 @@ type kernelShape struct {
 	unions      [][]int
 	ranked      [][]int // unions as entries in the ratio order, sorted by entry; nil where int is 32 bits
 	prepareOnce sync.Once
+	steps       []stepLists // one per ranked union; see prepareSteps
+	stepsOnce   sync.Once
 }
+
+// stepLists is one pair step of BenchmarkStepBookkeeping: the pair's two
+// old lists and the first machine's new list.
+type stepLists struct{ onI, onJ, toI []int }
 
 var kernelShapes = []*kernelShape{
 	{name: "threshold-200", m1: 8192, m2: 8192, n: 1638400, union: 200},
@@ -119,3 +125,69 @@ func benchKernel(b *testing.B, sameCluster bool) {
 func BenchmarkSplitCLB2CScratch(b *testing.B) { benchKernel(b, false) }
 
 func BenchmarkSplitGreedyLoadBalancingScratch(b *testing.B) { benchKernel(b, true) }
+
+// prepareSteps deals each ranked union's entries at random into two old
+// lists of equal size, and takes the first machine's new list from the
+// kernel's split of the union: across clusters for half the steps, within
+// cluster 0 and within cluster 1 for a quarter each, the mix of a uniform
+// random pair of machines.
+func (k *kernelShape) prepareSteps() {
+	k.prepare()
+	k.stepsOnce.Do(func() {
+		if k.ranked == nil {
+			return
+		}
+		gen := rng.New(22)
+		var s Scratch
+		k.steps = make([]stepLists, len(k.ranked))
+		for u, union := range k.ranked {
+			first := make([]bool, len(union))
+			for _, pos := range gen.Perm(len(union))[:len(union)/2] {
+				first[pos] = true
+			}
+			st := &k.steps[u]
+			for pos, entry := range union {
+				if first[pos] {
+					st.onI = append(st.onI, entry)
+				} else {
+					st.onJ = append(st.onJ, entry)
+				}
+			}
+			switch u % 4 {
+			case 0, 1:
+				SplitCLB2CScratch(&s, k.tc, 0, k.m1, union)
+			case 2:
+				SplitGreedyLoadBalancingScratch(&s, k.tc, 0, 1, union)
+			default:
+				SplitGreedyLoadBalancingScratch(&s, k.tc, k.m1, k.m1+1, union)
+			}
+			st.toI = slices.Clone(s.To1)
+		}
+	})
+}
+
+// BenchmarkStepBookkeeping times what protocol.Step does around a DLB2C
+// split: the merge of the pair's two ranked lists into the union and the
+// walk of the first machine's new list against its old one that finds both
+// machines' arrivals. The split itself is left out (the new lists are
+// drawn once, see prepareSteps), so this is the session layer's overhead
+// over the kernel, at the threshold shape (two lists of 100 entries of a
+// 16,384-machine model) and the stable one (8 + 8).
+func BenchmarkStepBookkeeping(b *testing.B) {
+	for _, k := range kernelShapes {
+		b.Run(k.name, func(b *testing.B) {
+			k.prepareSteps()
+			if k.steps == nil {
+				b.Skip("ranked entries need a 64-bit int")
+			}
+			var s Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := &k.steps[i%len(k.steps)]
+				s.Union = MergeSortedInto(s.Union[:0], st.onI, st.onJ)
+				s.Diff1, s.Diff2 = AppendMoves(s.Diff1[:0], s.Diff2[:0], st.onI, st.toI)
+			}
+		})
+	}
+}

@@ -133,3 +133,29 @@ func TestAppendDiffNoalloc(t *testing.T) {
 		t.Fatalf("guard exercised an empty diff (lens %d/%d); perturbation failed", len(s.Diff1), len(s.Diff2))
 	}
 }
+
+// TestAppendMovesNoalloc guards the arrival walk of protocol.Step and the
+// merge before it: once the scratch's union and arrival buffers are warm,
+// merging two lists and walking a changed side against its old list
+// allocate nothing, in both directions.
+func TestAppendMovesNoalloc(t *testing.T) {
+	_, union := guardInstance(19)
+	var old, new []int
+	for k, v := range union {
+		if k%2 == 0 {
+			old = append(old, v)
+		}
+		if k%3 != 0 {
+			new = append(new, v)
+		}
+	}
+	var s Scratch
+	assertNoAllocs(t, "AppendMoves", func() {
+		s.Union = MergeSortedInto(s.Union[:0], old, new)
+		s.Diff1, s.Diff2 = AppendMoves(s.Diff1[:0], s.Diff2[:0], old, new)
+		s.Diff1, s.Diff2 = AppendMoves(s.Diff1[:0], s.Diff2[:0], new, old)
+	})
+	if len(s.Diff1) == 0 || len(s.Diff2) == 0 {
+		t.Fatalf("guard exercised an empty walk (lens %d/%d)", len(s.Diff1), len(s.Diff2))
+	}
+}

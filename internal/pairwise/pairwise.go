@@ -19,10 +19,11 @@
 // return or leave on the scratch the two loads they summed as they placed
 // the jobs. Every engine runs a pair step through protocol.Step on sorted
 // per-machine job lists: merge the two lists (MergeSortedInto), split the
-// union, and diff each new side against the old list (AppendDiff) to find
-// the jobs that moved. MJTB's step is MergeSplitByType, which does all
-// three in one walk, and the MinMove protocols transfer jobs between the
-// lists in place of the merge and split.
+// union, and walk the first machine's new side against its old list
+// (AppendMoves) to find the jobs that moved both ways. MJTB's step is
+// MergeSplitByType, which does all three in one walk, and the MinMove
+// protocols transfer jobs between the lists in place of the merge and
+// split.
 //
 // The kernels pool job-list entries, not bare jobs: every kernel reads the
 // job from an entry's low 32 bits (core.JobOf), and the engines keep each

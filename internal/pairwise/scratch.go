@@ -33,8 +33,8 @@ type Scratch struct {
 	// through Emit, MergeSplitByType as it walks).
 	To1, To2 []int
 	// Diff1 and Diff2 receive the arrivals on a step's two sides, which
-	// MergeSplitByType and the MinMove transfers record as they move jobs
-	// and protocol.Step otherwise writes with AppendDiff: the moves the
+	// MergeSplitByType records as it moves jobs and protocol.Step and the
+	// MinMove transfers otherwise write with AppendMoves: the moves the
 	// sequential engine applies and the stability checker's verdict (a
 	// pair is stable when both are empty).
 	Diff1, Diff2 []int

@@ -90,12 +90,14 @@ scan:
 // CheckAssignment is Check on the placement of a with every machine up. The
 // job lists come from one counting pass over the assignment, O(n+m)
 // (core.Assignment.FillOrderedLists), into buffers the checker keeps, in
-// the protocol's ListOrder; unassigned jobs are on no list.
+// the protocol's ListOrder; unassigned jobs are on no list. The backing is
+// cut to the assigned count: no step grows a checked list, so it needs no
+// spare room.
 func (c *Checker) CheckAssignment(a *core.Assignment) (int, int) {
 	if c.lists == nil {
 		c.lists = make([][]int, len(c.changed))
 		c.backing = make([]int, a.Model().NumJobs())
 	}
-	a.FillOrderedLists(c.lists, c.backing, c.proto.ListOrder())
+	a.FillOrderedLists(c.lists, c.backing[:a.NumAssigned()], c.proto.ListOrder())
 	return c.Check(c.lists, nil)
 }

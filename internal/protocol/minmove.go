@@ -78,9 +78,10 @@ func transfer(cost func(job int) core.Cost, a, b []int, la, lb core.Cost) (_, _ 
 // transferPlaced is the Transfer of the MinMove protocols on one cluster:
 // it copies the sides into the To buffers, transfers from the heavier to the
 // lighter side in place, leaves the (possibly grown) buffers and the
-// transfer's loads on the scratch, and writes each side's arrivals with
-// pairwise.AppendDiff. Both machines price a job at cost, so the loads are
-// the machines' loads. It always transfers, so ok is true.
+// transfer's loads on the scratch, and writes both sides' arrivals from
+// one walk of i's side (pairwise.AppendMoves). Both machines price a job at
+// cost, so the loads are the machines' loads. It always transfers, so ok is
+// true.
 func transferPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ []int) (toI, toJ []int, ok bool) {
 	s.To1 = append(s.To1[:0], onI...)
 	s.To2 = append(s.To2[:0], onJ...)
@@ -93,8 +94,7 @@ func transferPlaced(s *pairwise.Scratch, cost func(job int) core.Cost, onI, onJ 
 	}
 	toI, toJ, lI, lJ = transfer(cost, s.To1, s.To2, lI, lJ)
 	s.To1, s.To2, s.Load1, s.Load2 = toI, toJ, lI, lJ
-	s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], onI, toI)
-	s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], onJ, toJ)
+	s.Diff1, s.Diff2 = pairwise.AppendMoves(s.Diff1[:0], s.Diff2[:0], onI, toI)
 	return toI, toJ, true
 }
 

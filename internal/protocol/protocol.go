@@ -20,8 +20,9 @@
 // splitting and recording the arrivals as it goes, and the MinMove
 // protocols move jobs between the two sides. Otherwise Step merges the two
 // lists, splits the union with the protocol's SplitScratch, the kernels in
-// internal/pairwise, and diffs each new side against its old list to find
-// the arrivals. Every path leaves the pair's new loads on the scratch.
+// internal/pairwise, and walks one new side against its old list to find
+// both sides' arrivals. Every path leaves the pair's new loads on the
+// scratch.
 // ListOrder names the order the engines keep the lists in: DLB2C's is its
 // model's ratio order, so its kernels never sort, and MJTB's is its model's
 // type order, so its walk reads no job's type. Balance applies one step to
@@ -108,14 +109,15 @@ type Protocol interface {
 // increasing job order, and are not mutated; they may alias none of s's
 // buffers. Where p.Transfer accepts, its result is the step's. Otherwise
 // Step merges the two lists into s.Union, splits the union with
-// p.SplitScratch and diffs each side against its old list
-// (pairwise.AppendDiff). Either way it returns the entries the step leaves
+// p.SplitScratch and walks i's new side against its old list once
+// (pairwise.AppendMoves). Either way it returns the entries the step leaves
 // on i and on j, each sorted and aliasing s, leaves each side's arrivals in
 // s.Diff1 and s.Diff2 and their new loads in s.Load1 and s.Load2. The
 // union is conserved, so one side's arrivals are the other side's
-// departures, and the step changed the pair exactly when an arrival list is
-// not empty: the engines move the arrivals, the sharded engine writes the
-// loads, and the Checker calls a pair stable when there are no arrivals.
+// departures (the walk writes i's departures as j's arrivals), and the step
+// changed the pair exactly when an arrival list is not empty: the engines
+// move the arrivals, the sharded engine writes the loads, and the Checker
+// calls a pair stable when there are no arrivals.
 //
 //hetlb:noalloc
 func Step(p Protocol, s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ []int) {
@@ -124,8 +126,7 @@ func Step(p Protocol, s *pairwise.Scratch, i, j int, onI, onJ []int) (toI, toJ [
 	}
 	s.Union = pairwise.MergeSortedInto(s.Union[:0], onI, onJ)
 	toI, toJ = p.SplitScratch(s, i, j, s.Union)
-	s.Diff1 = pairwise.AppendDiff(s.Diff1[:0], onI, toI)
-	s.Diff2 = pairwise.AppendDiff(s.Diff2[:0], onJ, toJ)
+	s.Diff1, s.Diff2 = pairwise.AppendMoves(s.Diff1[:0], s.Diff2[:0], onI, toI)
 	return toI, toJ
 }
 

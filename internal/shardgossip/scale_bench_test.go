@@ -59,12 +59,19 @@ const (
 
 // warmUp steps e until quietEpochs epochs in a row allocate nothing, or
 // until it has run warmSessions sessions. An epoch allocates when a session
-// hands a machine more jobs than its job list has room for: FillOrderedLists
-// sizes each list to the machine's initial count, and a list that outgrows
-// it reallocates. Such growth grows rarer as the lists reach their
-// high-water marks, but never stops outright: at m = 2048 and n = 16384,
-// the twocluster engine at S=1 still grows a list at epoch 224, and the
-// typed one at epoch 61. The session cap keeps the 100k-machine run
+// hands a machine more jobs than its job list has room for: New gives each
+// list its machine's initial count plus a quarter (FillOrderedLists spreads
+// the spare backing), and a list that outgrows that reallocates. Such
+// growth grows rarer as the lists reach their high-water marks, but never
+// stops outright. At m = 2048 and n = 16384 (8 jobs per list, room for 10)
+// the twocluster engine at S=1 makes 1,253 allocations in its first 1,000
+// epochs, against 2,074 with room for 8 only, but it still grows one at
+// epoch 999, where with room for 8 the last came at epoch 224: a list
+// passes 10 jobs more rarely than it passes 8, so its first growth comes
+// later. The typed engine's last growth comes at epoch 234 (61 with room
+// for 8). So at this size the warm-up ends at the session cap, and a
+// measured epoch may still grow a list now and then (about 56 B/op over
+// 200 twocluster epochs at S=1). The cap also keeps the 100k-machine run
 // practical (ten warm epochs there, 512 at m = 2048).
 func warmUp(e *Engine) {
 	var ms runtime.MemStats

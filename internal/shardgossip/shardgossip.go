@@ -331,8 +331,10 @@ func New(p protocol.Protocol, initial *core.Assignment, cfg Config) (*Engine, er
 		e.faults = fs
 	}
 
+	// A quarter more backing than jobs gives each list room to grow by a
+	// quarter before it reallocates (FillOrderedLists spreads the spare).
 	e.jobs = make([][]int, m)
-	initial.FillOrderedLists(e.jobs, make([]int, n), p.ListOrder())
+	initial.FillOrderedLists(e.jobs, make([]int, n+n/4), p.ListOrder())
 	for i := range e.load {
 		e.load[i] = initial.Load(i)
 	}
