@@ -142,13 +142,13 @@ chaos:
 # The sharded engine's chaos suite under the race detector at pinned
 # GOMAXPROCS 1 and 2: 128 random crash/loss plans, each run at S in
 # {1, 2, 4}, asserted bit-identical with job conservation after drain, plus
-# the latch-reopen and degraded-observability regressions. Low parallelism
+# the recovery re-check and degraded-observability regressions. Low parallelism
 # forces the coordinator's fault transitions and matching draw against the
 # session fan-out in orders the native race leg never schedules. The
 # -timeout is the watchdog: a fault transition that wedges an epoch barrier
 # shows up as a hang, not a pass. CI runs this as its own matrix job.
 chaos-shard:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Chaos|Fault|Crash|Latch' -timeout 10m \
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Chaos|Fault|Crash' -timeout 10m \
 		./internal/shardgossip/... ./internal/experiments/...
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Chaos|Fault|Crash|Latch' -timeout 10m \
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Chaos|Fault|Crash' -timeout 10m \
 		./internal/shardgossip/... ./internal/experiments/...

@@ -1,6 +1,6 @@
 // Package phasefreeze proves the sharded engine's frozen-per-epoch contract
 // mechanically: fields that worker goroutines read without synchronization —
-// the fault down-set, the epoch's matching, the verified-stable latch — may
+// the fault down-set, the epoch's matching, the stability checker — may
 // be written only by coordinator-phase code.
 //
 // The PR-9 contract is prose: "down is read-only during an epoch; written

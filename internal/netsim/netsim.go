@@ -57,10 +57,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"hetlb/internal/core"
 	"hetlb/internal/des"
@@ -167,16 +167,9 @@ type Config struct {
 	// Faults, when non-nil, attaches a fault plan (message drop/duplication/
 	// jitter and machine crashes). A nil Faults — or a zero Config — runs
 	// the perfect network and reproduces the historical behavior exactly.
+	// The leases that harden the handshake against it derive from Latency
+	// and the plan's JitterMax (see Simulator.rto).
 	Faults *faults.Config
-	// RTO is the initial retransmission timeout; 0 defaults to
-	// 3·(Latency+JitterMax)+1, which exceeds any fault-free round trip so
-	// the perfect-network path never retransmits.
-	RTO int64
-	// RTOCap bounds the exponential backoff; 0 defaults to 16·RTO.
-	RTOCap int64
-	// MaxRequestRetries bounds REQUEST retransmissions before the initiator
-	// gives up (safe: no ownership has moved yet); 0 defaults to 6.
-	MaxRequestRetries int
 	// MaxEvents, when > 0, is a watchdog: Run panics if the drain processes
 	// more events than this, turning a livelocked handshake into a loud
 	// failure instead of a hung test.
@@ -254,7 +247,11 @@ type doneRec struct {
 }
 
 type machineState struct {
-	jobs []int // sorted; empty while escrowed to an open target session
+	// jobs holds the machine's job-list entries, sorted in the protocol's
+	// ListOrder (see protocol.Step); empty while escrowed to an open target
+	// session. A crash that freezes the jobs leaves them here until the
+	// recovery.
+	jobs []int
 	up   bool
 	// epoch bumps on every crash and every recovery: in-flight messages and
 	// pending attempt chains of an old incarnation check it and die.
@@ -263,9 +260,6 @@ type machineState struct {
 	// (max + 1) on every delivery. Session close records carry it, so the
 	// span trace totally orders each machine's view of causality.
 	clock uint64
-	// retained freezes the machine's jobs across a crash when the plan
-	// re-hosts instead of losing them.
-	retained []int
 
 	// initiator-side session (0 = none)
 	initSeq     uint64
@@ -313,23 +307,28 @@ type resKey struct {
 	seq  uint64
 }
 
+// maxRequestRetries bounds REQUEST retransmissions before the initiator
+// gives up (safe: no ownership has moved yet).
+const maxRequestRetries = 6
+
 // Simulator executes the handshake protocol in virtual time.
 type Simulator struct {
-	model         core.CostModel
-	proto         protocol.Protocol
-	cfg           Config
-	sim           *des.Simulator
-	gens          []*rng.RNG
-	ms            []machineState
-	plan          *faults.Plan
-	rto           int64
-	rtoCap        int64
-	maxReqRetries int
-	deadRes       map[resKey]resKind
-	spans         *span.Recorder
-	tl            *timeline.Recorder
-	runSpan       span.ID
-	stats         Stats
+	model core.CostModel
+	proto protocol.Protocol
+	cfg   Config
+	sim   *des.Simulator
+	gens  []*rng.RNG
+	ms    []machineState
+	plan  *faults.Plan
+	// rto is the initial retransmission timeout, 3·(Latency+JitterMax)+1,
+	// which exceeds any fault-free round trip, so the perfect-network path
+	// never retransmits; the exponential backoff stops at 16·rto.
+	rto     int64
+	deadRes map[resKey]resKind
+	spans   *span.Recorder
+	tl      *timeline.Recorder
+	runSpan span.ID
+	stats   Stats
 	// scratch backs the pair steps; a session's two sides are copied out
 	// of it before they become job lists.
 	scratch pairwise.Scratch
@@ -354,9 +353,6 @@ func New(model core.CostModel, proto protocol.Protocol, initial *core.Assignment
 	if cfg.Horizon < 1 {
 		return nil, fmt.Errorf("netsim: horizon must be >= 1")
 	}
-	if cfg.RTO < 0 || cfg.RTOCap < 0 || cfg.MaxRequestRetries < 0 {
-		return nil, fmt.Errorf("netsim: RTO, RTOCap and MaxRequestRetries must be >= 0")
-	}
 	var jitterMax int64
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(model.NumMachines()); err != nil {
@@ -380,32 +376,20 @@ func New(model core.CostModel, proto protocol.Protocol, initial *core.Assignment
 	if cfg.Faults != nil {
 		s.plan = faults.NewPlan(rng.DeriveSeed(cfg.Seed, faultsStream), *cfg.Faults)
 	}
-	s.rto = cfg.RTO
-	if s.rto == 0 {
-		s.rto = 3*(cfg.Latency+jitterMax) + 1
-	}
-	s.rtoCap = cfg.RTOCap
-	if s.rtoCap == 0 {
-		s.rtoCap = 16 * s.rto
-	}
-	if s.rtoCap < s.rto {
-		return nil, fmt.Errorf("netsim: RTOCap %d below RTO %d", s.rtoCap, s.rto)
-	}
-	s.maxReqRetries = cfg.MaxRequestRetries
-	if s.maxReqRetries == 0 {
-		s.maxReqRetries = 6
-	}
+	s.rto = 3*(cfg.Latency+jitterMax) + 1
 	root := rng.New(cfg.Seed)
 	s.gens = make([]*rng.RNG, model.NumMachines())
 	for i := range s.gens {
 		s.gens[i] = root.Split()
 	}
+	// The lists are the engines' lists, in the protocol's ListOrder; each
+	// is cut from the backing with its capacity pinned, so none grows into
+	// its neighbour's block.
+	lists := make([][]int, len(s.ms))
+	initial.FillOrderedLists(lists, make([]int, initial.NumAssigned()), proto.ListOrder())
 	for i := range s.ms {
 		s.ms[i].up = true
-	}
-	for j := 0; j < model.NumJobs(); j++ {
-		i := initial.MachineOf(j)
-		s.ms[i].jobs = append(s.ms[i].jobs, j)
+		s.ms[i].jobs = lists[i]
 	}
 	return s, nil
 }
@@ -643,17 +627,10 @@ func (s *Simulator) attempt(i int, epoch uint32) {
 	}
 }
 
-// backoff is the lease delay for the given retry count: RTO doubling up to
-// RTOCap.
+// backoff is the lease delay for the given retry count: rto doubling up to
+// 16·rto.
 func (s *Simulator) backoff(retry int) int64 {
-	d := s.rto
-	for r := 0; r < retry && d < s.rtoCap; r++ {
-		d <<= 1
-	}
-	if d > s.rtoCap {
-		d = s.rtoCap
-	}
-	return d
+	return s.rto << min(retry, 4)
 }
 
 func (s *Simulator) armInitiatorLease(i int, seq uint64, retry int) {
@@ -688,7 +665,7 @@ func (s *Simulator) initiatorLease(i int, seq uint64, retry int) {
 		}
 		return
 	}
-	if retry >= s.maxReqRetries {
+	if retry >= maxRequestRetries {
 		s.closeSession(m.initSpan, span.TagInitiator, span.FlagAborted, i, m.initPeer, m.initStart, m.clock, 0)
 		m.initSeq = 0
 		m.initSpan = 0
@@ -1054,7 +1031,6 @@ func (s *Simulator) crash(cr faults.Crash) {
 
 	m.epoch++
 	m.up = false
-	sort.Ints(phys)
 	s.stats.Crashes++
 	met := s.cfg.Metrics
 	if met != nil {
@@ -1062,15 +1038,22 @@ func (s *Simulator) crash(cr faults.Crash) {
 	}
 	s.faultSpan(s.runSpan, span.TagCrash, x, -1, m.clock, int64(len(phys)))
 	if cr.LoseJobs {
-		for _, j := range phys {
-			s.stats.Lost = append(s.stats.Lost, LostJob{Job: j, Machine: x, Time: now})
+		// The ledger lists a crash's jobs in increasing job order, whatever
+		// order the protocol keeps the lists in.
+		first := len(s.stats.Lost)
+		for _, entry := range phys {
+			s.stats.Lost = append(s.stats.Lost, LostJob{Job: core.JobOf(entry), Machine: x, Time: now})
 		}
+		slices.SortFunc(s.stats.Lost[first:], func(a, b LostJob) int { return cmp.Compare(a.Job, b.Job) })
 		s.stats.JobsLost += len(phys)
 		if met != nil {
 			met.JobsLost.Add(int64(len(phys)))
 		}
 	} else {
-		m.retained = phys
+		// Frozen with the machine: the jobs stay on its list, which the
+		// recovery re-hosts as it stands.
+		slices.Sort(phys)
+		m.jobs = phys
 	}
 }
 
@@ -1083,8 +1066,6 @@ func (s *Simulator) recover(x int) {
 	}
 	m.up = true
 	m.epoch++
-	m.jobs = m.retained
-	m.retained = nil
 	s.stats.Recoveries++
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Recoveries.Inc()
@@ -1097,9 +1078,9 @@ func (s *Simulator) recover(x int) {
 
 // ValidateConservation checks the post-drain invariant: every job of the
 // model is placed exactly once — in a machine's job list (frozen lists of
-// down machines included) or in the lost ledger — no session, escrow or
-// crash resolution is left open, and no job is both placed and lost. Call
-// it after Run.
+// down machines included) or in the lost ledger — every list is sorted by
+// entry, no session, escrow or crash resolution is left open, and no job is
+// both placed and lost. Call it after Run.
 func (s *Simulator) ValidateConservation() error {
 	owner := make([]int, s.model.NumJobs())
 	for j := range owner {
@@ -1126,13 +1107,11 @@ func (s *Simulator) ValidateConservation() error {
 		if len(m.escrow) > 0 {
 			return fmt.Errorf("netsim: machine %d left %d jobs in escrow", i, len(m.escrow))
 		}
-		for _, j := range m.jobs {
-			if err := claim(j, i, "job list"); err != nil {
-				return err
-			}
+		if !slices.IsSorted(m.jobs) {
+			return fmt.Errorf("netsim: machine %d's job list is not sorted", i)
 		}
-		for _, j := range m.retained {
-			if err := claim(j, i, "frozen list"); err != nil {
+		for _, entry := range m.jobs {
+			if err := claim(core.JobOf(entry), i, "job list"); err != nil {
 				return err
 			}
 		}
@@ -1186,11 +1165,8 @@ func (s *Simulator) loadStats() (core.Cost, int64) {
 	var sum int64
 	for i := range s.ms {
 		var l core.Cost
-		for _, j := range s.ms[i].jobs {
-			l += s.model.Cost(i, j)
-		}
-		for _, j := range s.ms[i].retained {
-			l += s.model.Cost(i, j)
+		for _, entry := range s.ms[i].jobs {
+			l += s.model.Cost(i, core.JobOf(entry))
 		}
 		sum += int64(l)
 		if l > max {
@@ -1201,26 +1177,17 @@ func (s *Simulator) loadStats() (core.Cost, int64) {
 }
 
 // Placement reconstructs a core.Assignment from the current job lists
-// (frozen lists of down machines included). Jobs recorded lost stay
-// unassigned, so the assignment is Complete only when nothing was lost.
+// (frozen lists of down machines included; see core.FromLists). Jobs
+// recorded lost stay unassigned, so the assignment is Complete only when
+// nothing was lost.
 func (s *Simulator) Placement() (*core.Assignment, error) {
-	a := core.NewAssignment(s.model)
-	place := func(i int, jobs []int) error {
-		for _, j := range jobs {
-			if a.MachineOf(j) != -1 {
-				return fmt.Errorf("netsim: job %d owned twice", j)
-			}
-			a.Assign(j, i)
-		}
-		return nil
-	}
+	lists := make([][]int, len(s.ms))
 	for i := range s.ms {
-		if err := place(i, s.ms[i].jobs); err != nil {
-			return nil, err
-		}
-		if err := place(i, s.ms[i].retained); err != nil {
-			return nil, err
-		}
+		lists[i] = s.ms[i].jobs
+	}
+	a, err := core.FromLists(s.model, lists)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
 	}
 	return a, nil
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"hetlb/internal/core"
@@ -355,6 +356,95 @@ func TestCrashRehostsOnRecovery(t *testing.T) {
 	}
 	if !a.Complete() {
 		t.Fatalf("only %d/%d jobs placed after recoveries", a.NumAssigned(), tc.NumJobs())
+	}
+}
+
+// clusteredOnly hides a model's concrete type: DLB2C on it keeps its lists
+// in increasing job order, where on a *core.TwoCluster they are ranked.
+type clusteredOnly struct{ core.Clustered }
+
+// TestListOrderInvariance runs DLB2C over the simulated network twice on
+// the same costs: on a *core.TwoCluster, whose lists are ranked in its ratio
+// order, and behind a wrapper that is not one, whose lists are in job
+// order. Fault-free and under a plan with message loss, duplication, jitter
+// and crashes that lose or freeze jobs, both runs must give identical
+// Stats (the lost ledger included), placements and span traces, and both
+// must conserve every job.
+func TestListOrderInvariance(t *testing.T) {
+	type outcome struct {
+		stats  Stats
+		place  *core.Assignment
+		spans  []span.Span
+		frozen int // jobs on machines still down after the drain
+	}
+	run := func(model core.Clustered, init *core.Assignment, seed uint64, fc *faults.Config) (outcome, bool) {
+		t.Helper()
+		rec := span.NewRecorder(1 << 14)
+		sim, err := New(model, protocol.DLB2C{Model: model}, init, Config{
+			Seed: seed, Latency: 2, Period: 9, Horizon: 1500,
+			Faults: fc, Spans: rec, MaxEvents: 5_000_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked := false
+		for i := range sim.ms {
+			for _, entry := range sim.ms[i].jobs {
+				ranked = ranked || uint64(entry)>>32 != 0
+			}
+		}
+		st := sim.Run()
+		if err := sim.ValidateConservation(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := sim.Placement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frozen := 0
+		for i := range sim.ms {
+			if !sim.ms[i].up {
+				frozen += len(sim.ms[i].jobs)
+			}
+		}
+		return outcome{st, a, rec.Spans(), frozen}, ranked
+	}
+	var lost, frozen int
+	for seed := uint64(1); seed <= 6; seed++ {
+		tc := workload.UniformTwoCluster(rng.New(seed), 5, 3, 64, 1, 100)
+		init, place := core.NewAssignment(tc), rng.New(seed+100)
+		for j := 0; j < tc.NumJobs(); j++ {
+			init.Assign(j, place.Intn(tc.NumMachines()))
+		}
+		plans := []*faults.Config{nil, {
+			DropProb: 0.2, DupProb: 0.1, JitterMax: 2,
+			Crashes: []faults.Crash{
+				{Machine: int(seed % 8), At: 300, LoseJobs: true},
+				{Machine: int((seed + 3) % 8), At: 500, RecoverAt: 1100},
+				{Machine: int((seed + 5) % 8), At: 800},
+			},
+		}}
+		for _, fc := range plans {
+			got, ranked := run(tc, init, seed, fc)
+			want, jobOrder := run(clusteredOnly{tc}, init, seed, fc)
+			if strconv.IntSize == 64 && (!ranked || jobOrder) {
+				t.Fatalf("seed %d: ranked lists %v on the TwoCluster, %v behind the wrapper", seed, ranked, jobOrder)
+			}
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Fatalf("seed %d faults=%v: stats differ:\nranked    %+v\njob order %+v", seed, fc != nil, got.stats, want.stats)
+			}
+			if !got.place.Equal(want.place) {
+				t.Fatalf("seed %d faults=%v: placements differ", seed, fc != nil)
+			}
+			if !reflect.DeepEqual(got.spans, want.spans) {
+				t.Fatalf("seed %d faults=%v: span traces differ", seed, fc != nil)
+			}
+			lost += got.stats.JobsLost
+			frozen += got.frozen
+		}
+	}
+	if lost == 0 || frozen == 0 {
+		t.Fatalf("%d jobs lost and %d frozen over all runs; both crash policies must be exercised", lost, frozen)
 	}
 }
 

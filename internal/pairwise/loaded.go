@@ -1,59 +1,23 @@
 package pairwise
 
-import "hetlb/internal/core"
+import (
+	"slices"
 
-// The *Loaded kernel variants account for pre-existing, non-movable load on
-// each machine — in the dynamic simulator this is the remaining time of the
-// job currently running (non-preemptible). The plain kernels are the
-// base == 0 specialization up to the order of each side: the loaded kernels
-// return every side in placement order (ratio order for Greedy Load
-// Balancing, size order for the largest-first split, head then tail order
-// for CLB2C), not input order, because the dynamic simulator runs a
-// machine's pending jobs in list order.
+	"hetlb/internal/core"
+)
+
+// The *Loaded forms account for pre-existing, non-movable load on each
+// machine — in the dynamic simulator this is the remaining time of the job
+// currently running (non-preemptible). They run the ordering kernels' keys
+// path from the two start loads on a fresh Scratch, so at zero bases they
+// place every job where the plain kernels do. They return each side in
+// placement order (ratio order for Greedy Load Balancing, size order for
+// the largest-first split, head then tail order for CLB2C), not input
+// order, because the dynamic simulator runs a machine's pending jobs in
+// list order. BasicGreedy and the same-cost greedy place jobs in input
+// order, so their Append forms take the start loads themselves.
 // Canonicalization swaps the bases together with the machines, so the
 // loaded kernels remain functions of the unordered pair.
-
-// SplitBasicGreedyLoaded is AppendSplitBasicGreedy starting from loads
-// base1 and base2.
-func SplitBasicGreedyLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
-	if m1 > m2 {
-		to2, to1 = SplitBasicGreedyLoaded(m, m2, m1, base2, base1, jobs)
-		return to1, to2
-	}
-	l1, l2 := base1, base2
-	for _, j := range jobs {
-		job := core.JobOf(j)
-		c1, c2 := m.Cost(m1, job), m.Cost(m2, job)
-		if l1+c1 <= l2+c2 {
-			to1 = append(to1, j)
-			l1 += c1
-		} else {
-			to2 = append(to2, j)
-			l2 += c2
-		}
-	}
-	return to1, to2
-}
-
-// SplitSameCostLoaded is AppendSplitSameCost starting from loads base1 and
-// base2.
-func SplitSameCostLoaded(m core.CostModel, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
-	if m1 > m2 {
-		to2, to1 = SplitSameCostLoaded(m, m2, m1, base2, base1, jobs)
-		return to1, to2
-	}
-	l1, l2 := base1, base2
-	for _, j := range jobs {
-		if l1 <= l2 {
-			to1 = append(to1, j)
-			l1 += m.Cost(m1, core.JobOf(j))
-		} else {
-			to2 = append(to2, j)
-			l2 += m.Cost(m2, core.JobOf(j))
-		}
-	}
-	return to1, to2
-}
 
 // SplitGreedyLoadBalancingLoaded is SplitGreedyLoadBalancingScratch
 // starting from loads base1 and base2.
@@ -61,7 +25,7 @@ func SplitGreedyLoadBalancingLoaded(c core.Clustered, m1, m2 int, base1, base2 c
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: GreedyLoadBalancing requires machines of the same cluster")
 	}
-	return splitGreedyLoaded(ratioOrder, c, m1, m2, base1, base2, jobs)
+	return splitGreedyLoaded(core.ByRatio, c, m1, m2, base1, base2, jobs)
 }
 
 // SplitLargestFirstLoaded is the largest-first split of
@@ -71,30 +35,19 @@ func SplitLargestFirstLoaded(c core.Clustered, m1, m2 int, base1, base2 core.Cos
 	if c.ClusterOf(m1) != c.ClusterOf(m2) {
 		panic("pairwise: a largest-first split requires machines of the same cluster")
 	}
-	return splitGreedyLoaded(sizeOrder, c, m1, m2, base1, base2, jobs)
+	return splitGreedyLoaded(core.BySize, c, m1, m2, base1, base2, jobs)
 }
 
-// splitGreedyLoaded places the jobs in the order inOrder returns on the
-// pair's cluster, each on the machine with the smaller load so far, ties to
-// the lower-indexed machine.
-func splitGreedyLoaded(inOrder func(core.Clustered, int, []int) []int, c core.Clustered, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
+// splitGreedyLoaded runs splitGreedy in order o from the two bases, the
+// lower-indexed machine first, and returns both sides in placement order.
+func splitGreedyLoaded(o core.JobOrder, c core.Clustered, m1, m2 int, base1, base2 core.Cost, jobs []int) (to1, to2 []int) {
 	if m1 > m2 {
-		to2, to1 = splitGreedyLoaded(inOrder, c, m2, m1, base2, base1, jobs)
+		to2, to1 = splitGreedyLoaded(o, c, m2, m1, base2, base1, jobs)
 		return to1, to2
 	}
-	own := c.ClusterOf(m1)
-	l1, l2 := base1, base2
-	for _, j := range inOrder(c, own, jobs) {
-		cost := c.ClusterCost(own, core.JobOf(j))
-		if l1 <= l2 {
-			to1 = append(to1, j)
-			l1 += cost
-		} else {
-			to2 = append(to2, j)
-			l2 += cost
-		}
-	}
-	return to1, to2
+	var s Scratch
+	s.splitGreedy(o, c, c.ClusterOf(m1), base1, base2, jobs)
+	return s.placed(jobs)
 }
 
 // SplitCLB2CLoaded is SplitCLB2CScratch starting from pre-existing loads
@@ -103,34 +56,32 @@ func SplitCLB2CLoaded(c core.Clustered, mA, mB int, baseA, baseB core.Cost, jobs
 	if c.ClusterOf(mA) == c.ClusterOf(mB) {
 		panic("pairwise: CLB2C on a pair requires machines of different clusters")
 	}
-	swapped := false
-	m0, m1 := mA, mB
-	b0, b1 := baseA, baseB
-	if c.ClusterOf(m0) == 1 {
-		m0, m1 = m1, m0
-		b0, b1 = b1, b0
-		swapped = true
+	swapped := c.ClusterOf(mA) == 1
+	if swapped {
+		baseA, baseB = baseB, baseA
 	}
-	sorted := ratioOrder(c, 0, jobs)
-	var to0, to1 []int
-	l0, l1 := b0, b1
-	lo, hi := 0, len(sorted)-1
-	for lo <= hi {
-		jHead, jTail := sorted[lo], sorted[hi]
-		c0 := l0 + c.ClusterCost(0, core.JobOf(jHead))
-		c1 := l1 + c.ClusterCost(1, core.JobOf(jTail))
-		if c0 <= c1 {
-			to0 = append(to0, jHead)
-			l0 = c0
-			lo++
-		} else {
-			to1 = append(to1, jTail)
-			l1 = c1
-			hi--
-		}
-	}
+	var s Scratch
+	s.clb2c(c, baseA, baseB, jobs)
+	to0, to1 := s.placed(jobs)
+	slices.Reverse(to1) // the tail side is placed from the end of the order
 	if swapped {
 		return to1, to0
 	}
 	return to0, to1
+}
+
+// placed reads the sides of the last splitGreedy or clb2c call off the
+// scratch's key order and side marks: the jobs of each side in key order.
+// It rewrites the two sides Emit left in To1 and To2, so it fills their
+// buffers without growing them.
+func (s *Scratch) placed(jobs []int) (first, second []int) {
+	first, second = s.To1[:0], s.To2[:0]
+	for _, key := range s.keys {
+		if pos := uint32(key); s.second[pos] {
+			second = append(second, jobs[pos])
+		} else {
+			first = append(first, jobs[pos])
+		}
+	}
+	return first, second
 }

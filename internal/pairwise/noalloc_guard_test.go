@@ -35,7 +35,7 @@ func TestAppendSplitBasicGreedyNoalloc(t *testing.T) {
 	d, union := guardInstance(13)
 	var to1, to2 []int
 	assertNoAllocs(t, "AppendSplitBasicGreedy", func() {
-		to1, to2, _, _ = AppendSplitBasicGreedy(d, 0, 1, union, to1[:0], to2[:0])
+		to1, to2, _, _ = AppendSplitBasicGreedy(d, 0, 1, 0, 0, union, to1[:0], to2[:0])
 	})
 }
 
@@ -43,7 +43,7 @@ func TestAppendSplitSameCostNoalloc(t *testing.T) {
 	d, union := guardInstance(14)
 	var to1, to2 []int
 	assertNoAllocs(t, "AppendSplitSameCost", func() {
-		to1, to2, _, _ = AppendSplitSameCost(d, 0, 1, union, to1[:0], to2[:0])
+		to1, to2, _, _ = AppendSplitSameCost(d, 0, 1, 0, 0, union, to1[:0], to2[:0])
 	})
 }
 

@@ -28,12 +28,13 @@ func (s *Scratch) orderBy(o core.JobOrder, c core.Clustered, own int, jobs []int
 }
 
 // splitGreedy is Greedy Load Balancing (core.ByRatio) and the largest-first
-// split (core.BySize) of two machines of cluster own: each job, in order o,
-// goes to the machine with the smaller accumulated cost, ties to the
-// lower-indexed machine, whose side and load it returns first.
+// split (core.BySize) of two machines of cluster own, whose loads start at
+// lLo and lHi: each job, in order o, goes to the machine with the smaller
+// accumulated cost, ties to the lower-indexed machine, whose side and load
+// it returns first.
 //
 //hetlb:noalloc
-func (s *Scratch) splitGreedy(o core.JobOrder, c core.Clustered, own int, jobs []int) (tLo, tHi []int, lLo, lHi core.Cost) {
+func (s *Scratch) splitGreedy(o core.JobOrder, c core.Clustered, own int, lLo, lHi core.Cost, jobs []int) ([]int, []int, core.Cost, core.Cost) {
 	s.orderBy(o, c, own, jobs)
 	second := s.Sides(len(jobs))
 	for _, key := range s.keys {
@@ -45,17 +46,18 @@ func (s *Scratch) splitGreedy(o core.JobOrder, c core.Clustered, own int, jobs [
 			lHi += cost
 		}
 	}
-	tLo, tHi = s.Emit(jobs)
+	tLo, tHi := s.Emit(jobs)
 	return tLo, tHi, lLo, lHi
 }
 
-// clb2c is CLB2C on a pair over jobs in any order: it orders them by ratio,
-// walks the order from both ends as SplitCLB2CScratch describes, and
-// returns the cluster-0 machine's side and the cluster-1 machine's, with
-// their loads.
+// clb2c is CLB2C on a pair over jobs in any order, the cluster-0 machine's
+// load starting at l0 and the cluster-1 machine's at l1: it orders the jobs
+// by ratio, walks the order from both ends as SplitCLB2CScratch describes,
+// and returns the cluster-0 machine's side and the cluster-1 machine's,
+// with their loads.
 //
 //hetlb:noalloc
-func (s *Scratch) clb2c(c core.Clustered, jobs []int) (to0, to1 []int, l0, l1 core.Cost) {
+func (s *Scratch) clb2c(c core.Clustered, l0, l1 core.Cost, jobs []int) ([]int, []int, core.Cost, core.Cost) {
 	s.orderBy(core.ByRatio, c, 0, jobs)
 	second := s.Sides(len(jobs))
 	lo, hi := 0, len(jobs)-1
@@ -72,7 +74,7 @@ func (s *Scratch) clb2c(c core.Clustered, jobs []int) (to0, to1 []int, l0, l1 co
 			hi--
 		}
 	}
-	to0, to1 = s.Emit(jobs)
+	to0, to1 := s.Emit(jobs)
 	return to0, to1, l0, l1
 }
 
@@ -85,27 +87,4 @@ func (s *Scratch) inArgOrder(swap bool, a, b []int, la, lb core.Cost) ([]int, []
 	}
 	s.Load1, s.Load2 = la, lb
 	return a, b
-}
-
-// ratioOrder returns jobs in increasing own/other cost ratio (index tie
-// break) as a new slice: the placement order of the ratio-ordered *Loaded
-// kernels.
-func ratioOrder(c core.Clustered, own int, jobs []int) []int {
-	return jobsInOrder(core.ByRatio, c, own, jobs)
-}
-
-// sizeOrder returns jobs in decreasing cost on the given cluster (index tie
-// break) as a new slice: the placement order of SplitLargestFirstLoaded.
-func sizeOrder(c core.Clustered, cluster int, jobs []int) []int {
-	return jobsInOrder(core.BySize, c, cluster, jobs)
-}
-
-func jobsInOrder(o core.JobOrder, c core.Clustered, own int, jobs []int) []int {
-	var s Scratch
-	s.orderBy(o, c, own, jobs)
-	sorted := make([]int, len(jobs))
-	for k, key := range s.keys {
-		sorted[k] = jobs[uint32(key)]
-	}
-	return sorted
 }

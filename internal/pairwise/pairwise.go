@@ -42,8 +42,9 @@
 // kernels (GreedyLoadBalancing, CLB2C, LargestFirst) get there by ordering
 // the pooled jobs with core.OrderJobs, deciding a side per input position,
 // and writing both sides in input order with Scratch.Emit. The *Loaded
-// variants are the exception: they return sides in placement order, which
-// the dynamic simulator uses as each machine's queue.
+// forms are the exception: they run the same kernels from two start loads
+// and return the sides in placement order, which the dynamic simulator uses
+// as each machine's queue.
 //
 // All kernels are deterministic functions of the pooled job set (not of how
 // the pair currently splits it), which makes them idempotent: applying the
@@ -72,15 +73,17 @@ func Union(a *core.Assignment, m1, m2 int) []int {
 // goes to the machine where it would complete earliest given the loads
 // accumulated so far, ties to the lower-indexed machine (so the kernel is a
 // function of the unordered pair and stability is well defined). The greedy
-// loads start at zero regardless of existing buffer content, and the last
-// two results are their final values, the loads the split gives m1 and m2.
-// When the jobs all have the same cost per machine (one job type), the
-// result is an optimal two-machine schedule (Lemma 3).
+// loads start at l1 and l2 regardless of existing buffer content: 0 and 0
+// in the protocols' pair step, the running jobs' remaining time in the
+// dynamic simulator (see protocol.LoadedSplitter). The last two results are
+// their final values, the loads the split gives m1 and m2. When the jobs
+// all have the same cost per machine (one job type), the result is an
+// optimal two-machine schedule (Lemma 3).
 //
 //hetlb:noalloc
-func AppendSplitBasicGreedy(m core.CostModel, m1, m2 int, jobs, to1, to2 []int) (_, _ []int, l1, l2 core.Cost) {
+func AppendSplitBasicGreedy(m core.CostModel, m1, m2 int, l1, l2 core.Cost, jobs, to1, to2 []int) ([]int, []int, core.Cost, core.Cost) {
 	if m1 > m2 {
-		to2, to1, l2, l1 = AppendSplitBasicGreedy(m, m2, m1, jobs, to2, to1)
+		to2, to1, l2, l1 = AppendSplitBasicGreedy(m, m2, m1, l2, l1, jobs, to2, to1)
 		return to1, to2, l1, l2
 	}
 	for _, j := range jobs {
@@ -278,7 +281,7 @@ func SplitGreedyLoadBalancingScratch(s *Scratch, c core.Clustered, m1, m2 int, j
 	case ok:
 		tLo, tHi, lLo, lHi = s.greedyGroupsReversed(p0, p1, jobs)
 	default:
-		tLo, tHi, lLo, lHi = s.splitGreedy(core.ByRatio, c, own, jobs)
+		tLo, tHi, lLo, lHi = s.splitGreedy(core.ByRatio, c, own, 0, 0, jobs)
 	}
 	return s.inArgOrder(m1 > m2, tLo, tHi, lLo, lHi)
 }
@@ -297,7 +300,7 @@ func SplitLargestFirstScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []i
 	if own != c.ClusterOf(m2) {
 		panic("pairwise: a largest-first split requires machines of the same cluster")
 	}
-	tLo, tHi, lLo, lHi := s.splitGreedy(core.BySize, c, own, jobs)
+	tLo, tHi, lLo, lHi := s.splitGreedy(core.BySize, c, own, 0, 0, jobs)
 	return s.inArgOrder(m1 > m2, tLo, tHi, lLo, lHi)
 }
 
@@ -307,12 +310,12 @@ func SplitLargestFirstScratch(s *Scratch, c core.Clustered, m1, m2 int, jobs []i
 // This is BasicGreedy specialized to equal costs and is the kernel used for
 // the homogeneous one-cluster experiments (Section VII.A). Like
 // AppendSplitBasicGreedy it appends into caller-owned buffers, the loads
-// start at zero for this call, and it returns their final values.
+// start at l1 and l2, and it returns their final values.
 //
 //hetlb:noalloc
-func AppendSplitSameCost(m core.CostModel, m1, m2 int, jobs, to1, to2 []int) (_, _ []int, l1, l2 core.Cost) {
+func AppendSplitSameCost(m core.CostModel, m1, m2 int, l1, l2 core.Cost, jobs, to1, to2 []int) ([]int, []int, core.Cost, core.Cost) {
 	if m1 > m2 {
-		to2, to1, l2, l1 = AppendSplitSameCost(m, m2, m1, jobs, to2, to1)
+		to2, to1, l2, l1 = AppendSplitSameCost(m, m2, m1, l2, l1, jobs, to2, to1)
 		return to1, to2, l1, l2
 	}
 	for _, j := range jobs {
@@ -348,7 +351,7 @@ func SplitCLB2CScratch(s *Scratch, c core.Clustered, mA, mB int, jobs []int) (to
 	if p0, p1, ok := rankedCosts(c, jobs); ok {
 		to0, to1, l0, l1 = s.cutRanked(p0, p1, jobs)
 	} else {
-		to0, to1, l0, l1 = s.clb2c(c, jobs)
+		to0, to1, l0, l1 = s.clb2c(c, 0, 0, jobs)
 	}
 	return s.inArgOrder(c.ClusterOf(mA) == 1, to0, to1, l0, l1)
 }

@@ -27,14 +27,14 @@ func apply(a *core.Assignment, m1, m2 int, split func(jobs []int) (to1, to2 []in
 
 func basicGreedy(a *core.Assignment, m1, m2 int) {
 	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
-		to1, to2, _, _ := AppendSplitBasicGreedy(a.Model(), m1, m2, jobs, nil, nil)
+		to1, to2, _, _ := AppendSplitBasicGreedy(a.Model(), m1, m2, 0, 0, jobs, nil, nil)
 		return to1, to2
 	})
 }
 
 func greedySameCost(a *core.Assignment, m1, m2 int) {
 	apply(a, m1, m2, func(jobs []int) ([]int, []int) {
-		to1, to2, _, _ := AppendSplitSameCost(a.Model(), m1, m2, jobs, nil, nil)
+		to1, to2, _, _ := AppendSplitSameCost(a.Model(), m1, m2, 0, 0, jobs, nil, nil)
 		return to1, to2
 	})
 }

@@ -254,8 +254,12 @@ func TestOrderingKernelsMatchReferences(t *testing.T) {
 	}
 }
 
-// TestRatioOrderMatchesReference pins the placement order of the *Loaded
-// kernels: ratioOrder is the reference order element for element.
+// TestRatioOrderMatchesReference pins the placement order of the
+// ratio-ordered *Loaded kernels: a base above the union's total sends every
+// job to one side in placement order, which must be the reference order
+// element for element. Greedy Load Balancing places the union in the ratio
+// order of the pair's cluster, CLB2C's cluster-0 side in the cluster-0
+// order from the head, and its cluster-1 side in that order from the tail.
 func TestRatioOrderMatchesReference(t *testing.T) {
 	gen := rng.New(9)
 	const n = 300
@@ -264,18 +268,29 @@ func TestRatioOrderMatchesReference(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			jobs := gen.Perm(n)[:gen.Intn(n+1)]
 			slices.Sort(jobs)
+			busy := dominating(f, jobs)
 			for own := 0; own < 2; own++ {
-				if got, want := ratioOrder(tc, own, jobs), refOrder(tc, own, jobs); !slices.Equal(got, want) {
-					t.Fatalf("%s own=%d: ratioOrder %v, reference %v", f.name, own, got, want)
+				want := refOrder(tc, own, jobs)
+				if got, rest := SplitGreedyLoadBalancingLoaded(tc, 2*own, 2*own+1, 0, busy, jobs); !slices.Equal(got, want) || rest != nil {
+					t.Fatalf("%s own=%d: Greedy Load Balancing placed %v | %v, reference %v", f.name, own, got, rest, want)
 				}
+			}
+			want := refOrder(tc, 0, jobs)
+			if got, rest := SplitCLB2CLoaded(tc, 0, 2, 0, busy, jobs); !slices.Equal(got, want) || rest != nil {
+				t.Fatalf("%s: CLB2C placed %v | %v on cluster 0, reference %v", f.name, got, rest, want)
+			}
+			slices.Reverse(want)
+			if rest, got := SplitCLB2CLoaded(tc, 0, 2, busy, 0, jobs); !slices.Equal(got, want) || rest != nil {
+				t.Fatalf("%s: CLB2C placed %v | %v on cluster 1, reversed reference %v", f.name, rest, got, want)
 			}
 		}
 	}
 }
 
 // TestSizeOrderMatchesReference pins the placement order of
-// SplitLargestFirstLoaded: sizeOrder is the reference order element for
-// element.
+// SplitLargestFirstLoaded: a base above the union's total sends every job
+// to the other machine in size order, which must be the reference order
+// element for element.
 func TestSizeOrderMatchesReference(t *testing.T) {
 	gen := rng.New(10)
 	const n = 300
@@ -286,11 +301,24 @@ func TestSizeOrderMatchesReference(t *testing.T) {
 			if trial%2 == 0 {
 				slices.Sort(jobs)
 			}
+			busy := dominating(f, jobs)
 			for cluster := 0; cluster < 2; cluster++ {
-				if got, want := sizeOrder(tc, cluster, jobs), refSizeOrder(tc, cluster, jobs); !slices.Equal(got, want) {
-					t.Fatalf("%s cluster=%d: sizeOrder %v, reference %v", f.name, cluster, got, want)
+				want := refSizeOrder(tc, cluster, jobs)
+				if rest, got := SplitLargestFirstLoaded(tc, 2*cluster, 2*cluster+1, busy, 0, jobs); !slices.Equal(got, want) || rest != nil {
+					t.Fatalf("%s cluster=%d: largest-first placed %v | %v, reference %v", f.name, cluster, rest, got, want)
 				}
 			}
 		}
 	}
+}
+
+// dominating returns a base load above the total cost of jobs on both
+// clusters, so that a loaded kernel started from it on one machine places
+// every job on the other.
+func dominating(f costFamily, jobs []int) core.Cost {
+	var total core.Cost
+	for _, j := range jobs {
+		total += f.p0[j] + f.p1[j]
+	}
+	return total + 1
 }

@@ -18,12 +18,14 @@ type LoadedSplitter interface {
 
 // SplitLoaded implements LoadedSplitter for OJTB.
 func (p OJTB) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]int, []int) {
-	return pairwise.SplitBasicGreedyLoaded(p.Model, i, j, baseI, baseJ, jobs)
+	toI, toJ, _, _ := pairwise.AppendSplitBasicGreedy(p.Model, i, j, baseI, baseJ, jobs, nil, nil)
+	return toI, toJ
 }
 
 // SplitLoaded implements LoadedSplitter for SameCost.
 func (p SameCost) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]int, []int) {
-	return pairwise.SplitSameCostLoaded(p.Model, i, j, baseI, baseJ, jobs)
+	toI, toJ, _, _ := pairwise.AppendSplitSameCost(p.Model, i, j, baseI, baseJ, jobs, nil, nil)
+	return toI, toJ
 }
 
 // SplitLoaded implements LoadedSplitter for MJTB: as Algorithm 4 balances
@@ -36,9 +38,7 @@ func (p MJTB) SplitLoaded(i, j int, baseI, baseJ core.Cost, jobs []int) ([]int, 
 	}
 	var toI, toJ []int
 	for _, typeJobs := range byType {
-		a, b := pairwise.SplitBasicGreedyLoaded(p.Model, i, j, baseI, baseJ, typeJobs)
-		toI = append(toI, a...)
-		toJ = append(toJ, b...)
+		toI, toJ, _, _ = pairwise.AppendSplitBasicGreedy(p.Model, i, j, baseI, baseJ, typeJobs, toI, toJ)
 	}
 	return toI, toJ
 }

@@ -167,7 +167,7 @@ func (OJTB) ListOrder() []uint32 { return nil }
 
 // SplitScratch implements Protocol.
 func (p OJTB) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
-	s.To1, s.To2, s.Load1, s.Load2 = pairwise.AppendSplitBasicGreedy(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
+	s.To1, s.To2, s.Load1, s.Load2 = pairwise.AppendSplitBasicGreedy(p.Model, i, j, 0, 0, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
 }
 
@@ -274,7 +274,7 @@ func (SameCost) ListOrder() []uint32 { return nil }
 
 // SplitScratch implements Protocol.
 func (p SameCost) SplitScratch(s *pairwise.Scratch, i, j int, jobs []int) ([]int, []int) {
-	s.To1, s.To2, s.Load1, s.Load2 = pairwise.AppendSplitSameCost(p.Model, i, j, jobs, s.To1[:0], s.To2[:0])
+	s.To1, s.To2, s.Load1, s.Load2 = pairwise.AppendSplitSameCost(p.Model, i, j, 0, 0, jobs, s.To1[:0], s.To2[:0])
 	return s.To1, s.To2
 }
 

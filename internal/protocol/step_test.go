@@ -263,7 +263,7 @@ func perTypeBasicGreedy(ty *core.Typed, i, j int, union []int) (toI, toJ []int) 
 			}
 		}
 		slices.SortFunc(ofType, func(a, b int) int { return core.JobOf(a) - core.JobOf(b) })
-		a, b, _, _ := pairwise.AppendSplitBasicGreedy(ty, i, j, ofType, nil, nil)
+		a, b, _, _ := pairwise.AppendSplitBasicGreedy(ty, i, j, 0, 0, ofType, nil, nil)
 		toI, toJ = append(toI, a...), append(toJ, b...)
 	}
 	slices.Sort(toI)

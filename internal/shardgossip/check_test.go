@@ -165,9 +165,9 @@ func compareCheck(t testing.TB, what string, wi, wj int, calls *atomic.Int64, do
 
 // compareSharded steps a sharded engine through rounds of the given epoch
 // counts and compares its stability check with a full scan after each round.
-// A stable verdict latches the engine, as Run does, so later rounds cover
-// the latched fast path and its re-opening by fault transitions, and with
-// no machine down its placement must carry the paper's certificates.
+// Later rounds step on past stable verdicts and through fault transitions,
+// and a stable verdict with no machine down must carry the paper's
+// certificates.
 func compareSharded(t testing.TB, c checkCase, initial *core.Assignment, cfg Config, rounds []int, st *checkStats) {
 	t.Helper()
 	p := &countingProtocol{Protocol: c.proto}
@@ -176,7 +176,7 @@ func compareSharded(t testing.TB, c checkCase, initial *core.Assignment, cfg Con
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for r, epochs := range rounds {
+	for _, epochs := range rounds {
 		for k := 0; k < epochs; k++ {
 			e.StepEpoch()
 		}
@@ -186,13 +186,7 @@ func compareSharded(t testing.TB, c checkCase, initial *core.Assignment, cfg Con
 		}
 		what := c.name + " sharded"
 		wi, wj := fullScan(c.proto, e.jobs, down)
-		if !compareCheck(t, what, wi, wj, &p.calls, down, e.unstablePair, st) {
-			continue
-		}
-		if !e.checkStable() {
-			t.Fatalf("%s round %d: a stable placement did not latch", what, r)
-		}
-		if !slices.Contains(down, true) {
+		if compareCheck(t, what, wi, wj, &p.calls, down, e.unstablePair, st) && !slices.Contains(down, true) {
 			certify(t, what, c.proto, e.Snapshot(), st)
 		}
 	}

@@ -27,13 +27,13 @@
 // recomputes Cmax and ΣC on the spot (reduceLoads). Without LoseJobs the
 // jobs freeze with the machine — they stay in its list and its load stays
 // in the aggregates, so Cmax keeps counting frozen work, mirroring netsim —
-// and are re-hosted in place on recovery. Every transition unlatches the
-// verified-stable fast path and resets the quiet counter: a recovery brings
-// frozen work back into play and a crash removes a participant from every
-// future matching, so a previously proven stability no longer holds. Every
-// transition also marks its machine for the incremental stability check:
-// the check skips the pairs of a down machine, so they were never verified
-// and must be split again once the machine is back.
+// and are re-hosted in place on recovery. Every transition resets the quiet
+// counter: a recovery brings frozen work back into play and a crash removes
+// a participant from every future matching, so a previously proven
+// stability no longer holds. Every transition also marks its machine for
+// the incremental stability check: the check skips the pairs of a down
+// machine, so they were never verified and must be split again once the
+// machine is back.
 package shardgossip
 
 import (
@@ -138,7 +138,6 @@ func (e *Engine) applyFaults() {
 		// Any transition invalidates a proven stability. It also marks the
 		// machine for the stability checker: while it was down its pairs
 		// were skipped, not verified.
-		e.stable = false
 		e.noChange = 0
 		if e.check != nil {
 			e.check.Mark(int(ev.machine))

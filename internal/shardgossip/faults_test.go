@@ -138,41 +138,53 @@ func TestShardChaosPinnedGolden(t *testing.T) {
 	}
 }
 
-// TestStableLatchReopensOnRecovery is the latch regression: a run that
-// proves stability while a machine is down (its frozen jobs out of play)
-// must drop the verified-stable fast path the moment the machine recovers,
-// because the recovered work re-enters the matchings.
-func TestStableLatchReopensOnRecovery(t *testing.T) {
+// TestCrashRecoveryRecheck pins the stability check across a recovery: a
+// run that proves stability while a machine is down (its frozen jobs out of
+// play) stops there. Stepping on moves nothing until the machine recovers.
+// From the recovery on, the check must split the recovered machine's pairs
+// again and answer as a full scan does: right after the transition, before
+// any session could move the machine, and after each later epoch. A second
+// Run must then converge with the frozen jobs re-hosted.
+func TestCrashRecoveryRecheck(t *testing.T) {
 	gen := rng.New(310)
 	ty := workload.UniformTyped(gen, 8, 64, 2, 1, 20)
 	plan := faults.Config{Crashes: []faults.Crash{{Machine: 2, At: 1, RecoverAt: 120}}}
-	e, err := New(protocol.MJTB{Model: ty}, core.RoundRobin(ty), Config{Seed: 3, Shards: 2, Faults: &plan})
+	proto := protocol.MJTB{Model: ty}
+	e, err := New(proto, core.RoundRobin(ty), Config{Seed: 3, Shards: 2, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	res := e.Run(100_000, true)
-	if !res.Converged || !e.Stable() {
-		t.Fatalf("run did not latch stability with machine 2 down (epochs=%d)", e.Epochs())
+	if !res.Converged {
+		t.Fatalf("run did not converge with machine 2 down (epochs=%d)", e.Epochs())
 	}
 	if e.Epochs() >= 120 {
-		t.Fatalf("stability latched only after the recovery (epoch %d); shrink the instance", e.Epochs())
+		t.Fatalf("run converged only after the recovery (epoch %d); shrink the instance", e.Epochs())
 	}
 	if !e.Down(2) || e.DownMachines() != 1 {
 		t.Fatal("machine 2 not reported down")
 	}
+	moves := e.Moves()
 	for e.Epochs() < 120 {
 		e.StepEpoch()
-		if !e.Stable() {
-			t.Fatalf("latch dropped at epoch %d, before the recovery", e.Epochs())
+		if e.Moves() != moves {
+			t.Fatalf("a verified-stable placement moved at epoch %d, before the recovery", e.Epochs())
 		}
 	}
-	e.StepEpoch() // applies the recovery before executing epoch 120
-	if e.Stable() {
-		t.Fatal("verified-stable latch survived a recovery")
-	}
+	e.applyFaults() // the recovery, as StepEpoch applies it before epoch 120's sessions
 	if e.Down(2) || e.DownMachines() != 0 {
 		t.Fatal("machine 2 still reported down after recovery")
+	}
+	for k := 0; k < 4; k++ {
+		wi, wj := fullScan(proto, e.jobs, e.faults.down)
+		if gi, gj := e.unstablePair(); gi != wi || gj != wj {
+			t.Fatalf("epoch %d after the recovery: check (%d,%d), full scan (%d,%d)", e.Epochs(), gi, gj, wi, wj)
+		}
+		if k == 0 && wi == -1 {
+			t.Fatal("the placement is stable with machine 2 back; the re-check was not exercised")
+		}
+		e.StepEpoch()
 	}
 	res = e.Run(100_000, true)
 	if !res.Converged {

@@ -115,9 +115,8 @@ func BenchmarkShardedStepScale(b *testing.B) {
 // the delta against the fault-free guard column is the whole cost of arming
 // a plan. "churn" fires a crash or recovery every couple of epochs
 // (horizon 4096 — longer -benchtime runs drain the plan and decay toward
-// the armed number), adding void bookkeeping, loss escrow and latch
-// invalidation. Recorded in BENCH_9.json next to the fault-free guard
-// column.
+// the armed number), adding void bookkeeping and loss escrow. Recorded in
+// BENCH_9.json next to the fault-free guard column.
 func BenchmarkShardedStepFaults(b *testing.B) {
 	const m, n = 2048, 16_384
 	plans := []struct {
@@ -156,47 +155,36 @@ func BenchmarkShardedStepFaults(b *testing.B) {
 // BenchmarkNoChangeTail measures the converged steady state — the long
 // no-change tail every gossip run ends in. A single-type OJTB instance is
 // driven to a verified-stable placement once (outside the timer), then
-// epochs are measured at increasing mean jobs-per-machine. With the
-// verified-stable fast path a session is O(1) bookkeeping, so ns/op must be
-// flat in jobs-per-machine; before this optimization each session resummed
-// its O(union) pooled jobs even when nothing moved. The unlatched variant
-// (stable detection off) shows the no-change session alone: the kernel
-// still splits the union, but nothing is written back.
+// epochs are measured at increasing mean jobs-per-machine: every session
+// steps its pair's union, moves nothing and writes nothing back.
 func BenchmarkNoChangeTail(b *testing.B) {
 	const m = 64
-	for _, mode := range []string{"latched", "delta-only"} {
-		for _, jpm := range []int{16, 64, 256} {
-			b.Run(fmt.Sprintf("%s/jobs-per-machine=%d", mode, jpm), func(b *testing.B) {
-				speeds := make([][]core.Cost, m)
-				gen := rng.New(600)
-				for i := range speeds {
-					speeds[i] = []core.Cost{gen.IntRange(2, 9)}
-				}
-				ty, err := core.NewTyped(speeds, make([]int, m*jpm))
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err2 := New(protocol.OJTB{Model: ty}, core.RoundRobin(ty), Config{Seed: 9, Shards: 2})
-				if err2 != nil {
-					b.Fatal(err2)
-				}
-				defer e.Close()
-				res := e.Run(50_000_000, true)
-				if !res.Converged {
-					b.Fatal("instance did not converge; the tail benchmark needs a stable placement")
-				}
-				if mode == "delta-only" {
-					// Measure the pre-latch no-op path: kernels run, move
-					// nothing, and the session applies zero deltas.
-					e.stable = false
-				}
-				e.StepEpoch() // warm the measured path
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.StepEpoch()
-				}
-			})
-		}
+	for _, jpm := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("jobs-per-machine=%d", jpm), func(b *testing.B) {
+			speeds := make([][]core.Cost, m)
+			gen := rng.New(600)
+			for i := range speeds {
+				speeds[i] = []core.Cost{gen.IntRange(2, 9)}
+			}
+			ty, err := core.NewTyped(speeds, make([]int, m*jpm))
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err2 := New(protocol.OJTB{Model: ty}, core.RoundRobin(ty), Config{Seed: 9, Shards: 2})
+			if err2 != nil {
+				b.Fatal(err2)
+			}
+			defer e.Close()
+			res := e.Run(50_000_000, true)
+			if !res.Converged {
+				b.Fatal("instance did not converge; the tail benchmark needs a stable placement")
+			}
+			e.StepEpoch() // warm the measured path
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.StepEpoch()
+			}
+		})
 	}
 }
 

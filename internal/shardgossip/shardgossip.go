@@ -30,8 +30,8 @@
 //
 // Cmax and ΣC are computed in one place, reduceLoads: one pass over the m
 // loads, which the barrier runs when a session of the epoch changed a load,
-// and New and a LoseJobs crash of a loaded machine run too. A quiet epoch,
-// and every epoch after the placement is verified stable, reads no load.
+// and New and a LoseJobs crash of a loaded machine run too. A quiet epoch
+// reads no load.
 // The pass is serial, but an epoch that changed a load ran ⌊m/2⌋ sessions
 // that each read two job lists, so the pass is a small fraction of the epoch
 // it closes (DESIGN.md §14 gives the measured costs).
@@ -54,12 +54,10 @@
 // (integer arithmetic, so the result is bit-identical to a recomputation
 // from the job lists), and the arrivals it reports for each side say
 // whether anything moved. A session that moved nothing skips the
-// write-back entirely. On top of
-// that, once a Run's stability check has *proved* the placement
-// pairwise-stable, the engine latches a verified-stable fast path: every
-// later session is known to be a step that moves nothing and only performs
-// the bookkeeping (exchange counters, spans), making converged epochs O(1)
-// per session regardless of the mean jobs-per-machine.
+// write-back entirely, so stepping a stable placement writes no list and no
+// load. Every session steps its pair, a verified-stable placement included:
+// Run returns at the check that proves stability, so only a caller that
+// steps on pays for steps that move nothing.
 //
 // # Incremental stability check
 //
@@ -257,10 +255,6 @@ type Engine struct {
 	// builds it, reads the marks and clears them between epochs.
 	//hetlb:frozen
 	check *protocol.Checker
-	// stable latches once checkStable proves the placement pairwise-stable;
-	// from then on sessions take the bookkeeping-only fast path.
-	//hetlb:frozen
-	stable bool
 	// faults is the dynamic crash state of an armed fault plan; nil on a
 	// fault-free engine (see faults.go).
 	faults *faultState
@@ -373,10 +367,6 @@ func (e *Engine) Observe(o gossip.Observer) { e.observers = append(e.observers, 
 // Epochs returns the number of epochs executed so far.
 func (e *Engine) Epochs() int { return e.epoch }
 
-// Stable reports whether a Run's stability check has proved the placement
-// pairwise-stable, enabling the bookkeeping-only session fast path.
-func (e *Engine) Stable() bool { return e.stable }
-
 // Steps implements gossip.Stepper: the number of pairwise sessions executed.
 func (e *Engine) Steps() int { return e.sessions }
 
@@ -474,9 +464,7 @@ func (e *Engine) runSessions(s int) {
 // back sorted by entry), and when the step reports arrivals, write back both
 // sides and the two loads the step left on the scratch. A session that
 // moved nothing writes nothing. In steady state the only memory touched is
-// the worker's scratch, the pair's job lists and, when spans are on, slot t;
-// once the engine is verified stable, the step is skipped entirely (see
-// package doc).
+// the worker's scratch, the pair's job lists and, when spans are on, slot t.
 //
 //hetlb:noalloc
 func (e *Engine) session(s, t int) {
@@ -504,22 +492,6 @@ func (e *Engine) session(s, t int) {
 	}
 	e.exchanges[i]++
 	e.exchanges[j]++
-	if e.stable {
-		// Verified-stable fast path: the kernel is provably a no-op, so
-		// only the bookkeeping of a no-change session remains.
-		if e.slots != nil {
-			e.slots[t] = span.Span{
-				Parent: e.runSpan,
-				Kind:   span.KindSession,
-				A:      int32(i),
-				B:      int32(j),
-				Start:  int64(e.sessions + t),
-				End:    int64(e.sessions + t),
-			}
-		}
-		return
-	}
-
 	sc := &sh.scratch
 	l1, l2 := e.load[i], e.load[j]
 	// The sides come back sorted by entry (the Protocol contract), so they
@@ -662,24 +634,16 @@ func (e *Engine) Snapshot() *core.Assignment {
 // merged union must reproduce the current sides exactly. The engine's
 // checker answers as a full O(m²) scan would, but splits only the pairs it
 // has not verified since their machines last changed (see
-// protocol.Checker). On success the engine latches the verified-stable fast
-// path — sound because a stable placement makes every future session a
-// kernel no-op, so the state can never change again.
+// protocol.Checker).
 func (e *Engine) checkStable() bool {
-	if e.stable {
-		return true
-	}
-	if i, _ := e.unstablePair(); i != -1 {
-		return false
-	}
-	e.stable = true
-	return true
+	i, _ := e.unstablePair()
+	return i == -1
 }
 
 // unstablePair runs the engine's incremental check. Down machines are
 // excluded: they participate in no session, so stability among the up
-// machines is all a latch may rely on. Any later crash or recovery marks the
-// machine and re-opens the latch (see applyFaults).
+// machines is all a verdict can claim. Any later crash or recovery marks the
+// machine, so the next check splits its pairs again (see applyFaults).
 func (e *Engine) unstablePair() (int, int) {
 	if e.check == nil {
 		e.check = protocol.NewChecker(len(e.load), e.proto)
@@ -719,9 +683,7 @@ type Result struct {
 // (the session budget of gossip.Engine.Run; the last epoch may overshoot by
 // less than one epoch's worth). If detectStability is true the run stops
 // early once the schedule is provably stable: after every window of quiet
-// sessions, the stability check runs (incremental, see checkStable; on
-// success it latches the verified-stable session fast path for any further
-// stepping).
+// sessions, the stability check runs (incremental, see checkStable).
 func (e *Engine) Run(maxSessions int, detectStability bool) Result {
 	m := len(e.load)
 	startSessions := e.sessions
