@@ -9,8 +9,6 @@
 // schedules.
 package des
 
-import "container/heap"
-
 // Phase orders events within a single timestamp.
 type Phase uint8
 
@@ -31,26 +29,64 @@ type event struct {
 	fn    func()
 }
 
+// before reports whether e runs before o: at an earlier time, then in an
+// earlier phase, then scheduled earlier. No two events share a seq, so the
+// order is total and the pop sequence depends on the scheduled events
+// alone, not on the heap's layout.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
+	}
+	if e.phase != o.phase {
+		return e.phase < o.phase
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events in before order, kept by hand
+// rather than through container/heap, whose any-typed Push and Pop would
+// box every event twice.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(a, b int) bool {
-	if h[a].time != h[b].time {
-		return h[a].time < h[b].time
+// push adds ev and sifts it up to its place.
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	for k := len(q) - 1; k > 0; {
+		parent := (k - 1) / 2
+		if !q[k].before(&q[parent]) {
+			break
+		}
+		q[k], q[parent] = q[parent], q[k]
+		k = parent
 	}
-	if h[a].phase != h[b].phase {
-		return h[a].phase < h[b].phase
-	}
-	return h[a].seq < h[b].seq
+	*h = q
 }
-func (h eventHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+
+// pop removes and returns the first event. The last event takes the root
+// and sifts down; its old slot is cleared so that the backing array keeps
+// no closure alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q[last] = event{}
+	q = q[:last]
+	for k := 0; ; {
+		c := 2*k + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[k]) {
+			break
+		}
+		q[k], q[c] = q[c], q[k]
+		k = c
+	}
+	*h = q
+	return top
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -79,7 +115,7 @@ func (s *Simulator) At(t int64, phase Phase, fn func()) {
 	if t < s.now {
 		panic("des: event scheduled in the past")
 	}
-	heap.Push(&s.events, event{time: t, phase: phase, seq: s.seq, fn: fn})
+	s.events.push(event{time: t, phase: phase, seq: s.seq, fn: fn})
 	s.seq++
 }
 
@@ -96,7 +132,7 @@ func (s *Simulator) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.events).(event)
+	ev := s.events.pop()
 	s.now = ev.time
 	s.count++
 	ev.fn()

@@ -1,6 +1,10 @@
 package des
 
-import "testing"
+import (
+	"testing"
+
+	"hetlb/internal/rng"
+)
 
 func TestOrderingByTime(t *testing.T) {
 	s := New()
@@ -182,5 +186,90 @@ func TestAfterZeroDelay(t *testing.T) {
 	}
 	if s.Now() != 3 {
 		t.Fatalf("clock = %d, want 3", s.Now())
+	}
+}
+
+// refQueue is the heap's oracle: a plain list of pending events, each step
+// scanning it for the first in before order.
+type refQueue struct {
+	now    int64
+	seq    uint64
+	events []event
+}
+
+func (r *refQueue) At(t int64, phase Phase, fn func()) {
+	r.events = append(r.events, event{time: t, phase: phase, seq: r.seq, fn: fn})
+	r.seq++
+}
+
+func (r *refQueue) Step() bool {
+	if len(r.events) == 0 {
+		return false
+	}
+	first := 0
+	for k := range r.events {
+		if r.events[k].before(&r.events[first]) {
+			first = k
+		}
+	}
+	ev := r.events[first]
+	r.events = append(r.events[:first], r.events[first+1:]...)
+	r.now = ev.time
+	ev.fn()
+	return true
+}
+
+// TestHeapMatchesLinearScan runs one random program on the simulator and
+// on refQueue: up to 60 events at random times and phases, whose handlers
+// schedule up to two more at delays of 0 to 4, many at the same instant.
+// Both must run the events in the same order. The simulator's backing
+// array must then hold no closure.
+func TestHeapMatchesLinearScan(t *testing.T) {
+	type queue interface {
+		At(int64, Phase, func())
+		Step() bool
+	}
+	run := func(q queue, now func() int64, seed uint64) []int {
+		var order []int
+		gen := rng.New(seed) // the same draws on both sides
+		id := 0
+		var schedule func(t int64)
+		schedule = func(t int64) {
+			me := id
+			id++
+			q.At(t, Phase(gen.Intn(3)), func() {
+				order = append(order, me)
+				if id < 400 {
+					for c := gen.Intn(3); c > 0; c-- {
+						schedule(now() + int64(gen.Intn(5)))
+					}
+				}
+			})
+		}
+		for k := gen.Intn(60); k > 0; k-- {
+			schedule(int64(gen.Intn(10)))
+		}
+		for q.Step() {
+		}
+		return order
+	}
+	for seed := uint64(0); seed < 200; seed++ {
+		s := New()
+		got := run(s, s.Now, seed)
+		r := &refQueue{}
+		want := run(r, func() int64 { return r.now }, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events run, want %d", seed, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("seed %d: event %d is %d, want %d", seed, k, got[k], want[k])
+			}
+		}
+		for k, ev := range s.events[:cap(s.events)] {
+			if ev.fn != nil {
+				t.Fatalf("seed %d: slot %d of the drained heap still holds its closure", seed, k)
+			}
+		}
 	}
 }

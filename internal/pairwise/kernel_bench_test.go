@@ -191,3 +191,78 @@ func BenchmarkStepBookkeeping(b *testing.B) {
 		})
 	}
 }
+
+// typedShape is BenchmarkMergeSplitByType's instance, churn's: 8192
+// machines, 2^19 jobs of 5 types with costs U[1,100], RoundRobin, each
+// machine's 64 jobs as a list in the type order. settled holds the same
+// lists after 8 rounds of random pairs stepped by MergeSplitByType; pairs
+// is a pool of random pairs of distinct machines.
+type typedShape struct {
+	once             sync.Once
+	ty               *core.Typed
+	initial, settled [][]int
+	pairs            [][2]int
+}
+
+var churnShape typedShape
+
+func (k *typedShape) prepare() {
+	k.once.Do(func() {
+		const m, n, types, rounds = 8192, 1 << 19, 5, 8
+		gen := rng.New(23)
+		k.ty = workload.UniformTyped(gen, m, n, types, 1, 100)
+		order, _ := k.ty.TypeOrder()
+		a := core.RoundRobin(k.ty)
+		k.initial = make([][]int, m)
+		a.FillOrderedLists(k.initial, make([]int, n), order)
+		k.settled = make([][]int, m)
+		for i, list := range k.initial {
+			k.settled[i] = slices.Clone(list)
+		}
+		var s Scratch
+		perm := make([]int, m)
+		for r := 0; r < rounds; r++ {
+			gen.PermInto(perm)
+			for p := 0; p+1 < m; p += 2 {
+				i, j := perm[p], perm[p+1]
+				toI, toJ := MergeSplitByType(&s, k.ty, i, j, k.settled[i], k.settled[j])
+				k.settled[i] = append(k.settled[i][:0], toI...)
+				k.settled[j] = append(k.settled[j][:0], toJ...)
+			}
+		}
+		k.pairs = make([][2]int, 4096)
+		for p := range k.pairs {
+			i := gen.Intn(m)
+			k.pairs[p] = [2]int{i, gen.Pick(m, i)}
+		}
+	})
+}
+
+// BenchmarkMergeSplitByType times MJTB's pair step, the one walk that
+// merges two ranked lists, splits each type with BasicGreedy and records
+// the arrivals and loads, at churn's shape: each op steps the next random
+// pair of the pool without writing the sides back, on the RoundRobin lists
+// (initial), where a step moves half its entries, or on the lists after 8
+// rounds (settled), where it moves about 30%: the moved-or-kept test is
+// easier to predict there, the order of the two lists' heads is not.
+func BenchmarkMergeSplitByType(b *testing.B) {
+	if strconv.IntSize < 64 {
+		b.Skip("ranked entries need a 64-bit int")
+	}
+	for _, form := range []string{"initial", "settled"} {
+		b.Run(form, func(b *testing.B) {
+			churnShape.prepare()
+			lists := churnShape.initial
+			if form == "settled" {
+				lists = churnShape.settled
+			}
+			var s Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for op := 0; op < b.N; op++ {
+				p := churnShape.pairs[op%len(churnShape.pairs)]
+				MergeSplitByType(&s, churnShape.ty, p[0], p[1], lists[p[0]], lists[p[1]])
+			}
+		})
+	}
+}

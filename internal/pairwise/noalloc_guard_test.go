@@ -159,3 +159,29 @@ func TestAppendMovesNoalloc(t *testing.T) {
 		t.Fatalf("guard exercised an empty walk (lens %d/%d)", len(s.Diff1), len(s.Diff2))
 	}
 }
+
+// TestMergeSplitByTypeNoalloc guards MJTB's pair step: once the scratch's
+// sides and arrival buffers are warm, the walk allocates nothing, in both
+// argument orders, on lists in the type order and in job order.
+func TestMergeSplitByTypeNoalloc(t *testing.T) {
+	gen := rng.New(20)
+	ty := workload.UniformTyped(gen, 2, 128, 5, 1, 100)
+	a := core.RoundRobin(ty)
+	orders := [][]uint32{nil}
+	if strconv.IntSize == 64 {
+		order, _ := ty.TypeOrder()
+		orders = append(orders, order)
+	}
+	var s Scratch
+	for _, order := range orders {
+		lists := make([][]int, 2)
+		a.FillOrderedLists(lists, make([]int, ty.NumJobs()), order)
+		assertNoAllocs(t, "MergeSplitByType", func() {
+			MergeSplitByType(&s, ty, 0, 1, lists[0], lists[1])
+			MergeSplitByType(&s, ty, 1, 0, lists[1], lists[0])
+		})
+		if len(s.Diff1)+len(s.Diff2) == 0 {
+			t.Fatalf("guard exercised a step that moved nothing (order %v)", order != nil)
+		}
+	}
+}

@@ -52,7 +52,12 @@
 // unchanged. Stability detection relies on this.
 package pairwise
 
-import "hetlb/internal/core"
+import (
+	"math"
+	"slices"
+
+	"hetlb/internal/core"
+)
 
 // Union returns the jobs currently assigned to either machine, in increasing
 // job order, by an O(n) scan of the job→machine map: the pooled set the
@@ -171,46 +176,61 @@ type typedWalk struct {
 
 // walkRanked walks lists in the type order whose type t holds ranks
 // bounds[t] to bounds[t+1]-1: one type at a time, with that type's two
-// costs and two loads in registers.
+// costs and two loads in registers. Like MergeSortedInto it does not branch
+// on the data (see merge.go): each entry is the smaller head (min), written
+// to all four outputs, which are grown once to the union's length, and the
+// comparisons' results (b2i) advance the two list indices and the counts
+// of the outputs that keep it. Its branches test whether a list has run
+// out and whether a type has ended, which change outcome a few times per
+// step.
 //
 //hetlb:noalloc
 func (w *typedWalk) walkRanked(bounds []int, onLo, onHi []int) {
-	toLo, toHi, inLo, inHi := w.toLo, w.toHi, w.inLo, w.inHi
-	x, y := 0, 0
-	for t := 0; t < len(w.cLo) && (x < len(onLo) || y < len(onHi)); t++ {
+	n := len(onLo) + len(onHi)
+	toLo := slices.Grow(w.toLo, n)[:n]
+	toHi := slices.Grow(w.toHi, n)[:n]
+	inLo := slices.Grow(w.inLo, n)[:n]
+	inHi := slices.Grow(w.inHi, n)[:n]
+	// x and y count the entries taken from onLo and onHi, kLo those placed
+	// on lo and aLo those of them that came from onHi. The other two counts
+	// follow: x+y-kLo entries are on hi, and x-kLo+aLo of them came from
+	// onLo.
+	x, y, kLo, aLo := 0, 0, 0, 0
+	for t := 0; t < len(w.cLo) && x+y < n; t++ {
 		next := uint64(bounds[t+1]) << 32 // the smallest entry of a later type
 		c0, c1 := w.cLo[t], w.cHi[t]
-		var l0, l1 core.Cost
+		// p0 and p1 are the type's loads on lo and hi with one more job:
+		// BasicGreedy's test compares them, ties to lo.
+		p0, p1 := c0, c1
 		for {
-			var entry int
-			var fromLo bool
-			if x < len(onLo) && uint64(onLo[x]) < next && (y == len(onHi) || onLo[x] < onHi[y]) {
-				entry, fromLo = onLo[x], true
-				x++
-			} else if y < len(onHi) && uint64(onHi[y]) < next {
-				entry = onHi[y]
-				y++
-			} else {
+			a, b := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			if x < len(onLo) {
+				a = uint64(onLo[x])
+			}
+			if y < len(onHi) {
+				b = uint64(onHi[y])
+			}
+			head := min(a, b)
+			if head >= next {
 				break
 			}
-			if l0+c0 <= l1+c1 {
-				l0 += c0
-				toLo = append(toLo, entry)
-				if !fromLo {
-					inLo = append(inLo, entry)
-				}
-			} else {
-				l1 += c1
-				toHi = append(toHi, entry)
-				if fromLo {
-					inHi = append(inHi, entry)
-				}
-			}
+			entry, fromLo, toL := int(head), b2i(a < b), b2i(p0 <= p1)
+			mask := -core.Cost(toL)
+			p0 += c0 & mask
+			p1 += c1 &^ mask
+			toLo[kLo] = entry
+			toHi[x+y-kLo] = entry
+			inLo[aLo] = entry
+			inHi[x-kLo+aLo] = entry
+			kLo += toL
+			aLo += toL &^ fromLo
+			x += fromLo
+			y += 1 - fromLo
 		}
-		w.loadLo += l0
-		w.loadHi += l1
+		w.loadLo += p0 - c0
+		w.loadHi += p1 - c1
 	}
-	w.toLo, w.toHi, w.inLo, w.inHi = toLo, toHi, inLo, inHi
+	w.toLo, w.toHi, w.inLo, w.inHi = toLo[:kLo], toHi[:x+y-kLo], inLo[:aLo], inHi[:x-kLo+aLo]
 }
 
 // walkJobOrder walks lists in increasing job order, where the types
