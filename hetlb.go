@@ -77,8 +77,9 @@ func RoundRobin(m CostModel) *Assignment { return core.RoundRobin(m) }
 func RandomInitial(m CostModel, seed uint64) *Assignment {
 	gen := rng.New(seed)
 	a := core.NewAssignment(m)
+	machines := m.NumMachines()
 	for j := 0; j < m.NumJobs(); j++ {
-		a.Assign(j, gen.Intn(m.NumMachines()))
+		a.Assign(j, gen.Intn(machines))
 	}
 	return a
 }

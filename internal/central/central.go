@@ -11,8 +11,10 @@
 //
 // CLB2C and OnlineLS find the least-loaded machine with a loser tree that
 // holds each machine's load itself, so the machine lists CLB2C takes must
-// name distinct machines. A placement replays log2(m) branch-free matches
-// along one leaf-to-root path.
+// name distinct machines. The tree's leaves hold the machines in increasing
+// index, so a match compares two loads alone and sends a tie to the left
+// subtree, whose machines have the lower indices. A placement replays
+// log2(m) branch-free matches along one leaf-to-root path.
 package central
 
 import (
@@ -69,7 +71,9 @@ func LPT(id *core.Identical) *core.Assignment {
 // machine's load in its own loser tree from the start loads in a, and
 // writes the trees' final loads back to a, so a machine listed twice would
 // be two machines, and one listed in the wrong cluster would be charged
-// that cluster's costs.
+// that cluster's costs. A tree's leaves hold its machines in increasing
+// index, so a list out of that order is sorted in a copy; neither list is
+// modified.
 //
 // The jobs are considered sorted by increasing cost ratio p0/p1. At each
 // step the head job (relatively cheapest on cluster 0) is tentatively placed
@@ -79,10 +83,11 @@ func LPT(id *core.Identical) *core.Assignment {
 // load goes to the lower-indexed machine.
 //
 // Besides a, a call allocates 32 bytes per job (its two costs, its sort key
-// and a radix slot) and 16 bytes per padded leaf of the two trees, each
-// cluster's machine count rounded up to a power of two. It reads each job's
-// two costs once, to gather them; the walk and the final pass read the
-// gathered copies.
+// and a radix slot), 16 bytes per padded leaf of the two trees, each
+// cluster's machine count rounded up to a power of two, and one int per
+// machine of a list out of increasing order, for its sorted copy. It reads
+// each job's two costs once, to gather them; the walk and the final pass
+// read the gathered copies.
 func CLB2C(a *core.Assignment, m core.Clustered, ms0, ms1, jobs []int) {
 	p0, p1 := core.GatherCosts(m, 0, jobs, nil), core.GatherCosts(m, 1, jobs, nil)
 	keys, _ := core.OrderJobs(core.ByRatio, p0, p1, jobs, make([]uint64, len(jobs)), make([]uint64, len(jobs)))

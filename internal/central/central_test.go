@@ -260,6 +260,24 @@ func BenchmarkRunCLB2C(b *testing.B) {
 	benchRunCLB2C(b, workload.UniformTwoCluster(rng.New(11), 8192, 8192, 1638400, 1, 1000))
 }
 
+// BenchmarkRunCLB2CCachedOrder runs RunCLB2C on BenchmarkRunCLB2C's model
+// with its ratio order already built: each call copies the cached order
+// into its keys and sorts nothing, so this times the walk, the two trees
+// and the job map apart from the order's build (BenchmarkOrderJobs in
+// internal/core times that at this size).
+func BenchmarkRunCLB2CCachedOrder(b *testing.B) {
+	if testing.Short() {
+		b.Skip("1.6M-job instance; -short keeps bench-smoke cheap")
+	}
+	tc := workload.UniformTwoCluster(rng.New(11), 8192, 8192, 1638400, 1, 1000)
+	tc.RatioOrder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RunCLB2C(tc)
+	}
+}
+
 // benchRunCLB2C times RunCLB2C on a fresh model over tc's costs per
 // iteration: a model caches its ratio order, so a reused one would time
 // only the walk.

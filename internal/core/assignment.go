@@ -305,8 +305,12 @@ func (a *Assignment) String() string {
 // protocols.
 func RoundRobin(m CostModel) *Assignment {
 	a := NewAssignment(m)
-	for j := 0; j < m.NumJobs(); j++ {
-		a.Assign(j, j%m.NumMachines())
+	machines := m.NumMachines()
+	for j, i := 0, 0; j < len(a.machineOf); j++ {
+		a.Assign(j, i) // i is j % machines, cycled without a divide
+		if i++; i == machines {
+			i = 0
+		}
 	}
 	return a
 }

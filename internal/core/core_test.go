@@ -293,6 +293,22 @@ func TestRoundRobinAndAllOn(t *testing.T) {
 	if a.Load(0) != 3 || a.Load(1) != 2 || a.Load(2) != 2 {
 		t.Fatalf("round robin loads: %v", a.Loads())
 	}
+	for _, m := range []int{1, 3, 7} {
+		sizes := make([]Cost, 23)
+		for j := range sizes {
+			sizes[j] = Cost(j)
+		}
+		id, _ := NewIdentical(m, sizes)
+		a := RoundRobin(id)
+		for j := range sizes {
+			if a.MachineOf(j) != j%m {
+				t.Fatalf("round robin on %d machines put job %d on machine %d, want %d", m, j, a.MachineOf(j), j%m)
+			}
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	b := AllOnMachine(id, 1)
 	if b.Load(1) != 7 || b.Load(0) != 0 {
 		t.Fatalf("all-on loads: %v", b.Loads())

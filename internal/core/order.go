@@ -21,10 +21,15 @@ const (
 
 // radixCutover is the job count from which OrderJobs presorts its keys with
 // radix passes instead of slices.Sort. Below it the radix passes' fixed cost
-// (a 256-bucket prefix sum per byte) outweighs the comparisons they save; on
-// random ratio keys (2-vCPU Xeon) the two break even near 48 keys, and radix
-// is 25% faster at 64. A 16-job union stays on slices.Sort.
-const radixCutover = 64
+// (24 KB of counts to clear and prefix sums over 5,120 buckets) outweighs
+// the comparisons they save. On ratio keys of costs U[1,1000] (2-vCPU Xeon
+// VM, go1.24.0, 123 interleaved rounds per count) the two broke even near
+// 320 keys in the fastest rounds (3.6 µs for the radix against 4.1 µs for
+// slices.Sort at 384 keys) and near 550 in the median rounds of an hour
+// when the host was busier and the radix slowed more than the sort (8.6
+// against 7.3 µs at 448 keys, 12.7 against 15.9 µs at 768); the cutover
+// sits between the two.
+const radixCutover = 448
 
 // OrderJobs puts n jobs in the exact order o and returns their keys in that
 // order: int(uint32(sorted[k])) is the position of the k-th job. The job at
@@ -40,7 +45,7 @@ const radixCutover = 64
 //   - a key's high half is an order-preserving float32 image of what the
 //     order compares (the ratio own/other, or the size), its low half the
 //     position, so sorting keys by their high half, stably, presorts the
-//     jobs: a stable LSD radix sort over the high 32 bits (skipping bytes
+//     jobs: a stable LSD radix sort over the high 32 bits (skipping digits
 //     every key shares) from radixCutover keys on, slices.Sort below it
 //     (positions increase, so both give the same order);
 //   - the image never inverts two jobs the exact order separates, but
@@ -194,33 +199,39 @@ func precedes(o JobOrder, ids []int, x int, xa, xb Cost, y int, ya, yb Cost) boo
 	return ids[x] < ids[y]
 }
 
+// radixBits is the width of a digit of radixSortHigh, whose three counting
+// passes of 11, 11 and 10 bits cover a key's high 32 bits: one pass fewer
+// than 8-bit digits take, for a prefix sum over up to 2,048 buckets per
+// pass instead of 256 (radixCutover).
+const radixBits = 11
+
 // radixSortHigh sorts keys stably by their high 32 bits, one counting pass
-// per byte from the least significant, skipping a byte every key shares.
-// buf must be as long as keys; the sorted keys come back in one of the two
-// and the other is returned as spare.
+// per radixBits-bit digit from the least significant, skipping a digit
+// every key shares. buf must be as long as keys; the sorted keys come back
+// in one of the two and the other is returned as spare.
 //
 //hetlb:noalloc
 func radixSortHigh(keys, buf []uint64) (sorted, spare []uint64) {
-	var counts [4][256]uint32 // keys has fewer than 2^32 entries
+	const mask = 1<<radixBits - 1
+	var counts [3][1 << radixBits]uint32 // keys has fewer than 2^32 entries
 	for _, k := range keys {
-		counts[0][byte(k>>32)]++
-		counts[1][byte(k>>40)]++
-		counts[2][byte(k>>48)]++
-		counts[3][byte(k>>56)]++
+		counts[0][k>>32&mask]++
+		counts[1][k>>(32+radixBits)&mask]++
+		counts[2][k>>(32+2*radixBits)&mask]++
 	}
 	for d := range counts {
-		shift := 32 + 8*uint(d)
+		shift := 32 + radixBits*uint(d)
 		c := &counts[d]
-		if int(c[byte(keys[0]>>shift)]) == len(keys) {
+		if int(c[keys[0]>>shift&mask]) == len(keys) {
 			continue
 		}
 		var next uint32
-		for b, cnt := range c {
+		for b, cnt := range c[:1<<min(radixBits, 64-shift)] { // the top digit has 10 bits
 			c[b] = next
 			next += cnt
 		}
 		for _, k := range keys {
-			b := byte(k >> shift)
+			b := k >> shift & mask
 			buf[c[b]] = k
 			c[b]++
 		}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
+
+	"hetlb/internal/rng"
 )
 
 // refJobOrder is the oracle of OrderJobs: positions 0..n-1 sorted with
@@ -248,5 +251,108 @@ func TestOrderJobsExactImageCases(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOrderJobsLargeCounts runs OrderJobs past FuzzJobOrder's 512-job cap,
+// in both orders, against the oracle: costs from fuzzCosts' classes and
+// U[1,1000] at 4,096 and 131,072 jobs and on both sides of radixCutover;
+// ratios in [1, 1.5), whose images share their top digit, so the radix
+// skips that pass; and jobs that all tie, so it skips every pass. Up to
+// 4,096 jobs each input also runs with ids that descend, which the tie
+// pass must put back in id order.
+func TestOrderJobsLargeCounts(t *testing.T) {
+	gen := rng.New(16)
+	families := []struct {
+		name  string
+		costs func(n int) (own, other []Cost)
+	}{
+		{"fuzz classes", func(n int) ([]Cost, []Cost) {
+			data := make([]byte, 3*n)
+			for i := range data {
+				data[i] = byte(gen.Uint64())
+			}
+			return fuzzCosts(data)
+		}},
+		{"U[1,1000]", func(n int) ([]Cost, []Cost) { return uniformCosts(gen, n) }},
+		{"one top digit", func(n int) ([]Cost, []Cost) {
+			own, other := make([]Cost, n), make([]Cost, n)
+			for p := range own {
+				own[p], other[p] = gen.IntRange(1000, 1499), 1000
+			}
+			return own, other
+		}},
+		{"all tie", func(n int) ([]Cost, []Cost) {
+			own, other := make([]Cost, n), make([]Cost, n)
+			for p := range own {
+				own[p], other[p] = 7, 7
+			}
+			return own, other
+		}},
+	}
+	for _, f := range families {
+		for _, n := range []int{radixCutover - 1, radixCutover, 4096, 131072} {
+			own, other := f.costs(n)
+			idSets := [][]int{nil}
+			if n <= 4096 {
+				descending := make([]int, n)
+				for p := range descending {
+					descending[p] = n - p
+				}
+				idSets = append(idSets, descending)
+			}
+			for _, ids := range idSets {
+				for _, o := range []JobOrder{ByRatio, BySize} {
+					keys, _ := OrderJobs(o, own, other, ids, nil, nil)
+					want := refJobOrder(o, own, other, ids)
+					for k, key := range keys {
+						if int(uint32(key)) != want[k] {
+							t.Fatalf("%s, %d jobs, order %d, ids descending %t: position %d at %d, oracle has %d", f.name, n, o, ids != nil, uint32(key), k, want[k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// uniformCosts draws n jobs' costs on two clusters, each U[1,1000] like the
+// benchmark's instances (workload.UniformTwoCluster).
+func uniformCosts(gen *rng.RNG, n int) (own, other []Cost) {
+	own, other = make([]Cost, n), make([]Cost, n)
+	for p := range own {
+		own[p], other[p] = gen.IntRange(1, 1000), gen.IntRange(1, 1000)
+	}
+	return own, other
+}
+
+// BenchmarkOrderJobs times OrderJobs' ratio order, buffers reused, at the
+// key counts of the CLB2C reference's callers and of a DLB2C pair step,
+// costs U[1,1000]: a 200-job union of two machines' lists in job order
+// (ids ascending, from a 1,638,400-job model, as on the Figure 5 threshold
+// workload), a 512-job model (the stable workload's items), a 768-job
+// model (a replicate instance, Figure 3's paper scale) and the 1,638,400-job
+// threshold model, which -short skips. Under radixCutover keys the order
+// presorts with slices.Sort, from it with radixSortHigh.
+func BenchmarkOrderJobs(b *testing.B) {
+	for _, n := range []int{200, 512, 768, 1638400} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			if n > 1<<20 && testing.Short() {
+				b.Skip("1.6M-job order; -short keeps bench-smoke cheap")
+			}
+			gen := rng.New(uint64(n))
+			own, other := uniformCosts(gen, n)
+			var ids []int
+			if n == 200 {
+				ids = gen.Perm(1638400)[:n]
+				slices.Sort(ids)
+			}
+			keys, buf := make([]uint64, n), make([]uint64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				keys, buf = OrderJobs(ByRatio, own, other, ids, keys, buf)
+			}
+		})
 	}
 }
